@@ -49,7 +49,7 @@ def _parse_sort(text: str, h: int) -> Sort:
         return E
     if text == "C":
         return C
-    if text.isdigit():
+    if text.isdecimal():
         i = int(text)
         if 1 <= i <= h:
             return agent(i)
@@ -60,9 +60,12 @@ def _parse_world(text: str) -> int:
     text = text.strip()
     if text.startswith("w"):
         text = text[1:]
-    if not text.isdigit():
-        raise JckError(f"not a world name: {text!r}")
-    return int(text)
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise JckError(f"not a world name: {text!r}")
 
 
 def _load_cs(spec: str, h: int) -> ConstantSpecification:
@@ -353,6 +356,19 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
+def _bounded_int(least: int):
+    """argparse type: an integer no smaller than `least`."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return convert
+
+
 def _add_common(sub, agents=True, cs=False) -> None:
     if agents:
         sub.add_argument("--agents", type=int, default=2, metavar="H",
@@ -419,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--world", required=True)
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_bounded_int(0), default=3,
                    help="saturation budget for evidence checks (default 3)")
     p.add_argument("--kripke", action="store_true",
                    help="treat the file as a relational model and the "
@@ -458,14 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    help="a modal formula, or a derivation file whose modal "
                         "image to probe")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_bounded_int(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, cs=True)
     p.set_defaults(func=cmd_probe)
 
     p = subs.add_parser("demo-attack",
                         help="reproduce the coordinated-attack analysis")
-    p.add_argument("--depth", type=int, default=3,
+    p.add_argument("--depth", type=_bounded_int(0), default=3,
                    help="term family depth and saturation budget (default 3)")
     p.set_defaults(func=cmd_demo_attack)
 

@@ -493,6 +493,13 @@ def print_derivation(d: Derivation) -> str:
 _SCHEMA_BY_ID = {s.value: s for s in AxiomSchema}
 
 
+def _rule_index(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad index {text!r}; expected an integer") from None
+
+
 def parse_derivation(text: str, h: int) -> Derivation:
     """Read the derivation file format: `hyp:` lines first, then numbered steps."""
     hypotheses: list[Formula] = []
@@ -522,14 +529,14 @@ def parse_derivation(text: str, h: int) -> Derivation:
             raise ParseError(f"line {lineno}: empty rule")
         name = parts[0]
         if name == "hyp" and len(parts) == 2:
-            rule: Rule = Hyp(int(parts[1]))
+            rule: Rule = Hyp(_rule_index(parts[1], lineno))
         elif name == "axiom" and len(parts) == 2:
             schema = _SCHEMA_BY_ID.get(parts[1])
             if schema is None:
                 raise ParseError(f"line {lineno}: unknown schema {parts[1]!r}")
             rule = Axiom(schema)
         elif name == "mp" and len(parts) == 3:
-            rule = MP(int(parts[1]), int(parts[2]))
+            rule = MP(_rule_index(parts[1], lineno), _rule_index(parts[2], lineno))
         elif name == "axnec" and len(parts) == 2:
             const = parse_term(parts[1], h)
             if not isinstance(const, Const):

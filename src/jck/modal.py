@@ -26,7 +26,8 @@ from .syntax import (
     subterms,
 )
 from .semantics import (
-    ValidationReport, reflexive_transitive_closure, transitive_closure,
+    ValidationReport, _frame_problems, reflexive_transitive_closure,
+    transitive_closure,
 )
 
 
@@ -392,45 +393,30 @@ class KripkeModel:
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self._succ_cache: dict = {}
 
-    def _succ(self, key, rel) -> dict[int, list[int]]:
+    def _succ(self, key, relation) -> dict[int, list[int]]:
+        """Successor map of `relation()`, which runs on the first request only."""
         if key not in self._succ_cache:
             succ: dict[int, list[int]] = {w: [] for w in self.worlds}
-            for w, v in rel:
+            for w, v in relation():
                 succ[w].append(v)
             self._succ_cache[key] = succ
         return self._succ_cache[key]
 
+    def _union(self) -> frozenset:
+        return frozenset().union(*self.relations.values())
+
     def successors_agent(self, i: int):
-        return self._succ(("agent", i), self.relations[i])
+        return self._succ(("agent", i), lambda: self.relations[i])
 
     def successors_every(self):
-        union = frozenset().union(*self.relations.values())
-        return self._succ("every", union)
+        return self._succ("every", self._union)
 
     def successors_common(self):
-        union = frozenset().union(*self.relations.values())
-        return self._succ("common", transitive_closure(union))
+        return self._succ("common", lambda: transitive_closure(self._union()))
 
 
 def validate_kripke_model(m: KripkeModel):
-    problems = []
-    for i in range(1, m.h + 1):
-        rel = m.relations[i]
-        for w, v in rel:
-            if w not in m.worlds or v not in m.worlds:
-                problems.append(f"rel {i}: pair ({w},{v}) uses an unknown world")
-        for w in m.worlds:
-            if (w, w) not in rel:
-                problems.append(f"rel {i}: missing reflexive pair ({w},{w})")
-        for w, v in rel:
-            for v2, u in rel:
-                if v2 == v and (w, u) not in rel:
-                    problems.append(f"rel {i}: missing transitive pair ({w},{u})")
-    for p, ws in m.valuation.items():
-        for w in ws:
-            if w not in m.worlds:
-                problems.append(f"val {p}: unknown world {w}")
-    dedup = tuple(dict.fromkeys(problems))
+    dedup = tuple(dict.fromkeys(_frame_problems(m)))
     return ValidationReport(not dedup, dedup)
 
 

@@ -84,8 +84,11 @@ class ValidationReport:
         return self.ok
 
 
-def validate_model(m: AFModel) -> ValidationReport:
-    """Frame and typing checks: preorder relations, known worlds, sorted facts."""
+def _frame_problems(m) -> list[str]:
+    """Frame checks shared by evidence and Kripke models: every relation a
+    preorder over known worlds, every valuation over known worlds.  The
+    transitivity check looks each pair's target up in a successor map, so it
+    costs one step per pair (w,v) and successor of v."""
     problems: list[str] = []
     for i in range(1, m.h + 1):
         rel = m.relations[i]
@@ -95,14 +98,23 @@ def validate_model(m: AFModel) -> ValidationReport:
         for w in m.worlds:
             if (w, w) not in rel:
                 problems.append(f"rel {i}: missing reflexive pair ({w},{w})")
+        succ: dict[int, list[int]] = {}
+        for v, u in rel:
+            succ.setdefault(v, []).append(u)
         for w, v in rel:
-            for v2, u in rel:
-                if v2 == v and (w, u) not in rel:
+            for u in succ.get(v, ()):
+                if (w, u) not in rel:
                     problems.append(f"rel {i}: missing transitive pair ({w},{u})")
     for p, ws in m.valuation.items():
         for w in ws:
             if w not in m.worlds:
                 problems.append(f"val {p}: unknown world {w}")
+    return problems
+
+
+def validate_model(m: AFModel) -> ValidationReport:
+    """Frame and typing checks: preorder relations, known worlds, sorted facts."""
+    problems = _frame_problems(m)
     for fact in m.evidence_base:
         if fact.world not in m.worlds:
             problems.append(f"evidence at unknown world {fact.world}")
@@ -114,16 +126,24 @@ def validate_model(m: AFModel) -> ValidationReport:
 
 
 def transitive_closure(pairs) -> frozenset:
-    """Smallest transitive superset of `pairs` (paths of length >= 1)."""
-    closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        fresh = {(w, u) for w, v in closure for v2, u in closure
-                 if v2 == v and (w, u) not in closure}
-        if fresh:
-            closure |= fresh
-            changed = True
+    """Smallest transitive superset of `pairs` (paths of length >= 1).
+
+    One depth-first search from each world with an out-edge, over a successor
+    map built once: O(W * (W + R)) for W worlds and R pairs, and linear in
+    each world's reachable set."""
+    succ: dict[int, set[int]] = {}
+    for w, v in pairs:
+        succ.setdefault(w, set()).add(v)
+    closure: list[Pair] = []
+    for w, first in succ.items():
+        seen = set(first)
+        stack = list(first)
+        while stack:
+            for u in succ.get(stack.pop(), ()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        closure.extend((w, u) for u in seen)
     return frozenset(closure)
 
 
@@ -484,9 +504,16 @@ def format_model(m: AFModel) -> str:
 
 
 def _world_id(token: str) -> int:
-    if not token.startswith("w") or not token[1:].isdigit():
+    if not token.startswith("w") or not token[1:].isdecimal():
         raise ParseError(f"bad world name {token!r}; expected wN")
-    return int(token[1:])
+    return _integer(token[1:], "world number")
+
+
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}; expected an integer") from None
 
 
 def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecification:
@@ -540,13 +567,13 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         key = key.strip()
         rest = rest.strip()
         if key == "h":
-            h = int(rest)
+            h = _integer(rest, "agent count")
             if h < 1:
                 raise ParseError("h must be at least 1")
         elif key == "worlds":
             worlds.update(_world_id(tok) for tok in rest.split())
         elif key.startswith("rel"):
-            i = int(key[3:].strip())
+            i = _integer(key[3:].strip(), "agent index")
             if not 1 <= i <= need_h():
                 raise ParseError(f"agent index {i} outside 1..{h}")
             pairs = relations.setdefault(i, set())
@@ -560,7 +587,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
                 pairs.add((_world_id(a), _world_id(b)))
         elif key.startswith("val"):
             name = key[3:].strip()
-            if name.startswith("P") and name[1:].isdigit():
+            if name.startswith("P") and name[1:].isdecimal():
                 prop_key = int(name[1:])
             else:
                 prop_key = name

@@ -1,8 +1,14 @@
 """Command-line front end.  Exit codes: 0 accept/true/clean, 1 logical
 rejection, 2 malformed input or missing file."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import jck
 from conftest import build_induction2_input
 from jck.cli import demo_attack, main
 from jck.deduction import Axiom, AxiomSchema, Derivation, Step, print_derivation
@@ -224,6 +230,29 @@ def test_eval_warning_goes_to_stderr(tmp_path, capsys):
     assert "warning:" in captured.err
 
 
+def run_jck(*argv) -> subprocess.CompletedProcess:
+    """Run the command line in a child interpreter, as a shell would."""
+    src = str(Path(jck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "jck.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("verb, suffix, text", [
+    ("validate", ".afm", "h: two\nworlds: w0\n"),
+    ("validate", ".afm", "h: 1\nworlds: w0\nrelx: (w0,w0)\n"),
+    ("check", ".drv", "1. P1 ; hyp x\n"),
+    ("check", ".drv", "1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 1 y\n"),
+], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y"])
+def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    proc = run_jck(verb, str(path))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate(attack_afm, attack_krm, single_afm, tmp_path, capsys):
     for path in (attack_afm, single_afm):
         assert main(["validate", path]) == 0
@@ -287,6 +316,19 @@ def test_probe_modal_control(capsys):
     out = capsys.readouterr().out
     assert "countermodel found" in out
     assert "rel 1:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "#1 P1 -> #C P1", "--trials", "-5"],
+    ["probe", "#1 P1 -> #C P1", "--trials", "0"],
+    ["demo-attack", "--depth", "-1"],
+    ["eval", "model.afm", "P1", "--world", "w0", "--depth", "-1"],
+], ids=["probe_trials_negative", "probe_trials_zero", "demo_attack_depth", "eval_depth"])
+def test_out_of_range_numeric_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
 
 
 def test_probe_theorem_file(refl_drv, capsys):

@@ -23,7 +23,8 @@ from jck.modal import (
     random_kripke_model, realizes, translate_derivation_x,
     validate_kripke_model,
 )
-from jck.semantics import attack_four_world_model
+from jck import modal
+from jck.semantics import attack_four_world_model, transitive_closure
 from jck.syntax import (
     C, E, App, Const, Imp, Just, Neg, Proj, Prop, Sum, Var, agent,
     parse_formula, print_formula,
@@ -329,6 +330,29 @@ def test_kripke_validation():
     bad = KripkeModel(1, {0, 1}, {1: {(0, 0), (0, 1)}}, {})
     problems = validate_kripke_model(bad).problems
     assert any("missing reflexive pair (1,1)" in p for p in problems)
+
+
+def test_kripke_validate_transitivity():
+    m = KripkeModel(1, {0, 1, 2}, {1: {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}}, {})
+    assert any("missing transitive pair (0,2)" in p
+               for p in validate_kripke_model(m).problems)
+
+
+def test_kripke_common_closure_computed_once(monkeypatch):
+    calls = []
+
+    def counting(pairs):
+        calls.append(1)
+        return transitive_closure(pairs)
+
+    m = random_kripke_model(2, 32, density=0.05, seed=4)
+    monkeypatch.setattr(modal, "transitive_closure", counting)
+    queries = [parse_modal_formula(text, 2)
+               for text in ("#C P1", "#C (P1 | P2)", "#1 #C P3", "#C #C P4 -> #E P4")]
+    for a in queries:
+        for w in sorted(m.worlds):
+            kripke_satisfies(m, w, a)
+    assert len(calls) == 1
 
 
 def test_kripke_boxes():

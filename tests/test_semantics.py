@@ -65,6 +65,39 @@ def test_reflexive_transitive_closure_covers_isolated_worlds():
     assert rtc == frozenset({(0, 0), (1, 1), (2, 2), (0, 1)})
 
 
+def fixed_point_closure(pairs) -> frozenset:
+    """Oracle: iterate X := X | X;R from X = R until nothing new appears."""
+    pairs = set(pairs)
+    closure = set(pairs)
+    while True:
+        fresh = {(w, u) for w, v in closure for v2, u in pairs if v2 == v} - closure
+        if not fresh:
+            return frozenset(closure)
+        closure |= fresh
+
+
+@pytest.mark.parametrize("pairs", [
+    set(),
+    {(0, 0)},
+    {(0, 0), (1, 1), (2, 2)},
+    {(0, 1), (1, 2), (2, 3), (3, 0)},
+    {(0, 1), (1, 0), (5, 6), (6, 7), (9, 9)},
+    {(0, 1), (1, 1), (1, 2), (2, 1), (3, 3)},
+], ids=["empty", "self_loop", "self_loops", "cycle", "disconnected", "mixed"])
+def test_transitive_closure_edge_cases(pairs):
+    assert transitive_closure(pairs) == fixed_point_closure(pairs)
+
+
+def test_transitive_closure_matches_fixed_point_oracle():
+    rng = random.Random(7)
+    for _ in range(80):
+        n = rng.randint(1, 40)
+        density = rng.uniform(0.0, 3.0 / n)
+        pairs = {(w, v) for w in range(n) for v in range(n) if rng.random() < density}
+        assert transitive_closure(pairs) == fixed_point_closure(pairs)
+        assert transitive_closure(iter(sorted(pairs))) == fixed_point_closure(pairs)
+
+
 def test_reach_e_is_the_union_of_agent_relations():
     m = tiny(h=2, worlds=(0, 1, 2), rels={1: {(0, 1)}, 2: {(1, 2)}})
     re_ = reach_E(m)
@@ -102,6 +135,41 @@ def test_validate_transitivity():
     m = AFModel(1, {0, 1, 2}, {1: {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}}, {})
     assert any("missing transitive pair (0,2)" in p
                for p in validate_model(m).problems)
+
+
+def pairwise_frame_problems(m) -> tuple[str, ...]:
+    """Oracle: the frame checks written as a pair-by-pair join."""
+    problems = []
+    for i in range(1, m.h + 1):
+        rel = m.relations[i]
+        for w, v in rel:
+            if w not in m.worlds or v not in m.worlds:
+                problems.append(f"rel {i}: pair ({w},{v}) uses an unknown world")
+        for w in m.worlds:
+            if (w, w) not in rel:
+                problems.append(f"rel {i}: missing reflexive pair ({w},{w})")
+        for w, v in rel:
+            for v2, u in rel:
+                if v2 == v and (w, u) not in rel:
+                    problems.append(f"rel {i}: missing transitive pair ({w},{u})")
+    for p, ws in m.valuation.items():
+        for w in ws:
+            if w not in m.worlds:
+                problems.append(f"val {p}: unknown world {w}")
+    return tuple(dict.fromkeys(problems))
+
+
+def test_validate_problems_match_pairwise_oracle_in_order():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        worlds = set(range(n))
+        relations = {i: {(w, v) for w in range(n + 1) for v in range(n + 1)
+                         if rng.random() < 0.2}
+                     for i in (1, 2)}
+        valuation = {1: {w for w in range(n + 2) if rng.random() < 0.3}}
+        m = AFModel(2, worlds, relations, valuation)
+        assert validate_model(m).problems == pairwise_frame_problems(m)
 
 
 # ---------------------------------------------------------------------------
