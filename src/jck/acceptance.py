@@ -36,13 +36,14 @@ from .gen import (
     random_term, random_theorem,
 )
 from .semantics import (
-    AFModel, EvidenceFact, SaturationUniverse, attack_four_world_model,
-    attack_singleton_model, build_universe, evidence_holds, random_model,
-    reach_C, satisfies, saturate, valid_in_model,
+    AFModel, EvidenceFact, KripkeModel, SaturationUniverse,
+    attack_four_world_model, attack_kripke_model, attack_singleton_model,
+    build_universe, evidence_holds, random_model, reach_C, satisfies, saturate,
+    valid_in_model,
 )
 from .modal import (
-    attack_kripke_model, conservative_projection, forgetful,
-    forgetful_soundness_probe, kripke_satisfies, parse_modal_formula,
+    conservative_projection, forgetful, forgetful_soundness_probe,
+    kripke_satisfies, parse_modal_formula, print_modal_formula,
     probe_modal_formula, realizes, translate_derivation_x,
 )
 
@@ -518,52 +519,103 @@ def attack_term_families(max_depth: int = 3) -> tuple[list[Term], list[Term]]:
     return fam2, fam_c
 
 
-def check_attack_scenario(seed: int = 0) -> CriterionResult:
-    """Positive and negative claims of the two-general exchange, all three parts.
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the attack scenario.  A claim that no candidate term
+    succeeds names the first term that did as its `witness`."""
 
-    Part (c) is a bounded check: it sweeps every candidate term up to depth 3
-    under saturation budget 3, not all terms of every depth.
+    text: str
+    holds: bool
+    witness: Term | None = None
+
+
+@dataclass(frozen=True)
+class AttackScenario:
+    """The scenario's claims in titled sections, and the sizes of the two
+    candidate term families they sweep."""
+
+    agent2_terms: int
+    common_terms: int
+    sections: tuple[tuple[str, tuple[Claim, ...]], ...]
+
+
+def attack_scenario(depth: int = 3) -> AttackScenario:
+    """Every claim of the two-general exchange, in both semantics.
+
+    The sweeps are bounded checks: every candidate term up to `depth`, and
+    the singleton model saturated with budget `depth`, and no further.
     """
-    failures: list[str] = []
     del_ = Prop("del")
     m1 = Const("m1", agent(2))
     m2 = Const("m2", agent(1))
     got_msg = Just(m1, agent(2), del_)            # agent 2 holds the delivery
     knows_msg = Just(m2, agent(1), got_msg)       # agent 1 holds agent 2's receipt
+    fam2, fam_c = attack_term_families(depth)
 
-    # (a) four-world model: both positives at world 0, no third-level evidence
+    def positives(m: AFModel) -> tuple[Claim, ...]:
+        return tuple(Claim(f"world 0 satisfies {print_formula(f)}", satisfies(m, 0, f, depth))
+                     for f in (got_msg, knows_msg))
+
+    def none_of(text: str, terms: list[Term], succeeds) -> Claim:
+        witness = next((t for t in terms if succeeds(t)), None)
+        return Claim(text, witness is None, witness)
+
     m4 = attack_four_world_model()
-    if not satisfies(m4, 0, got_msg):
-        _collect(failures, "a", "first-hand delivery claim fails at world 0")
-    if not satisfies(m4, 0, knows_msg):
-        _collect(failures, "a", "second-hand delivery claim fails at world 0")
-    fam2, fam_c = attack_term_families()
-    bad2 = [s for s in fam2 if satisfies(m4, 0, Just(s, agent(2), knows_msg))]
-    if bad2:
-        _collect(failures, "a", f"third-level witness found: {print_term(bad2[0])}")
-    bad_c = [t for t in fam_c if satisfies(m4, 0, Just(t, C, del_))]
-    if bad_c:
-        _collect(failures, "a", f"common witness found: {print_term(bad_c[0])}")
+    four_world = (
+        *positives(m4),
+        Claim("world 3 falsifies del", not satisfies(m4, 3, del_)),
+        none_of(f"no third-level evidence: all {len(fam2)} agent-2 terms s up to "
+                f"depth {depth} falsify [s]@2 {print_formula(knows_msg)} at world 0",
+                fam2, lambda s: satisfies(m4, 0, Just(s, agent(2), knows_msg))),
+        none_of(f"no common evidence: all {len(fam_c)} common-sort terms t up to "
+                f"depth {depth} falsify [t]@C del at world 0",
+                fam_c, lambda t: satisfies(m4, 0, Just(t, C, del_))),
+    )
 
-    # (b) the relational counterpart refutes the same pattern
     mk = attack_kripke_model()
     phi = parse_modal_formula("#2 del & #1 #2 del -> #C del", 2)
-    if kripke_satisfies(mk, 0, phi):
-        _collect(failures, "b", "relational model satisfies the implication")
+    mk_all = KripkeModel(mk.h, mk.worlds, mk.relations, {"del": mk.worlds})
+    relational = (
+        Claim(f"world 0 falsifies {print_modal_formula(phi)}",
+              not kripke_satisfies(mk, 0, phi)),
+        Claim("sanity toggle: with del true everywhere the same formula holds",
+              kripke_satisfies(mk_all, 0, phi)),
+    )
 
-    # (c) minimal-evidence model: no enumerated term earns common evidence.
-    # Bounded: depth 3 candidates, saturation budget 3.
     ms = attack_singleton_model()
-    if not satisfies(ms, 0, got_msg) or not satisfies(ms, 0, knows_msg):
-        _collect(failures, "c", "base facts do not support the positives")
-    bad_e = [t for t in fam_c if evidence_holds(ms, 0, t, del_, depth_budget=3)]
-    if bad_e:
-        _collect(failures, "c", f"common evidence found: {print_term(bad_e[0])}")
+    singleton = (
+        *positives(ms),
+        none_of(f"no common evidence for del: all {len(fam_c)} common-sort terms "
+                f"up to depth {depth} refused (saturation budget {depth})",
+                fam_c, lambda t: evidence_holds(ms, 0, t, del_, depth_budget=depth)),
+    )
+    return AttackScenario(len(fam2), len(fam_c), (
+        ("four-world evidence model (unrestricted evidence):", four_world),
+        ("relational counterpart:", relational),
+        ("singleton minimal-evidence model:", singleton),
+    ))
+
+
+def check_attack_scenario(seed: int = 0) -> CriterionResult:
+    """Every claim of the two-general exchange, parts (a), (b) and (c) being
+    the four-world, relational and singleton sections.
+
+    Part (c) is a bounded check: it sweeps every candidate term up to depth 3
+    under saturation budget 3, not all terms of every depth.
+    """
+    scenario = attack_scenario(3)
+    failures: list[str] = []
+    for part, (_, claims) in zip("abc", scenario.sections):
+        for claim in claims:
+            if not claim.holds:
+                witness = ("" if claim.witness is None
+                           else f" (witness {print_term(claim.witness)})")
+                _collect(failures, part, f"claim fails: {claim.text}{witness}")
 
     ok = not failures
-    summary = (f"positives hold; {len(fam2)} agent-2 terms and {len(fam_c)} "
-               f"common terms all refused (part (c) is a bounded check: "
-               f"depth 3, saturation budget 3)")
+    summary = (f"positives hold; {scenario.agent2_terms} agent-2 terms and "
+               f"{scenario.common_terms} common terms all refused (part (c) is a "
+               f"bounded check: depth 3, saturation budget 3)")
     return CriterionResult("attack-scenario", ok, summary, tuple(failures))
 
 

@@ -14,8 +14,7 @@ import sys
 
 from .errors import JckError
 from .syntax import (
-    C, E, Const, Prop, Just, Sort, agent, parse_formula, parse_term,
-    print_formula, print_term,
+    Parser, Sort, parse_formula, parse_term, print_formula, print_term,
 )
 from .deduction import (
     ConstantSpecification, check_derivation, parse_derivation,
@@ -26,17 +25,15 @@ from .synthesis import (
     lift, necessitate,
 )
 from .semantics import (
-    attack_four_world_model, attack_singleton_model, evidence_holds,
     parse_cs_table, parse_model_file, satisfies, validate_model,
 )
 from .modal import (
-    KripkeModel, attack_kripke_model, forgetful, format_kripke_model,
-    kripke_satisfies, parse_kripke_file, parse_modal_formula,
-    probe_modal_formula, forgetful_soundness_probe, realizes,
-    translate_derivation_x, validate_kripke_model, print_modal_formula,
+    forgetful, format_kripke_model, kripke_satisfies, parse_kripke_file,
+    parse_modal_formula, probe_modal_formula, forgetful_soundness_probe,
+    realizes, translate_derivation_x, validate_kripke_model,
+    print_modal_formula,
 )
-from .acceptance import format_results, run_all
-from .gen import enumerate_terms
+from .acceptance import attack_scenario, format_results, run_all
 
 
 def _read_text(path: str) -> str:
@@ -45,15 +42,10 @@ def _read_text(path: str) -> str:
 
 
 def _parse_sort(text: str, h: int) -> Sort:
-    if text == "E":
-        return E
-    if text == "C":
-        return C
-    if text.isdecimal():
-        i = int(text)
-        if 1 <= i <= h:
-            return agent(i)
-    raise JckError(f"not a sort for {h} agents: {text!r} (expected 1..{h}, E, or C)")
+    p = Parser(text, h)
+    sort = p.parse_sort_token()
+    p.expect_end()
+    return sort
 
 
 def _parse_world(text: str) -> int:
@@ -274,68 +266,22 @@ def cmd_probe(args) -> int:
 
 
 def demo_attack(depth_budget: int = 3) -> tuple[str, bool]:
-    """Reproduce the two-general exchange in both semantics.
+    """Render the claims of `acceptance.attack_scenario`.
 
     Returns (report text, all claims hold).  The singleton-model sweep is a
     bounded check: every candidate term up to the given depth, saturated with
     the same budget, and no further.
     """
-    del_ = Prop("del")
-    m1 = Const("m1", agent(2))
-    m2 = Const("m2", agent(1))
-    got_msg = Just(m1, agent(2), del_)
-    knows_msg = Just(m2, agent(1), got_msg)
-    leaves = [m1, m2, Const(1, C)]
-    fam2 = enumerate_terms(leaves, agent(2), depth_budget, h=2)
-    fam_c = enumerate_terms(leaves, C, depth_budget, h=2)
-
     lines = []
-    claims = []
-
-    def claim(text: str, value: bool) -> None:
-        claims.append(value)
-        lines.append(f"  [{'ok' if value else 'FAIL'}] {text}")
-
-    lines.append("four-world evidence model (unrestricted evidence):")
-    m4 = attack_four_world_model()
-    claim(f"world 0 satisfies {print_formula(got_msg)}",
-          satisfies(m4, 0, got_msg))
-    claim(f"world 0 satisfies {print_formula(knows_msg)}",
-          satisfies(m4, 0, knows_msg))
-    claim("world 3 falsifies del", not satisfies(m4, 3, del_))
-    claim(f"no third-level evidence: all {len(fam2)} agent-2 terms s up to "
-          f"depth {depth_budget} falsify [s]@2 {print_formula(knows_msg)} at world 0",
-          not any(satisfies(m4, 0, Just(s, agent(2), knows_msg)) for s in fam2))
-    claim(f"no common evidence: all {len(fam_c)} common-sort terms t up to "
-          f"depth {depth_budget} falsify [t]@C del at world 0",
-          not any(satisfies(m4, 0, Just(t, C, del_)) for t in fam_c))
-
-    lines.append("relational counterpart:")
-    mk = attack_kripke_model()
-    phi = parse_modal_formula("#2 del & #1 #2 del -> #C del", 2)
-    claim(f"world 0 falsifies {print_modal_formula(phi)}",
-          not kripke_satisfies(mk, 0, phi))
-    toggled = dict(mk.valuation)
-    toggled["del"] = frozenset(mk.worlds)
-    mk_all = KripkeModel(mk.h, mk.worlds, mk.relations, toggled)
-    claim("sanity toggle: with del true everywhere the same formula holds",
-          kripke_satisfies(mk_all, 0, phi))
-
-    lines.append("singleton minimal-evidence model:")
-    ms = attack_singleton_model()
-    claim(f"world 0 satisfies {print_formula(got_msg)}",
-          satisfies(ms, 0, got_msg, depth_budget=depth_budget))
-    claim(f"world 0 satisfies {print_formula(knows_msg)}",
-          satisfies(ms, 0, knows_msg, depth_budget=depth_budget))
-    claim(f"no common evidence for del: all {len(fam_c)} common-sort terms "
-          f"up to depth {depth_budget} refused (saturation budget {depth_budget})",
-          not any(evidence_holds(ms, 0, t, del_, depth_budget=depth_budget)
-                  for t in fam_c))
+    ok = True
+    for title, claims in attack_scenario(depth_budget).sections:
+        lines.append(title)
+        for claim in claims:
+            lines.append(f"  [{'ok' if claim.holds else 'FAIL'}] {claim.text}")
+            ok = ok and claim.holds
     lines.append(f"  note: the sweep above is a bounded check; it covers every "
                  f"candidate term up to depth {depth_budget}, not all terms of "
                  f"every depth")
-
-    ok = all(claims)
     lines.append("all claims hold" if ok else "SOME CLAIMS FAILED")
     return "\n".join(lines) + "\n", ok
 

@@ -516,7 +516,7 @@ def parse_derivation(text: str, h: int) -> Derivation:
         m = _STEP_RE.match(line)
         if m is None:
             raise ParseError(f"line {lineno}: expected `<k>. <formula> ; <rule>`")
-        k = int(m.group(1))
+        k = _rule_index(m.group(1), lineno)
         if k != len(steps) + 1:
             raise ParseError(f"line {lineno}: step number {k}, expected {len(steps) + 1}")
         body = m.group(2)

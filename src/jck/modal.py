@@ -1,6 +1,11 @@
 """The modal side: plain epistemic formulas, the two syntactic translations,
 and randomized Kripke-model probing.
 
+Modal formulas are evaluated on the frame class of `semantics`, `KripkeModel`,
+which `AFModel` extends with evidence, so an evidence model also reads as a
+Kripke model.  The frame class, its validator, text format, seeded generator
+and the attack fixture are re-exported here.
+
 `forgetful` erases evidence terms, sending [t]@i to the agent box, [t]@E to
 the everyone box, and [t]@C to the common box.  `conservative_projection`
 instead stays inside the justification language: it deletes exactly the boxes
@@ -22,12 +27,12 @@ from .deduction import (
 )
 from .errors import InvalidInput, ParseError, UnknownWorld
 from .syntax import (
-    And, E, Formula, Imp, Just, Neg, Or, Prop, Term, _tokenize, print_formula,
-    subterms,
+    And, C, E, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, agent,
+    print_formula, subterms,
 )
-from .semantics import (
-    ValidationReport, _frame_problems, reflexive_transitive_closure,
-    transitive_closure,
+from .semantics import (  # noqa: F401  (re-exported frame API)
+    KripkeModel, attack_kripke_model, format_kripke_model, parse_model_file,
+    random_kripke_model, validate_kripke_model,
 )
 
 
@@ -117,49 +122,11 @@ def _pm(a: ModalFormula, need: int) -> str:
     raise InvalidInput(f"not a modal formula: {a!r}")
 
 
-class _ModalParser:
-    def __init__(self, text: str, h: int):
-        if not isinstance(h, int) or h < 1:
-            raise InvalidInput(f"agent count h must be a positive int, got {h!r}")
-        self.h = h
-        self.tokens = _tokenize(text)
-        self.i = 0
+class _ModalParser(Parser):
+    """The formula grammar with `#i`, `#E` and `#C` boxes in place of
+    evidence boxes, building modal nodes."""
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> ModalFormula:
-        out = self.parse_imp()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return out
-
-    def parse_imp(self) -> ModalFormula:
-        left = self.parse_or()
-        if self.peek()[0] == "->":
-            self.take()
-            return MImp(left, self.parse_imp())
-        return left
-
-    def parse_or(self) -> ModalFormula:
-        left = self.parse_and()
-        while self.peek()[0] == "|":
-            self.take()
-            left = MOr(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ModalFormula:
-        left = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.take()
-            left = MAnd(left, self.parse_unary())
-        return left
+    IMP, OR, AND = MImp, MOr, MAnd
 
     def parse_unary(self) -> ModalFormula:
         tok = self.peek()
@@ -168,38 +135,32 @@ class _ModalParser:
             return MNeg(self.parse_unary())
         if tok[0] == "#":
             self.take()
-            sort = self.take()
-            if sort[0] == "INT":
-                k = int(sort[1])
-                if not 1 <= k <= self.h:
-                    raise ParseError(f"agent index {k} outside 1..{self.h}", sort[2])
-                return Box(k, self.parse_unary())
-            if sort[0] == "IDENT" and sort[1] == "E":
-                return EveryBox(self.parse_unary())
-            if sort[0] == "IDENT" and sort[1] == "C":
-                return CommonBox(self.parse_unary())
-            raise ParseError(f"expected a sort after '#', found {sort[1]!r}", sort[2])
-        return self.parse_atom()
+            sort = self.parse_sort_token()
+            body = self.parse_unary()
+            if sort.is_agent:
+                return Box(sort.index, body)
+            return EveryBox(body) if sort == E else CommonBox(body)
+        return self.parse_formula_atom()
 
-    def parse_atom(self) -> ModalFormula:
+    def parse_formula_atom(self) -> ModalFormula:
         tok = self.take()
         if tok[0] == "PROP":
             return MProp(tok[3])
         if tok[0] == "IDENT" and tok[1] not in ("E", "C"):
             return MProp(tok[1])
         if tok[0] == "(":
-            out = self.parse_imp()
-            close = self.take()
-            if close[0] != ")":
-                raise ParseError(f"expected ')', found {close[1] or 'end of input'!r}",
-                                 close[2])
+            out = self.parse_formula()
+            self.expect(")")
             return out
         raise ParseError(f"expected a modal formula, found {tok[1] or 'end of input'!r}",
                          tok[2])
 
 
 def parse_modal_formula(text: str, h: int) -> ModalFormula:
-    return _ModalParser(text, h).parse()
+    p = _ModalParser(text, h)
+    a = p.parse_formula()
+    p.expect_end()
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -381,45 +342,6 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
 # Kripke models
 
 
-class KripkeModel:
-    """Plain multi-agent S4 frame with a valuation; no evidence anywhere."""
-
-    def __init__(self, h: int, worlds, relations, valuation):
-        if h < 1:
-            raise InvalidInput("need at least one agent")
-        self.h = h
-        self.worlds = frozenset(worlds)
-        self.relations = {i: frozenset(relations.get(i, ())) for i in range(1, h + 1)}
-        self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
-        self._succ_cache: dict = {}
-
-    def _succ(self, key, relation) -> dict[int, list[int]]:
-        """Successor map of `relation()`, which runs on the first request only."""
-        if key not in self._succ_cache:
-            succ: dict[int, list[int]] = {w: [] for w in self.worlds}
-            for w, v in relation():
-                succ[w].append(v)
-            self._succ_cache[key] = succ
-        return self._succ_cache[key]
-
-    def _union(self) -> frozenset:
-        return frozenset().union(*self.relations.values())
-
-    def successors_agent(self, i: int):
-        return self._succ(("agent", i), lambda: self.relations[i])
-
-    def successors_every(self):
-        return self._succ("every", self._union)
-
-    def successors_common(self):
-        return self._succ("common", lambda: transitive_closure(self._union()))
-
-
-def validate_kripke_model(m: KripkeModel):
-    dedup = tuple(dict.fromkeys(_frame_problems(m)))
-    return ValidationReport(not dedup, dedup)
-
-
 def kripke_satisfies(m: KripkeModel, w: int, a: ModalFormula) -> bool:
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
@@ -436,47 +358,19 @@ def kripke_satisfies(m: KripkeModel, w: int, a: ModalFormula) -> bool:
     if isinstance(a, Box):
         if a.agent > m.h:
             raise InvalidInput(f"agent index {a.agent} outside 1..{m.h}")
-        succ = m.successors_agent(a.agent)
-        return all(kripke_satisfies(m, v, a.body) for v in succ.get(w, ()))
-    if isinstance(a, EveryBox):
-        return all(kripke_satisfies(m, v, a.body)
-                   for v in m.successors_every().get(w, ()))
-    if isinstance(a, CommonBox):
-        return all(kripke_satisfies(m, v, a.body)
-                   for v in m.successors_common().get(w, ()))
-    raise InvalidInput(f"not a modal formula: {a!r}")
-
-
-def random_kripke_model(h: int, n_worlds: int, density: float = 0.3,
-                        seed: int = 0, n_props: int = 4) -> KripkeModel:
-    rng = random.Random(seed)
-    worlds = set(range(n_worlds))
-    relations = {}
-    for i in range(1, h + 1):
-        edges = {(w, v) for w in worlds for v in worlds
-                 if w != v and rng.random() < density}
-        relations[i] = reflexive_transitive_closure(edges, worlds)
-    valuation = {k: {w for w in worlds if rng.random() < 0.5}
-                 for k in range(1, n_props + 1)}
-    return KripkeModel(h, worlds, relations, valuation)
-
-
-def format_kripke_model(m: KripkeModel) -> str:
-    lines = [f"h: {m.h}"]
-    lines.append("worlds: " + " ".join(f"w{w}" for w in sorted(m.worlds)))
-    for i in range(1, m.h + 1):
-        pairs = " ".join(f"(w{w},w{v})" for w, v in sorted(m.relations[i]))
-        lines.append(f"rel {i}: {pairs}")
-    for p in sorted(m.valuation, key=str):
-        name = f"P{p}" if isinstance(p, int) else str(p)
-        lines.append(f"val {name}: " + " ".join(f"w{w}" for w in sorted(m.valuation[p])))
-    return "\n".join(lines) + "\n"
+        sort = agent(a.agent)
+    elif isinstance(a, EveryBox):
+        sort = E
+    elif isinstance(a, CommonBox):
+        sort = C
+    else:
+        raise InvalidInput(f"not a modal formula: {a!r}")
+    return all(kripke_satisfies(m, v, a.body) for v in m.successors(sort).get(w, ()))
 
 
 def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
     """Same surface as the evidence-model format, minus evidence facts.
     Stray mode/cs lines are ignored with a warning."""
-    from .semantics import parse_model_file
     warnings = []
     kept = []
     for raw in text.splitlines():
@@ -490,20 +384,6 @@ def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
     model, warns = parse_model_file("\n".join(kept))
     k = KripkeModel(model.h, model.worlds, model.relations, model.valuation)
     return k, tuple(warnings) + warns
-
-
-def attack_kripke_model() -> KripkeModel:
-    """Relational half of the four-world messenger scenario."""
-    worlds = {0, 1, 2, 3}
-    return KripkeModel(
-        h=2,
-        worlds=worlds,
-        relations={
-            1: reflexive_transitive_closure({(1, 2)}, worlds),
-            2: reflexive_transitive_closure({(0, 1), (2, 3)}, worlds),
-        },
-        valuation={"del": {0, 1, 2}},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Finite evidence models: validation, saturation, and satisfaction.
+"""Finite frames and evidence models: validation, saturation, and satisfaction.
 
-A model carries per-agent accessibility relations, a valuation, and a finite
-base of evidence facts.  Group reachability is the union of the agent
-relations; common reachability is its transitive closure.  Evidence queries in
-base mode answer by saturating the nine evidence-closure rules over a finite
-universe of terms and formulas; the result is a sound under-approximation of
-the least closed evidence function, exact whenever the relevant derivations
-stay inside the universe.  Full mode answers every evidence query positively.
+A frame (`KripkeModel`) carries worlds, per-agent accessibility relations and
+a valuation.  Group reachability is the union of the agent relations; common
+reachability is its transitive closure.  An evidence model (`AFModel`) is a
+frame plus a finite base of evidence facts, a constant specification and an
+evidence mode; the modal side (`modal`) reads the same frame with the evidence
+left out, and uses this module's frame text format, generator and fixture.
+
+Evidence queries in base mode answer by saturating the nine evidence-closure
+rules over a finite universe of terms and formulas; the result is a sound
+under-approximation of the least closed evidence function, exact whenever the
+relevant derivations stay inside the universe.  Full mode answers every
+evidence query positively.
 """
 
 from __future__ import annotations
@@ -17,12 +22,14 @@ from dataclasses import dataclass
 from .deduction import ConstantSpecification, match_axiom
 from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld
 from .syntax import (
-    And, App, Bang, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or, Prop,
-    Proj, Sort, Sum, Tail, Term, Tuple, _Parser, agent, bound_problems,
+    And, App, Bang, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or, Parser,
+    Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
     formula_terms, print_formula, print_term, subformulas, subterms,
 )
 
 Pair = tuple[int, int]
+
+MAX_AGENTS = 1000  # cap on a model file's h: line; each agent costs a relation
 
 
 @dataclass(frozen=True)
@@ -34,45 +41,58 @@ class EvidenceFact:
     formula: Formula
 
 
-class AFModel:
-    """Finite model over worlds 0..n with per-agent preorders.
-
-    `mode` is "base" (evidence from the fact base, closed under the nine
-    rules) or "full" (every term evidences every formula).  Treat instances
-    as immutable after construction; the saturation cache assumes it.
+class KripkeModel:
+    """Finite multi-agent S4 frame: worlds, one preorder per agent, and a
+    valuation.  Group reachability is the union of the agent relations and
+    common reachability its transitive closure; each sort's successor map is
+    built on first use and cached.  Treat instances as immutable after
+    construction; the cache assumes it.
     """
 
-    def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
-                 cs: ConstantSpecification | None = None, mode: str = "base"):
+    def __init__(self, h: int, worlds, relations, valuation):
         if h < 1:
             raise InvalidInput("need at least one agent")
-        if mode not in ("base", "full"):
-            raise InvalidInput(f"unknown evidence mode {mode!r}")
         self.h = h
         self.worlds = frozenset(worlds)
         self.relations = {i: frozenset(relations.get(i, ())) for i in range(1, h + 1)}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
+        self._succ_cache: dict[Sort, dict[int, list[int]]] = {}
+
+    def successors(self, sort: Sort) -> dict[int, list[int]]:
+        """World-successor map for the given sort's accessibility relation."""
+        succ = self._succ_cache.get(sort)
+        if succ is None:
+            if sort.is_agent:
+                rel = self.relations[sort.index]
+            else:
+                rel = frozenset().union(*self.relations.values())
+                if sort == C:
+                    rel = transitive_closure(rel)
+            succ = {w: [] for w in self.worlds}
+            for w, v in rel:
+                succ[w].append(v)
+            self._succ_cache[sort] = succ
+        return succ
+
+
+class AFModel(KripkeModel):
+    """A frame plus a finite base of evidence facts.
+
+    `mode` is "base" (evidence from the fact base, closed under the nine
+    rules) or "full" (every term evidences every formula).  The saturation
+    cache, like the frame's, assumes the model is not changed after
+    construction.
+    """
+
+    def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
+                 cs: ConstantSpecification | None = None, mode: str = "base"):
+        super().__init__(h, worlds, relations, valuation)
+        if mode not in ("base", "full"):
+            raise InvalidInput(f"unknown evidence mode {mode!r}")
         self.evidence_base = tuple(evidence_base)
         self.cs = cs if cs is not None else ConstantSpecification.total_c()
         self.mode = mode
         self._saturation_cache: dict = {}
-        self._reach_cache: dict = {}
-
-    def successors(self, sort: Sort):
-        """World-successor map for the given sort's accessibility relation."""
-        key = ("succ", sort)
-        if key not in self._reach_cache:
-            if sort.is_agent:
-                rel = self.relations[sort.index]
-            elif sort == E:
-                rel = reach_E(self)
-            else:
-                rel = reach_C(self)
-            succ: dict[int, list[int]] = {w: [] for w in self.worlds}
-            for w, v in rel:
-                succ[w].append(v)
-            self._reach_cache[key] = succ
-        return self._reach_cache[key]
 
 
 @dataclass(frozen=True)
@@ -84,8 +104,8 @@ class ValidationReport:
         return self.ok
 
 
-def _frame_problems(m) -> list[str]:
-    """Frame checks shared by evidence and Kripke models: every relation a
+def validate_kripke_model(m: KripkeModel) -> ValidationReport:
+    """Frame checks, which `validate_model` runs first: every relation a
     preorder over known worlds, every valuation over known worlds.  The
     transitivity check looks each pair's target up in a successor map, so it
     costs one step per pair (w,v) and successor of v."""
@@ -109,12 +129,13 @@ def _frame_problems(m) -> list[str]:
         for w in ws:
             if w not in m.worlds:
                 problems.append(f"val {p}: unknown world {w}")
-    return problems
+    dedup = tuple(dict.fromkeys(problems))
+    return ValidationReport(not dedup, dedup)
 
 
 def validate_model(m: AFModel) -> ValidationReport:
     """Frame and typing checks: preorder relations, known worlds, sorted facts."""
-    problems = _frame_problems(m)
+    problems = list(validate_kripke_model(m).problems)
     for fact in m.evidence_base:
         if fact.world not in m.worlds:
             problems.append(f"evidence at unknown world {fact.world}")
@@ -151,21 +172,16 @@ def reflexive_transitive_closure(pairs, worlds) -> frozenset:
     return transitive_closure(set(pairs) | {(w, w) for w in worlds})
 
 
-def reach_E(m: AFModel) -> frozenset:
-    key = "reach_E"
-    if key not in m._reach_cache:
-        out: set[Pair] = set()
-        for rel in m.relations.values():
-            out |= rel
-        m._reach_cache[key] = frozenset(out)
-    return m._reach_cache[key]
+def _pairs(succ: dict[int, list[int]]) -> frozenset:
+    return frozenset((w, v) for w, vs in succ.items() for v in vs)
 
 
-def reach_C(m: AFModel) -> frozenset:
-    key = "reach_C"
-    if key not in m._reach_cache:
-        m._reach_cache[key] = transitive_closure(reach_E(m))
-    return m._reach_cache[key]
+def reach_E(m: KripkeModel) -> frozenset:
+    return _pairs(m.successors(E))
+
+
+def reach_C(m: KripkeModel) -> frozenset:
+    return _pairs(m.successors(C))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +473,10 @@ def restrict_to_world(m: AFModel, w: int) -> AFModel:
     )
 
 
-def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
-                 seed: int = 0, mode: str = "base",
-                 cs: ConstantSpecification | None = None) -> AFModel:
-    """Seed-deterministic model; agent relations are reflexive-transitive
-    closures of random edge sets."""
-    from .gen import random_formula, random_sort, random_term
-    rng = random.Random(seed)
+def _random_frame(rng: random.Random, h: int, n_worlds: int, density: float):
+    """(worlds, relations, valuation) of a random frame: agent relations are
+    reflexive-transitive closures of random edge sets, and P1..P4 each hold
+    at a world with probability 1/2."""
     worlds = set(range(n_worlds))
     relations = {}
     for i in range(1, h + 1):
@@ -472,6 +485,23 @@ def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
         relations[i] = reflexive_transitive_closure(edges, worlds)
     valuation = {k: {w for w in worlds if rng.random() < 0.5}
                  for k in range(1, 5)}
+    return worlds, relations, valuation
+
+
+def random_kripke_model(h: int, n_worlds: int, density: float = 0.3,
+                        seed: int = 0) -> KripkeModel:
+    """Seed-deterministic frame."""
+    return KripkeModel(h, *_random_frame(random.Random(seed), h, n_worlds, density))
+
+
+def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
+                 seed: int = 0, mode: str = "base",
+                 cs: ConstantSpecification | None = None) -> AFModel:
+    """Seed-deterministic model: the frame `random_kripke_model` draws for
+    the same seed, then `n_base` random evidence facts."""
+    from .gen import random_formula, random_sort, random_term
+    rng = random.Random(seed)
+    worlds, relations, valuation = _random_frame(rng, h, n_worlds, density)
     base = []
     for _ in range(n_base):
         sort = random_sort(rng, h)
@@ -485,7 +515,8 @@ def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
 # model files
 
 
-def format_model(m: AFModel) -> str:
+def format_kripke_model(m: KripkeModel) -> str:
+    """The frame lines of the model file format: h, worlds, rel, val."""
     lines = [f"h: {m.h}"]
     lines.append("worlds: " + " ".join(f"w{w}" for w in sorted(m.worlds)))
     for i in range(1, m.h + 1):
@@ -494,13 +525,17 @@ def format_model(m: AFModel) -> str:
     for p in sorted(m.valuation, key=str):
         name = f"P{p}" if isinstance(p, int) else str(p)
         lines.append(f"val {name}: " + " ".join(f"w{w}" for w in sorted(m.valuation[p])))
-    for fact in m.evidence_base:
-        lines.append(f"evidence: (w{fact.world}, {print_term(fact.term)}, "
-                     f"{print_formula(fact.formula)})")
+    return "\n".join(lines) + "\n"
+
+
+def format_model(m: AFModel) -> str:
+    """The frame lines, then the evidence, mode and specification lines."""
+    lines = [f"evidence: (w{fact.world}, {print_term(fact.term)}, "
+             f"{print_formula(fact.formula)})" for fact in m.evidence_base]
     lines.append(f"mode: {m.mode}")
     if m.cs.kind == "totalC":
         lines.append("cs: totalC")
-    return "\n".join(lines) + "\n"
+    return format_kripke_model(m) + "\n".join(lines) + "\n"
 
 
 def _world_id(token: str) -> int:
@@ -526,12 +561,12 @@ def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecific
         if ":=" not in line:
             raise ParseError(f"bad specification line {line!r}; expected ':='")
         left, right = line.split(":=", 1)
-        p = _Parser(left.strip(), h)
+        p = Parser(left.strip(), h)
         const = p.parse_term()
         p.expect_end()
         if not isinstance(const, Const):
             raise ParseError(f"specification member {left.strip()!r} is not a constant")
-        p = _Parser(right.strip(), h)
+        p = Parser(right.strip(), h)
         body = p.parse_formula()
         p.expect_end()
         members.append((const.index, const.sort, body))
@@ -570,6 +605,8 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             h = _integer(rest, "agent count")
             if h < 1:
                 raise ParseError("h must be at least 1")
+            if h > MAX_AGENTS:
+                raise ResourceError(f"h: {h} exceeds the cap of {MAX_AGENTS} agents")
         elif key == "worlds":
             worlds.update(_world_id(tok) for tok in rest.split())
         elif key.startswith("rel"):
@@ -588,12 +625,12 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         elif key.startswith("val"):
             name = key[3:].strip()
             if name.startswith("P") and name[1:].isdecimal():
-                prop_key = int(name[1:])
+                prop_key = _integer(name[1:], "proposition index")
             else:
                 prop_key = name
             valuation[prop_key] = {_world_id(tok) for tok in rest.split()}
         elif key == "evidence":
-            p = _Parser(rest, need_h())
+            p = Parser(rest, need_h())
             p.expect("(")
             world = _world_id(p.expect("IDENT")[1])
             p.expect(",")
@@ -643,13 +680,12 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
 # scenario fixtures: two generals, unreliable messenger
 
 
-def attack_four_world_model() -> AFModel:
-    """Four-world countermodel: the last acknowledgment was delivered but its
-    sender cannot know that.  Agent 1 is the original sender, agent 2 the
-    receiver; `del` marks delivery of the first message.  Full evidence mode:
-    every refutation here is purely relational."""
+def attack_kripke_model() -> KripkeModel:
+    """Four-world frame: the last acknowledgment was delivered but its sender
+    cannot know that.  Agent 1 is the original sender, agent 2 the receiver;
+    `del` marks delivery of the first message."""
     worlds = {0, 1, 2, 3}
-    return AFModel(
+    return KripkeModel(
         h=2,
         worlds=worlds,
         relations={
@@ -657,10 +693,14 @@ def attack_four_world_model() -> AFModel:
             2: reflexive_transitive_closure({(0, 1), (2, 3)}, worlds),
         },
         valuation={"del": {0, 1, 2}},
-        evidence_base=(),
-        cs=ConstantSpecification.total_c(),
-        mode="full",
     )
+
+
+def attack_four_world_model() -> AFModel:
+    """The four-world frame in full evidence mode: every refutation here is
+    purely relational."""
+    k = attack_kripke_model()
+    return AFModel(k.h, k.worlds, k.relations, k.valuation, mode="full")
 
 
 def attack_singleton_model() -> AFModel:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidInput, ParseError, SortError
 
@@ -72,7 +73,9 @@ E = Sort("E")
 C = Sort("C")
 
 
+@lru_cache(maxsize=1024)
 def agent(i: int) -> Sort:
+    # one object per agent, so sort-keyed cache lookups skip Sort.__eq__
     return Sort("agent", i)
 
 
@@ -256,38 +259,6 @@ class Ind(Term):
     @property
     def sort(self) -> Sort:
         return C
-
-
-def sort_of(t: Term) -> Sort:
-    """Recompute the sort of `t` bottom-up, re-validating every node."""
-    if isinstance(t, (Const, Var)):
-        return t.sort
-    if isinstance(t, Bang):
-        if sort_of(t.t) != Sort("agent", t.agent):
-            raise SortError("ill-sorted ! node")
-        return Sort("agent", t.agent)
-    if isinstance(t, (Sum, App)):
-        if not t.sort.is_star or sort_of(t.t) != t.sort or sort_of(t.s) != t.sort:
-            raise SortError("ill-sorted +/* node")
-        return t.sort
-    if isinstance(t, Tuple):
-        for k, item in enumerate(t.items, start=1):
-            if sort_of(item) != Sort("agent", k):
-                raise SortError("ill-sorted tuple node")
-        return E
-    if isinstance(t, Proj):
-        if sort_of(t.t) != E:
-            raise SortError("ill-sorted pi node")
-        return Sort("agent", t.agent)
-    if isinstance(t, (Head, Tail)):
-        if sort_of(t.t) != C:
-            raise SortError("ill-sorted head/tail node")
-        return E
-    if isinstance(t, Ind):
-        if sort_of(t.t) != C or sort_of(t.s) != E:
-            raise SortError("ill-sorted ind node")
-        return C
-    raise SortError(f"not a term: {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +452,10 @@ def substitute(a: Formula, x: Var | None = None, t: Term | None = None,
     if x is not None:
         if not isinstance(x, Var):
             raise InvalidInput("substitution target must be a variable")
-        if x.sort != sort_of(t):
-            raise SortError(f"cannot substitute a {sort_of(t)}-sorted term for a {x.sort}-sorted variable")
+        if not isinstance(t, Term):
+            raise SortError(f"not a term: {t!r}")
+        if x.sort != t.sort:
+            raise SortError(f"cannot substitute a {t.sort}-sorted term for a {x.sort}-sorted variable")
 
     def go(f: Formula) -> Formula:
         if isinstance(f, Prop):
@@ -583,6 +556,19 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _number(m: re.Match, group: str) -> int | str:
+    """The group's digits as an int; a sort group spelled E or C stays text.
+    This is the only place the grammar converts digits."""
+    digits = m.group(group)
+    if not digits.isdecimal():
+        return digits
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(digits)} digits is too large",
+                         m.start(group)) from None
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
     tokens = []
     pos = 0
@@ -591,23 +577,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
         if m is None:
             raise ParseError(f"cannot read {text[pos]!r}", pos)
         kind = m.lastgroup
-        if kind == "NCONST":
-            # NCONST swallows the inner groups; recover them explicitly
-            kind = "NCONST"
         if kind != "WS":
             payload: object = None
             if kind == "VAR":
-                payload = (int(m.group("vidx")), m.group("vsort"))
+                payload = (_number(m, "vidx"), _number(m, "vsort"))
             elif kind == "CONST":
-                payload = (int(m.group("cidx")), m.group("csort"))
+                payload = (_number(m, "cidx"), _number(m, "csort"))
             elif kind == "NCONST":
-                payload = (m.group("nname"), m.group("nsort"))
+                payload = (m.group("nname"), _number(m, "nsort"))
             elif kind == "PROP":
-                payload = int(m.group("pidx"))
+                payload = _number(m, "pidx")
             elif kind == "PI":
-                payload = int(m.group("piidx"))
+                payload = _number(m, "piidx")
             elif kind == "BANG":
-                payload = int(m.group("bidx"))
+                payload = _number(m, "bidx")
+            elif kind == "INT":
+                payload = _number(m, "INT")
             elif kind == "SYM":
                 kind = m.group("SYM")
             elif kind == "ARROW":
@@ -618,11 +603,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
     return tokens
 
 
-class _Parser:
+class Parser:
+    """Recursive descent over the token list of one text, for agent count
+    `h`.  The formula levels build their binary nodes through `IMP`, `OR` and
+    `AND`, so the modal parser reuses them with its own node classes."""
+
+    IMP, OR, AND = Imp, Or, And
+
     def __init__(self, text: str, h: int):
         if not isinstance(h, int) or h < 1:
             raise InvalidInput(f"agent count h must be a positive int, got {h!r}")
-        self.text = text
         self.h = h
         self.tokens = _tokenize(text)
         self.i = 0
@@ -643,9 +633,6 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def at_end(self) -> bool:
-        return self.peek()[0] == "EOF"
-
     def expect_end(self) -> None:
         tok = self.peek()
         if tok[0] != "EOF":
@@ -653,20 +640,24 @@ class _Parser:
 
     # -- shared pieces
 
-    def _sort_from_text(self, text: str, pos: int) -> Sort:
-        if text == "E":
-            return E
-        if text == "C":
-            return C
-        k = int(text)
+    def agent_index(self, k: int, pos: int) -> int:
         if not 1 <= k <= self.h:
             raise ParseError(f"agent index {k} outside 1..{self.h}", pos)
-        return Sort("agent", k)
+        return k
+
+    def _sort(self, value: int | str, pos: int) -> Sort:
+        if value == "E":
+            return E
+        if value == "C":
+            return C
+        return Sort("agent", self.agent_index(value, pos))
 
     def parse_sort_token(self) -> Sort:
         tok = self.take()
-        if tok[0] == "INT" or (tok[0] == "IDENT" and tok[1] in ("E", "C")):
-            return self._sort_from_text(tok[1], tok[2])
+        if tok[0] == "INT":
+            return self._sort(tok[3], tok[2])
+        if tok[0] == "IDENT" and tok[1] in ("E", "C"):
+            return self._sort(tok[1], tok[2])
         raise ParseError(f"expected a sort, found {tok[1] or 'end of input'!r}", tok[2])
 
     # -- terms
@@ -674,64 +665,46 @@ class _Parser:
     def parse_term(self) -> Term:
         left = self.parse_app()
         while self.peek()[0] == "+":
-            op = self.take()
-            right = self.parse_app()
-            if left.sort != right.sort:
-                raise SortError(f"+ operands have sorts {left.sort} and {right.sort}")
-            if not left.sort.is_star:
-                raise SortError(f"+ is not a primitive at sort {left.sort}")
-            left = Sum(left, right, left.sort)
+            self.take()
+            left = Sum(left, self.parse_app(), left.sort)
         return left
 
     def parse_app(self) -> Term:
         left = self.parse_term_atom()
         while self.peek()[0] == "*":
             self.take()
-            right = self.parse_term_atom()
-            if left.sort != right.sort:
-                raise SortError(f"* operands have sorts {left.sort} and {right.sort}")
-            if not left.sort.is_star:
-                raise SortError(f"* is not a primitive at sort {left.sort}")
-            left = App(left, right, left.sort)
+            left = App(left, self.parse_term_atom(), left.sort)
         return left
 
     def parse_term_atom(self) -> Term:
         kind, text, pos, payload = self.take()
         if kind == "VAR":
-            idx, sort_text = payload
-            return Var(idx, self._sort_from_text(sort_text, pos))
+            idx, sort = payload
+            return Var(idx, self._sort(sort, pos))
         if kind == "CONST":
-            idx, sort_text = payload
-            return Const(idx, self._sort_from_text(sort_text, pos))
+            idx, sort = payload
+            return Const(idx, self._sort(sort, pos))
         if kind == "NCONST":
-            name, sort_text = payload
+            name, sort = payload
             if name in _RESERVED_NAMES:
                 raise ParseError(f"{name!r} is reserved", pos)
-            return Const(name, self._sort_from_text(sort_text, pos))
+            return Const(name, self._sort(sort, pos))
         if kind == "BANG":
-            if not 1 <= payload <= self.h:
-                raise ParseError(f"agent index {payload} outside 1..{self.h}", pos)
+            self.agent_index(payload, pos)
             self.expect("(")
             inner = self.parse_term()
             self.expect(")")
-            if inner.sort != Sort("agent", payload):
-                raise SortError(f"!{payload} needs an agent-{payload} operand, got sort {inner.sort}")
             return Bang(inner, payload)
         if kind == "PI":
-            if not 1 <= payload <= self.h:
-                raise ParseError(f"agent index {payload} outside 1..{self.h}", pos)
+            self.agent_index(payload, pos)
             self.expect("(")
             inner = self.parse_term()
             self.expect(")")
-            if inner.sort != E:
-                raise SortError(f"pi_{payload} needs an E-sorted operand, got sort {inner.sort}")
             return Proj(payload, inner)
         if kind == "IDENT" and text in ("head", "tail"):
             self.expect("(")
             inner = self.parse_term()
             self.expect(")")
-            if inner.sort != C:
-                raise SortError(f"{text} needs a C-sorted operand, got sort {inner.sort}")
             return Head(inner) if text == "head" else Tail(inner)
         if kind == "IDENT" and text == "ind":
             self.expect("(")
@@ -739,10 +712,6 @@ class _Parser:
             self.expect(",")
             second = self.parse_term()
             self.expect(")")
-            if first.sort != C:
-                raise SortError(f"ind needs a C-sorted first operand, got sort {first.sort}")
-            if second.sort != E:
-                raise SortError(f"ind needs an E-sorted second operand, got sort {second.sort}")
             return Ind(first, second)
         if kind == "<":
             items = [self.parse_term()]
@@ -752,9 +721,6 @@ class _Parser:
             self.expect(">")
             if len(items) != self.h:
                 raise ParseError(f"tuple arity {len(items)} does not match agent count {self.h}", pos)
-            for k, item in enumerate(items, start=1):
-                if item.sort != Sort("agent", k):
-                    raise SortError(f"tuple component {k} must have sort {k}, got {item.sort}")
             return Tuple(tuple(items))
         if kind == "(":
             inner = self.parse_term()
@@ -768,22 +734,21 @@ class _Parser:
         left = self.parse_or()
         if self.peek()[0] == "->":
             self.take()
-            right = self.parse_formula()
-            return Imp(left, right)
+            return self.IMP(left, self.parse_formula())
         return left
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
         while self.peek()[0] == "|":
             self.take()
-            left = Or(left, self.parse_and())
+            left = self.OR(left, self.parse_and())
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
         while self.peek()[0] == "&":
             self.take()
-            left = And(left, self.parse_unary())
+            left = self.AND(left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Formula:
@@ -797,10 +762,7 @@ class _Parser:
             self.expect("]")
             self.expect("@")
             sort = self.parse_sort_token()
-            body = self.parse_unary()
-            if term.sort != sort:
-                raise SortError(f"term has sort {term.sort}, asserted at sort {sort}")
-            return Just(term, sort, body)
+            return Just(term, sort, self.parse_unary())
         return self.parse_formula_atom()
 
     def parse_formula_atom(self) -> Formula:
@@ -819,14 +781,14 @@ class _Parser:
 
 
 def parse_term(text: str, h: int) -> Term:
-    p = _Parser(text, h)
+    p = Parser(text, h)
     t = p.parse_term()
     p.expect_end()
     return t
 
 
 def parse_formula(text: str, h: int) -> Formula:
-    p = _Parser(text, h)
+    p = Parser(text, h)
     a = p.parse_formula()
     p.expect_end()
     return a

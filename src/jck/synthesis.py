@@ -47,10 +47,6 @@ class ConstantAllocator:
     def as_cs(self) -> ConstantSpecification:
         return ConstantSpecification.allocated(self)
 
-    def snapshot(self) -> "ConstantAllocator":
-        """Independent copy, for forked test shards."""
-        return ConstantAllocator(dict(self.memo), self.next_index)
-
 
 class _Builder:
     """Accumulates steps; all indices are 1-based, as in derivation files."""

@@ -2,6 +2,7 @@
 rejection, 2 malformed input or missing file."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import jck
 from conftest import build_induction2_input
-from jck.cli import demo_attack, main
+from jck.cli import main
 from jck.deduction import Axiom, AxiomSchema, Derivation, Step, print_derivation
 from jck.modal import (
     attack_kripke_model, forgetful, format_kripke_model, print_modal_formula,
@@ -21,6 +22,7 @@ from jck.semantics import (
 from jck.synthesis import ConstantAllocator, c_reflexivity
 from jck.syntax import C, Imp, Just, Prop, Var, parse_formula
 
+GOLDEN = Path(__file__).parent / "golden"
 REFL_TEXT = print_derivation(c_reflexivity(Var(1, C), Prop(1)))
 BOXED = Just(Var(1, C), C, Prop(1))
 HYPS_TEXT = """hyp: [x1@C]@C P1
@@ -152,6 +154,7 @@ def test_lift_refuses_bad_input(bad_drv, capsys):
 
 def test_lift_bad_target_sort(hyps_drv):
     assert main(["lift", hyps_drv, "--target", "9"]) == 2
+    assert main(["lift", hyps_drv, "--target", "7" * 5000]) == 2
 
 
 def test_necessitate(refl_drv, capsys):
@@ -243,13 +246,37 @@ def run_jck(*argv) -> subprocess.CompletedProcess:
     ("validate", ".afm", "h: 1\nworlds: w0\nrelx: (w0,w0)\n"),
     ("check", ".drv", "1. P1 ; hyp x\n"),
     ("check", ".drv", "1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 1 y\n"),
-], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y"])
+    ("validate", ".afm", f"h: 1\nworlds: w0\nval P{'7' * 5000}: w0\n"),
+    ("check", ".drv", f"{'7' * 5000}. P1 -> P1 ; axiom Taut\n"),
+], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y", "model_val_long",
+        "drv_step_long"])
 def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text):
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
     proc = run_jck(verb, str(path))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", f"P{'7' * 5000}"],
+    ["parse", "--kind", "term", f"x{'7' * 5000}@1"],
+    ["parse", "--kind", "modal", f"#{'7' * 5000} P1"],
+], ids=["formula", "term", "modal"])
+def test_over_long_integers_exit_2_without_traceback(argv):
+    proc = run_jck(*argv)
+    assert proc.returncode == 2
+    assert "too large (at offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_agent_count_above_cap_exits_2(tmp_path):
+    path = tmp_path / "many.afm"
+    path.write_text("h: 100000\nworlds: w0\n")
+    proc = run_jck("validate", str(path))
+    assert proc.returncode == 2
+    assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -349,15 +376,14 @@ def test_demo_attack(capsys):
     assert "[FAIL]" not in out
 
 
-def test_demo_attack_text_matches_library(capsys):
-    text, ok = demo_attack(depth_budget=2)
-    assert ok
-    main(["demo-attack", "--depth", "2"])
-    assert capsys.readouterr().out == text
+@pytest.mark.parametrize("depth", [0, 1, 2], ids=["depth0", "depth1", "depth2"])
+def test_demo_attack_matches_golden(depth, capsys):
+    assert main(["demo-attack", "--depth", str(depth)]) == 0
+    golden = (GOLDEN / f"demo_attack_depth{depth}.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "7/7 checks passed" in out
-    assert out.count("[PASS]") == 7
+    out = re.sub(r" in \d+\.\ds ", " in N.Ns ", capsys.readouterr().out, count=1)
+    assert out == (GOLDEN / "selftest.txt").read_text()

@@ -23,7 +23,7 @@ from jck.modal import (
     random_kripke_model, realizes, translate_derivation_x,
     validate_kripke_model,
 )
-from jck import modal
+from jck import semantics
 from jck.semantics import attack_four_world_model, transitive_closure
 from jck.syntax import (
     C, E, App, Const, Imp, Just, Neg, Proj, Prop, Sum, Var, agent,
@@ -346,7 +346,7 @@ def test_kripke_common_closure_computed_once(monkeypatch):
         return transitive_closure(pairs)
 
     m = random_kripke_model(2, 32, density=0.05, seed=4)
-    monkeypatch.setattr(modal, "transitive_closure", counting)
+    monkeypatch.setattr(semantics, "transitive_closure", counting)
     queries = [parse_modal_formula(text, 2)
                for text in ("#C P1", "#C (P1 | P2)", "#1 #C P3", "#C #C P4 -> #E P4")]
     for a in queries:

@@ -1,16 +1,17 @@
 """Terms, formulas, printing, and parsing."""
 
 import random
+import re
 
 import pytest
 
-from jck.errors import InvalidInput, ParseError, SortError
+from jck.errors import InvalidInput, JckError, ParseError, SortError
 from jck.gen import random_formula, random_sort, random_term
 from jck.syntax import (
     C, E, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
     Sum, Tail, Tuple, Var, agent, bound_problems, check_bounds, conj,
     formula_terms, parse_formula, parse_term, print_formula, print_term,
-    sort_of, subformulas, subterms, substitute, variables_in,
+    subformulas, subterms, substitute, variables_in,
 )
 
 
@@ -59,10 +60,10 @@ def test_tuple_slots_have_ascending_agent_sorts():
 
 
 def test_projection_and_co_closure_child_sorts():
-    assert sort_of(Proj(2, Var(1, E))) == agent(2)
-    assert sort_of(Head(Var(1, C))) == E
-    assert sort_of(Tail(Var(1, C))) == E
-    assert sort_of(Ind(Var(1, C), Var(2, E))) == C
+    assert Proj(2, Var(1, E)).sort == agent(2)
+    assert Head(Var(1, C)).sort == E
+    assert Tail(Var(1, C)).sort == E
+    assert Ind(Var(1, C), Var(2, E)).sort == C
     with pytest.raises(SortError):
         Proj(1, Var(1, C))
     with pytest.raises(SortError):
@@ -152,6 +153,19 @@ def test_parse_rejects_out_of_range_agent():
         parse_formula("[x1@1]@1 P1 & [x1@3]@3 P1", 2)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_term, "x1@1 + x1@2", "+ operands must both have sort 1, got 1 and 2"),
+    (parse_term, "x1@E * x2@E", "* is not a primitive at sort E"),
+    (parse_term, "!1(x1@2)", "!1 needs an agent-1 operand, got sort 2"),
+    (parse_term, "<x1@2, x1@2>", "tuple component 1 must have sort 1, got 2"),
+    (parse_term, "ind(x1@E, x1@E)", "ind needs a C-sorted first operand, got sort E"),
+    (parse_formula, "[x1@1]@2 P1", "term has sort 1, asserted at sort 2"),
+], ids=["sum", "app", "bang", "tuple", "ind", "just"])
+def test_parser_sort_errors_come_from_the_constructors(parse, text, message):
+    with pytest.raises(SortError, match=re.escape(message)):
+        parse(text, 2)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError):
         parse_formula("P1 ->", 2)
@@ -194,6 +208,8 @@ def test_substitute_replaces_everywhere():
 def test_substitute_checks_sorts():
     with pytest.raises(SortError):
         substitute(Just(Var(1, C), C, Prop(1)), x=Var(1, C), t=Var(1, E))
+    with pytest.raises(JckError):
+        substitute(Just(Var(1, C), C, Prop(1)), x=Var(1, C), t=Prop(1))
 
 
 def test_conj_left_associates():

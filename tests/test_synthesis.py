@@ -45,9 +45,6 @@ def test_allocator_memoizes_and_validates():
     assert alloc.constant_for(refl) == c1  # memoized, no fresh index
     with pytest.raises(InvalidInput):
         alloc.constant_for(Prop(1))
-    snap = alloc.snapshot()
-    snap.constant_for(Imp(Prop(2), Prop(2)))
-    assert len(alloc.memo) == 2 and len(snap.memo) == 3
 
 
 def test_allocator_as_specification():
