@@ -43,8 +43,8 @@ from .semantics import (
 )
 from .modal import (
     conservative_projection, forgetful, forgetful_soundness_probe,
-    kripke_satisfies, parse_modal_formula, print_modal_formula,
-    probe_modal_formula, realizes, translate_derivation_x,
+    kripke_satisfies, parse_modal_formula, probe_modal_formula, realizes,
+    translate_derivation_x,
 )
 
 
@@ -576,7 +576,7 @@ def attack_scenario(depth: int = 3) -> AttackScenario:
     phi = parse_modal_formula("#2 del & #1 #2 del -> #C del", 2)
     mk_all = KripkeModel(mk.h, mk.worlds, mk.relations, {"del": mk.worlds})
     relational = (
-        Claim(f"world 0 falsifies {print_modal_formula(phi)}",
+        Claim(f"world 0 falsifies {print_formula(phi)}",
               not kripke_satisfies(mk, 0, phi)),
         Claim("sanity toggle: with del true everywhere the same formula holds",
               kripke_satisfies(mk_all, 0, phi)),

@@ -12,9 +12,10 @@ import argparse
 import os
 import sys
 
-from .errors import JckError
+from .errors import JckError, ParseError
 from .syntax import (
-    Parser, Sort, parse_formula, parse_term, print_formula, print_term,
+    Parser, Sort, integer, parse_formula, parse_term, print_formula,
+    print_term,
 )
 from .deduction import (
     ConstantSpecification, check_derivation, parse_derivation,
@@ -25,13 +26,12 @@ from .synthesis import (
     lift, necessitate,
 )
 from .semantics import (
-    parse_cs_table, parse_model_file, satisfies, validate_model,
+    MAX_AGENTS, parse_cs_table, parse_model_file, satisfies, validate_model,
 )
 from .modal import (
     forgetful, format_kripke_model, kripke_satisfies, parse_kripke_file,
     parse_modal_formula, probe_modal_formula, forgetful_soundness_probe,
     realizes, translate_derivation_x, validate_kripke_model,
-    print_modal_formula,
 )
 from .acceptance import attack_scenario, format_results, run_all
 
@@ -52,12 +52,9 @@ def _parse_world(text: str) -> int:
     text = text.strip()
     if text.startswith("w"):
         text = text[1:]
-    if text.isdecimal():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise JckError(f"not a world name: {text!r}")
+    if not text.isdecimal():
+        raise JckError(f"not a world name: {text!r}")
+    return integer(text, "world number")
 
 
 def _load_cs(spec: str, h: int) -> ConstantSpecification:
@@ -92,7 +89,7 @@ def cmd_parse(args) -> int:
     if args.kind == "term":
         print(print_term(parse_term(args.text, args.agents)))
     elif args.kind == "modal":
-        print(print_modal_formula(parse_modal_formula(args.text, args.agents)))
+        print(print_formula(parse_modal_formula(args.text, args.agents)))
     else:
         print(print_formula(parse_formula(args.text, args.agents)))
     return 0
@@ -108,67 +105,61 @@ def cmd_check(args) -> int:
     return code
 
 
-def _lift_like(args, op_name: str) -> int:
+def _internalize(args, build) -> int:
+    """Run the kernel on the input derivation and refuse it if it does not
+    check; otherwise print what `build(d, alloc)` returns (the term, any
+    further lines and the new derivation), then the allocated constants."""
     d = _load_derivation(args.file, args.agents)
     cs = _load_cs(args.cs, args.agents)
     report = check_derivation(d, cs, h=args.agents)
     if not report.ok:
         print("input derivation does not check; refusing to internalize")
         return _report_check(report)
-    target = _parse_sort(args.target, args.agents)
     alloc = ConstantAllocator()
-    if op_name == "necessitate":
-        term, out = necessitate(d, target, alloc, h=args.agents)
-    else:
-        term, out = lift(d, target, None, alloc, h=args.agents)
+    term, lines, out = build(d, alloc)
     print(f"term: {print_term(term)}")
+    for line in lines:
+        print(line)
     _print_constants(alloc)
     print(print_derivation(out), end="")
     return 0
 
 
 def cmd_lift(args) -> int:
-    return _lift_like(args, "lift")
+    def build(d, alloc):
+        term, out = lift(d, _parse_sort(args.target, args.agents), None, alloc,
+                         h=args.agents)
+        return term, (), out
+    return _internalize(args, build)
 
 
 def cmd_necessitate(args) -> int:
-    return _lift_like(args, "necessitate")
+    def build(d, alloc):
+        term, out = necessitate(d, _parse_sort(args.target, args.agents), alloc,
+                                h=args.agents)
+        return term, (), out
+    return _internalize(args, build)
 
 
 def cmd_induct1(args) -> int:
     a = parse_formula(args.formula, args.agents)
     s = parse_term(args.term, args.agents)
-    d = _load_derivation(args.file, args.agents)
-    cs = _load_cs(args.cs, args.agents)
-    report = check_derivation(d, cs, h=args.agents)
-    if not report.ok:
-        print("input derivation does not check; refusing to internalize")
-        return _report_check(report)
-    alloc = ConstantAllocator()
-    t, out = internalize_induction_1(a, s, d, alloc, h=args.agents)
-    print(f"term: {print_term(t)}")
-    _print_constants(alloc)
-    print(print_derivation(out), end="")
-    return 0
+
+    def build(d, alloc):
+        t, out = internalize_induction_1(a, s, d, alloc, h=args.agents)
+        return t, (), out
+    return _internalize(args, build)
 
 
 def cmd_induct2(args) -> int:
     a = parse_formula(args.formula, args.agents)
     bb = parse_formula(args.formula_b, args.agents)
     s = parse_term(args.term, args.agents)
-    d = _load_derivation(args.file, args.agents)
-    cs = _load_cs(args.cs, args.agents)
-    report = check_derivation(d, cs, h=args.agents)
-    if not report.ok:
-        print("input derivation does not check; refusing to internalize")
-        return _report_check(report)
-    alloc = ConstantAllocator()
-    t, c, out = internalize_induction_2(a, bb, s, d, alloc, h=args.agents)
-    print(f"term: {print_term(t)}")
-    print(f"projection constant: {print_term(c)}")
-    _print_constants(alloc)
-    print(print_derivation(out), end="")
-    return 0
+
+    def build(d, alloc):
+        t, c, out = internalize_induction_2(a, bb, s, d, alloc, h=args.agents)
+        return t, (f"projection constant: {print_term(c)}",), out
+    return _internalize(args, build)
 
 
 def cmd_eval(args) -> int:
@@ -223,7 +214,7 @@ def cmd_translate_x(args) -> int:
 
 def cmd_translate_o(args) -> int:
     a = parse_formula(args.formula, args.agents)
-    print(print_modal_formula(forgetful(a)))
+    print(print_formula(forgetful(a)))
     return 0
 
 
@@ -251,7 +242,7 @@ def cmd_probe(args) -> int:
         a = parse_modal_formula(args.target, args.agents)
         probe = probe_modal_formula(a, args.agents, trials=args.trials,
                                     seed=args.seed)
-    print(f"formula: {print_modal_formula(probe.formula)}")
+    print(f"formula: {print_formula(probe.formula)}")
     if not probe.refuted:
         print(f"no countermodel in {probe.trials} trials")
         return 0
@@ -302,23 +293,26 @@ def cmd_selftest(args) -> int:
 # wiring
 
 
-def _bounded_int(least: int):
-    """argparse type: an integer no smaller than `least`."""
+def _bounded_int(least: int, most: int | None = None):
+    """argparse type: an integer no smaller than `least` and, when `most` is
+    given, no larger."""
     def convert(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            value = integer(text, "value")
+        except ParseError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return convert
 
 
 def _add_common(sub, agents=True, cs=False) -> None:
     if agents:
-        sub.add_argument("--agents", type=int, default=2, metavar="H",
-                         help="number of agents (default 2)")
+        sub.add_argument("--agents", type=_bounded_int(1, MAX_AGENTS), default=2,
+                         metavar="H", help="number of agents (default 2)")
     if cs:
         sub.add_argument("--cs", default="totalC", metavar="SPEC",
                          help="constant specification: totalC or a table file")

@@ -18,8 +18,8 @@ from functools import lru_cache
 from .errors import InvalidInput, ParseError, ResourceError
 from .syntax import (
     And, App, Bang, C, Const, Formula, Head, Imp, Ind, Just, Neg, Or, Proj,
-    Prop, Sort, Sum, Tail, Term, Tuple, bound_problems, parse_formula,
-    parse_term, print_formula, print_term, subterms,
+    Prop, Sort, Sum, Tail, Term, Tuple, bound_problems, conjuncts, integer,
+    parse_formula, parse_term, print_formula, print_term, subterms,
 )
 
 
@@ -116,12 +116,6 @@ def is_tautology(a: Formula, max_atoms: int = 24) -> bool:
 # axiom schemata
 
 
-def _flatten_and(a: Formula) -> list[Formula]:
-    if isinstance(a, And):
-        return _flatten_and(a.left) + _flatten_and(a.right)
-    return [a]
-
-
 def _match_structural(schema: AxiomSchema, a: Formula) -> bool:
     if not isinstance(a, Imp):
         return False
@@ -167,7 +161,7 @@ def _match_structural(schema: AxiomSchema, a: Formula) -> bool:
         if not (isinstance(post, Just) and isinstance(post.term, Tuple)):
             return False
         items = post.term.items
-        parts = _flatten_and(pre)
+        parts = conjuncts(pre)
         if len(parts) != len(items):
             return False
         for k, (part, item) in enumerate(zip(parts, items), start=1):
@@ -493,13 +487,6 @@ def print_derivation(d: Derivation) -> str:
 _SCHEMA_BY_ID = {s.value: s for s in AxiomSchema}
 
 
-def _rule_index(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad index {text!r}; expected an integer") from None
-
-
 def parse_derivation(text: str, h: int) -> Derivation:
     """Read the derivation file format: `hyp:` lines first, then numbered steps."""
     hypotheses: list[Formula] = []
@@ -516,7 +503,7 @@ def parse_derivation(text: str, h: int) -> Derivation:
         m = _STEP_RE.match(line)
         if m is None:
             raise ParseError(f"line {lineno}: expected `<k>. <formula> ; <rule>`")
-        k = _rule_index(m.group(1), lineno)
+        k = integer(m.group(1), f"line {lineno}: step number")
         if k != len(steps) + 1:
             raise ParseError(f"line {lineno}: step number {k}, expected {len(steps) + 1}")
         body = m.group(2)
@@ -529,14 +516,15 @@ def parse_derivation(text: str, h: int) -> Derivation:
             raise ParseError(f"line {lineno}: empty rule")
         name = parts[0]
         if name == "hyp" and len(parts) == 2:
-            rule: Rule = Hyp(_rule_index(parts[1], lineno))
+            rule: Rule = Hyp(integer(parts[1], f"line {lineno}: hypothesis index"))
         elif name == "axiom" and len(parts) == 2:
             schema = _SCHEMA_BY_ID.get(parts[1])
             if schema is None:
                 raise ParseError(f"line {lineno}: unknown schema {parts[1]!r}")
             rule = Axiom(schema)
         elif name == "mp" and len(parts) == 3:
-            rule = MP(_rule_index(parts[1], lineno), _rule_index(parts[2], lineno))
+            rule = MP(integer(parts[1], f"line {lineno}: step index"),
+                      integer(parts[2], f"line {lineno}: step index"))
         elif name == "axnec" and len(parts) == 2:
             const = parse_term(parts[1], h)
             if not isinstance(const, Const):

@@ -1,18 +1,19 @@
-"""The modal side: plain epistemic formulas, the two syntactic translations,
-and randomized Kripke-model probing.
+"""The modal side: the two syntactic translations and randomized Kripke-model
+probing.
 
-Modal formulas are evaluated on the frame class of `semantics`, `KripkeModel`,
-which `AFModel` extends with evidence, so an evidence model also reads as a
-Kripke model.  The frame class, its validator, text format, seeded generator
-and the attack fixture are re-exported here.
+A modal formula is an ordinary `syntax` formula whose boxes are
+`syntax.Box(sort, body)`, written `#1 A`, `#E A`, `#C A`; it shares the atoms,
+connectives and printer of the evidence language.  It is evaluated on the
+frame class of `semantics`, `KripkeModel`, by the one evaluator
+`semantics.holds`, with no evidence facts.  The frame class, its validator,
+text format, seeded generator and the attack fixture are re-exported here.
 
-`forgetful` erases evidence terms, sending [t]@i to the agent box, [t]@E to
-the everyone box, and [t]@C to the common box.  `conservative_projection`
-instead stays inside the justification language: it deletes exactly the boxes
-whose terms mention any group-level or common-level machinery, which lands in
-the single-agent fragment.  `translate_derivation_x` rewrites a full
-derivation along the projection, expanding the handful of steps whose axioms
-do not survive verbatim.
+`forgetful` erases evidence terms, sending [t]@s A to the box #s A.
+`conservative_projection` instead stays inside the justification language: it
+deletes exactly the boxes whose terms mention any group-level or common-level
+machinery, which lands in the single-agent fragment.
+`translate_derivation_x` rewrites a full derivation along the projection,
+expanding the handful of steps whose axioms do not survive verbatim.
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ from dataclasses import dataclass
 
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
-    Derivation, Hyp, MP, Step, _flatten_and, is_agent_fragment_formula,
-    match_axiom,
+    Derivation, Hyp, MP, Step, is_agent_fragment_formula, match_axiom,
 )
-from .errors import InvalidInput, ParseError, UnknownWorld
+from .errors import InvalidInput, ParseError
 from .syntax import (
-    And, C, E, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, agent,
+    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, conjuncts,
     print_formula, subterms,
 )
 from .semantics import (  # noqa: F401  (re-exported frame API)
-    KripkeModel, attack_kripke_model, format_kripke_model, parse_model_file,
-    random_kripke_model, validate_kripke_model,
+    KripkeModel, attack_kripke_model, format_kripke_model, holds,
+    parse_model_file, random_kripke_model, validate_kripke_model,
 )
 
 
@@ -40,123 +40,22 @@ from .semantics import (  # noqa: F401  (re-exported frame API)
 # modal formulas
 
 
-class ModalFormula:
-    """Base class; nodes are frozen and compare structurally."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class MProp(ModalFormula):
-    index: int | str
-
-
-@dataclass(frozen=True)
-class MNeg(ModalFormula):
-    body: ModalFormula
-
-
-@dataclass(frozen=True)
-class MAnd(ModalFormula):
-    left: ModalFormula
-    right: ModalFormula
-
-
-@dataclass(frozen=True)
-class MOr(ModalFormula):
-    left: ModalFormula
-    right: ModalFormula
-
-
-@dataclass(frozen=True)
-class MImp(ModalFormula):
-    left: ModalFormula
-    right: ModalFormula
-
-
-@dataclass(frozen=True)
-class Box(ModalFormula):
-    agent: int
-    body: ModalFormula
-
-    def __post_init__(self):
-        if not (isinstance(self.agent, int) and self.agent >= 1):
-            raise InvalidInput(f"bad agent index {self.agent!r}")
-
-
-@dataclass(frozen=True)
-class EveryBox(ModalFormula):
-    body: ModalFormula
-
-
-@dataclass(frozen=True)
-class CommonBox(ModalFormula):
-    body: ModalFormula
-
-
-def print_modal_formula(a: ModalFormula) -> str:
-    return _pm(a, 1)
-
-
-def _pm(a: ModalFormula, need: int) -> str:
-    # precedence levels mirror the evidence-formula printer
-    if isinstance(a, MProp):
-        return f"P{a.index}" if isinstance(a.index, int) else str(a.index)
-    if isinstance(a, MNeg):
-        return f"~{_pm(a.body, 4)}"
-    if isinstance(a, Box):
-        return f"#{a.agent} {_pm(a.body, 4)}"
-    if isinstance(a, EveryBox):
-        return f"#E {_pm(a.body, 4)}"
-    if isinstance(a, CommonBox):
-        return f"#C {_pm(a.body, 4)}"
-    if isinstance(a, MAnd):
-        out = f"{_pm(a.left, 3)} & {_pm(a.right, 4)}"
-        return f"({out})" if need > 3 else out
-    if isinstance(a, MOr):
-        out = f"{_pm(a.left, 2)} | {_pm(a.right, 3)}"
-        return f"({out})" if need > 2 else out
-    if isinstance(a, MImp):
-        out = f"{_pm(a.left, 2)} -> {_pm(a.right, 1)}"
-        return f"({out})" if need > 1 else out
-    raise InvalidInput(f"not a modal formula: {a!r}")
-
-
 class _ModalParser(Parser):
     """The formula grammar with `#i`, `#E` and `#C` boxes in place of
-    evidence boxes, building modal nodes."""
+    evidence boxes."""
 
-    IMP, OR, AND = MImp, MOr, MAnd
-
-    def parse_unary(self) -> ModalFormula:
-        tok = self.peek()
-        if tok[0] == "~":
-            self.take()
-            return MNeg(self.parse_unary())
-        if tok[0] == "#":
+    def parse_unary(self) -> Formula:
+        kind, _, pos, _ = self.peek()
+        if kind == "#":
             self.take()
             sort = self.parse_sort_token()
-            body = self.parse_unary()
-            if sort.is_agent:
-                return Box(sort.index, body)
-            return EveryBox(body) if sort == E else CommonBox(body)
-        return self.parse_formula_atom()
-
-    def parse_formula_atom(self) -> ModalFormula:
-        tok = self.take()
-        if tok[0] == "PROP":
-            return MProp(tok[3])
-        if tok[0] == "IDENT" and tok[1] not in ("E", "C"):
-            return MProp(tok[1])
-        if tok[0] == "(":
-            out = self.parse_formula()
-            self.expect(")")
-            return out
-        raise ParseError(f"expected a modal formula, found {tok[1] or 'end of input'!r}",
-                         tok[2])
+            return Box(sort, self.parse_unary())
+        if kind == "[":
+            raise ParseError("expected a formula, found '['", pos)
+        return super().parse_unary()
 
 
-def parse_modal_formula(text: str, h: int) -> ModalFormula:
+def parse_modal_formula(text: str, h: int) -> Formula:
     p = _ModalParser(text, h)
     a = p.parse_formula()
     p.expect_end()
@@ -167,29 +66,24 @@ def parse_modal_formula(text: str, h: int) -> ModalFormula:
 # translations
 
 
-def forgetful(a: Formula) -> ModalFormula:
+def forgetful(a: Formula) -> Formula:
     """Erase evidence terms, keeping only which box each one inhabited."""
     if isinstance(a, Prop):
-        return MProp(a.index)
+        return a
     if isinstance(a, Neg):
-        return MNeg(forgetful(a.body))
+        return Neg(forgetful(a.body))
     if isinstance(a, And):
-        return MAnd(forgetful(a.left), forgetful(a.right))
+        return And(forgetful(a.left), forgetful(a.right))
     if isinstance(a, Or):
-        return MOr(forgetful(a.left), forgetful(a.right))
+        return Or(forgetful(a.left), forgetful(a.right))
     if isinstance(a, Imp):
-        return MImp(forgetful(a.left), forgetful(a.right))
+        return Imp(forgetful(a.left), forgetful(a.right))
     if isinstance(a, Just):
-        body = forgetful(a.body)
-        if a.sort.is_agent:
-            return Box(a.sort.index, body)
-        if a.sort == E:
-            return EveryBox(body)
-        return CommonBox(body)
+        return Box(a.sort, forgetful(a.body))
     raise InvalidInput(f"not a formula: {a!r}")
 
 
-def realizes(r: Formula, a: ModalFormula) -> bool:
+def realizes(r: Formula, a: Formula) -> bool:
     """Is `r` an evidence-term realization of the modal formula `a`?"""
     return forgetful(r) == a
 
@@ -277,7 +171,7 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, steps: list[Step]) 
             steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
     elif schema == AxiomSchema.TUPLING:
         # flatten before projecting: a projected conjunct may itself be an And
-        parts = [conservative_projection(p) for p in _flatten_and(a.left)]
+        parts = [conservative_projection(p) for p in conjuncts(a.left)]
         if any(p == image.right for p in parts):
             steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
         else:
@@ -342,30 +236,10 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
 # Kripke models
 
 
-def kripke_satisfies(m: KripkeModel, w: int, a: ModalFormula) -> bool:
-    if w not in m.worlds:
-        raise UnknownWorld(f"unknown world {w}")
-    if isinstance(a, MProp):
-        return w in m.valuation.get(a.index, frozenset())
-    if isinstance(a, MNeg):
-        return not kripke_satisfies(m, w, a.body)
-    if isinstance(a, MAnd):
-        return kripke_satisfies(m, w, a.left) and kripke_satisfies(m, w, a.right)
-    if isinstance(a, MOr):
-        return kripke_satisfies(m, w, a.left) or kripke_satisfies(m, w, a.right)
-    if isinstance(a, MImp):
-        return (not kripke_satisfies(m, w, a.left)) or kripke_satisfies(m, w, a.right)
-    if isinstance(a, Box):
-        if a.agent > m.h:
-            raise InvalidInput(f"agent index {a.agent} outside 1..{m.h}")
-        sort = agent(a.agent)
-    elif isinstance(a, EveryBox):
-        sort = E
-    elif isinstance(a, CommonBox):
-        sort = C
-    else:
-        raise InvalidInput(f"not a modal formula: {a!r}")
-    return all(kripke_satisfies(m, v, a.body) for v in m.successors(sort).get(w, ()))
+def kripke_satisfies(m: KripkeModel, w: int, a: Formula) -> bool:
+    """Truth of `a` at world `w` of the frame `m`: `holds` with no evidence
+    facts, so an evidence box [t]@s A reads as the modal box #s A."""
+    return holds(m, w, a)
 
 
 def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
@@ -392,7 +266,7 @@ def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    formula: ModalFormula
+    formula: Formula
     trials: int
     counterexample: tuple | None  # (KripkeModel, world) when found
 
@@ -401,7 +275,7 @@ class ProbeReport:
         return self.counterexample is not None
 
 
-def probe_modal_formula(a: ModalFormula, h: int, trials: int = 100,
+def probe_modal_formula(a: Formula, h: int, trials: int = 100,
                         seed: int = 0, max_worlds: int = 5) -> ProbeReport:
     """Search seeded random reflexive-transitive models for a world falsifying
     `a`.  No counterexample is evidence of validity only to the extent of the

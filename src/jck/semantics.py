@@ -7,11 +7,14 @@ frame plus a finite base of evidence facts, a constant specification and an
 evidence mode; the modal side (`modal`) reads the same frame with the evidence
 left out, and uses this module's frame text format, generator and fixture.
 
-Evidence queries in base mode answer by saturating the nine evidence-closure
-rules over a finite universe of terms and formulas; the result is a sound
-under-approximation of the least closed evidence function, exact whenever the
-relevant derivations stay inside the universe.  Full mode answers every
-evidence query positively.
+One evaluator, `holds`, reads formulas of both languages on any frame: a
+modal box needs only its successors, an evidence box also needs its fact in
+a given fact set, or none in full evidence.  `satisfies` supplies that set:
+in base mode it saturates the nine evidence-closure rules over a finite
+universe of terms and formulas, a sound under-approximation of the least
+closed evidence function, exact whenever the relevant derivations stay inside
+the universe.  Full mode answers every evidence query positively, so a full
+model reads each `[t]@s A` as the modal box `#s A`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 from .deduction import ConstantSpecification, match_axiom
 from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld
 from .syntax import (
-    And, App, Bang, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or, Parser,
-    Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
-    formula_terms, print_formula, print_term, subformulas, subterms,
+    And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
+    Parser, Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
+    formula_terms, integer, print_formula, print_term, subformulas, subterms,
 )
 
 Pair = tuple[int, int]
@@ -59,10 +62,13 @@ class KripkeModel:
         self._succ_cache: dict[Sort, dict[int, list[int]]] = {}
 
     def successors(self, sort: Sort) -> dict[int, list[int]]:
-        """World-successor map for the given sort's accessibility relation."""
+        """World-successor map for the given sort's accessibility relation.
+        This is where an agent index above `h` is caught, on a cache miss."""
         succ = self._succ_cache.get(sort)
         if succ is None:
             if sort.is_agent:
+                if sort.index > self.h:
+                    raise InvalidInput(f"agent index {sort.index} outside 1..{self.h}")
                 rel = self.relations[sort.index]
             else:
                 rel = frozenset().union(*self.relations.values())
@@ -413,44 +419,53 @@ def evidence_holds(m: AFModel, w: int, t: Term, a: Formula,
     return (w, t, a) in facts
 
 
-def satisfies(m: AFModel, w: int, a: Formula, depth_budget: int = 3) -> bool:
-    """Satisfaction at a world.  In base mode all evidence questions for the
-    whole query are answered against one saturation of the query's universe."""
+def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
+    """Truth of `a` at world `w` of any frame, for both languages.
+
+    A modal box `Box(s, A)` holds when A holds at every s-successor.  An
+    evidence box `[t]@s A` also needs the fact (w, t, A) in `facts`, unless
+    `facts` is None: then every term evidences every formula, the full
+    evidence reading, and `[t]@s A` holds exactly when `Box(s, A)` does."""
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
-    facts = None
-    if m.mode == "base":
-        facts = _facts_for_query(m, a, depth_budget)
-    memo: dict[tuple[int, Formula], bool] = {}
-
-    def ev(v: int, t: Term, body: Formula) -> bool:
-        if m.mode == "full":
-            return True
-        return (v, t, body) in facts
+    # boxes are memoized, keyed by node identity: every node stays alive
+    # inside `a` meanwhile, and hashing a frozen tree re-hashes all of it
+    memo: dict[tuple[int, int], bool] = {}
 
     def sat(v: int, f: Formula) -> bool:
-        key = (v, f)
-        if key in memo:
-            return memo[key]
         if isinstance(f, Prop):
-            out = v in m.valuation.get(f.index, frozenset())
-        elif isinstance(f, Neg):
-            out = not sat(v, f.body)
-        elif isinstance(f, And):
-            out = sat(v, f.left) and sat(v, f.right)
-        elif isinstance(f, Or):
-            out = sat(v, f.left) or sat(v, f.right)
-        elif isinstance(f, Imp):
-            out = (not sat(v, f.left)) or sat(v, f.right)
-        elif isinstance(f, Just):
-            out = ev(v, f.term, f.body) and all(
-                sat(u, f.body) for u in m.successors(f.sort).get(v, ()))
-        else:
+            return v in m.valuation.get(f.index, frozenset())
+        if isinstance(f, Neg):
+            return not sat(v, f.body)
+        if isinstance(f, And):
+            return sat(v, f.left) and sat(v, f.right)
+        if isinstance(f, Or):
+            return sat(v, f.left) or sat(v, f.right)
+        if isinstance(f, Imp):
+            return (not sat(v, f.left)) or sat(v, f.right)
+        if not isinstance(f, (Just, Box)):
             raise InvalidInput(f"cannot evaluate {f!r}")
-        memo[key] = out
+        key = (v, id(f))
+        out = memo.get(key)
+        if out is None:
+            if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
+                out = False
+            else:
+                out = all(sat(u, f.body) for u in m.successors(f.sort).get(v, ()))
+            memo[key] = out
         return out
 
     return sat(w, a)
+
+
+def satisfies(m: AFModel, w: int, a: Formula, depth_budget: int = 3) -> bool:
+    """Satisfaction at a world of an evidence model.  In base mode all
+    evidence questions for the whole query are answered against one
+    saturation of the query's universe; full mode needs none."""
+    if w not in m.worlds:
+        raise UnknownWorld(f"unknown world {w}")
+    facts = _facts_for_query(m, a, depth_budget) if m.mode == "base" else None
+    return holds(m, w, a, facts)
 
 
 def valid_in_model(m: AFModel, a: Formula, depth_budget: int = 3) -> bool:
@@ -541,14 +556,7 @@ def format_model(m: AFModel) -> str:
 def _world_id(token: str) -> int:
     if not token.startswith("w") or not token[1:].isdecimal():
         raise ParseError(f"bad world name {token!r}; expected wN")
-    return _integer(token[1:], "world number")
-
-
-def _integer(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}; expected an integer") from None
+    return integer(token[1:], "world number")
 
 
 def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecification:
@@ -602,7 +610,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         key = key.strip()
         rest = rest.strip()
         if key == "h":
-            h = _integer(rest, "agent count")
+            h = integer(rest, "agent count")
             if h < 1:
                 raise ParseError("h must be at least 1")
             if h > MAX_AGENTS:
@@ -610,7 +618,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         elif key == "worlds":
             worlds.update(_world_id(tok) for tok in rest.split())
         elif key.startswith("rel"):
-            i = _integer(key[3:].strip(), "agent index")
+            i = integer(key[3:].strip(), "agent index")
             if not 1 <= i <= need_h():
                 raise ParseError(f"agent index {i} outside 1..{h}")
             pairs = relations.setdefault(i, set())
@@ -625,7 +633,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         elif key.startswith("val"):
             name = key[3:].strip()
             if name.startswith("P") and name[1:].isdecimal():
-                prop_key = _integer(name[1:], "proposition index")
+                prop_key = integer(name[1:], "proposition index")
             else:
                 prop_key = name
             valuation[prop_key] = {_world_id(tok) for tok in rest.split()}

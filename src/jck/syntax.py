@@ -25,6 +25,11 @@ Concrete grammar (whitespace insensitive):
 than `|` and `->` respectively.  Indexed atoms (`x1@C`, `c2@1`, `P3`) are the
 canonical spelling; bare lowercase names are also accepted as constants and
 propositions so scenario fixtures can use speaking names like `m1@2` or `del`.
+
+The modal language is the same tree with every evidence term erased: a
+`Box(sort, body)`, written `'#' <sort> unary`, stands where a justified
+assertion would.  `modal` parses it in place of `just`, and the one printer
+prints both languages.
 """
 
 from __future__ import annotations
@@ -318,6 +323,16 @@ def just(term: Term, body: Formula) -> Just:
     return Just(term, term.sort, body)
 
 
+@dataclass(frozen=True)
+class Box(Formula):
+    """Modal box `#sort body`: the forgetful image of `[t]@sort body`, with
+    the evidence term erased.  Only the modal parser and `modal.forgetful`
+    build it; the kernel has no rule for it."""
+
+    sort: Sort
+    body: Formula
+
+
 def conj(parts) -> Formula:
     """Left-associated conjunction of a non-empty list."""
     parts = list(parts)
@@ -327,6 +342,14 @@ def conj(parts) -> Formula:
     for p in parts[1:]:
         out = And(out, p)
     return out
+
+
+def conjuncts(a: Formula) -> list[Formula]:
+    """The maximal non-conjunction parts of `a`, left to right, whatever its
+    bracketing; the inverse of `conj` on its own output."""
+    if isinstance(a, And):
+        return conjuncts(a.left) + conjuncts(a.right)
+    return [a]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +389,7 @@ def subformulas(a: Formula) -> frozenset[Formula]:
         elif isinstance(cur, (And, Or, Imp)):
             stack.append(cur.left)
             stack.append(cur.right)
-        elif isinstance(cur, Just):
+        elif isinstance(cur, (Just, Box)):
             stack.append(cur.body)
     return frozenset(out)
 
@@ -532,6 +555,8 @@ def _pf(a: Formula, need: int) -> str:
     if isinstance(a, Imp):
         out = f"{_pf(a.left, 2)} -> {_pf(a.right, 1)}"
         return f"({out})" if need > 1 else out
+    if isinstance(a, Box):
+        return f"#{a.sort} {_pf(a.body, 4)}"
     raise InvalidInput(f"not a formula: {a!r}")
 
 
@@ -556,17 +581,26 @@ _TOKEN_RE = re.compile(
 )
 
 
+def integer(text: str, what: str, position: int | None = None) -> int:
+    """`text` read as `int()` reads it.  Every digit string the toolkit
+    converts goes through here, so a ParseError names a number too long to
+    convert by its digit count instead of echoing it."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        if digits.isdecimal():  # more digits than int() converts
+            raise ParseError(f"{what} of {len(digits)} digits is too large",
+                             position) from None
+        raise ParseError(f"{what} {text!r} is not an integer", position) from None
+
+
 def _number(m: re.Match, group: str) -> int | str:
-    """The group's digits as an int; a sort group spelled E or C stays text.
-    This is the only place the grammar converts digits."""
+    """The group's digits as an int; a sort group spelled E or C stays text."""
     digits = m.group(group)
     if not digits.isdecimal():
         return digits
-    try:
-        return int(digits)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"number of {len(digits)} digits is too large",
-                         m.start(group)) from None
+    return integer(digits, "number", m.start(group))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
@@ -605,10 +639,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
 
 class Parser:
     """Recursive descent over the token list of one text, for agent count
-    `h`.  The formula levels build their binary nodes through `IMP`, `OR` and
-    `AND`, so the modal parser reuses them with its own node classes."""
-
-    IMP, OR, AND = Imp, Or, And
+    `h`.  The modal parser subclasses it and overrides `parse_unary` only."""
 
     def __init__(self, text: str, h: int):
         if not isinstance(h, int) or h < 1:
@@ -734,21 +765,21 @@ class Parser:
         left = self.parse_or()
         if self.peek()[0] == "->":
             self.take()
-            return self.IMP(left, self.parse_formula())
+            return Imp(left, self.parse_formula())
         return left
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
         while self.peek()[0] == "|":
             self.take()
-            left = self.OR(left, self.parse_and())
+            left = Or(left, self.parse_and())
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_unary()
         while self.peek()[0] == "&":
             self.take()
-            left = self.AND(left, self.parse_unary())
+            left = And(left, self.parse_unary())
         return left
 
     def parse_unary(self) -> Formula:

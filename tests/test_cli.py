@@ -13,14 +13,12 @@ import jck
 from conftest import build_induction2_input
 from jck.cli import main
 from jck.deduction import Axiom, AxiomSchema, Derivation, Step, print_derivation
-from jck.modal import (
-    attack_kripke_model, forgetful, format_kripke_model, print_modal_formula,
-)
+from jck.modal import attack_kripke_model, forgetful, format_kripke_model
 from jck.semantics import (
     attack_four_world_model, attack_singleton_model, format_model, satisfies,
 )
 from jck.synthesis import ConstantAllocator, c_reflexivity
-from jck.syntax import C, Imp, Just, Prop, Var, parse_formula
+from jck.syntax import C, Imp, Just, Prop, Var, parse_formula, print_formula
 
 GOLDEN = Path(__file__).parent / "golden"
 REFL_TEXT = print_derivation(c_reflexivity(Var(1, C), Prop(1)))
@@ -101,6 +99,8 @@ def test_parse_errors_exit_2(capsys):
     assert main(["parse", "--agents", "3", "[x1@3]@3 P1"]) == 0
     capsys.readouterr()
     assert main(["parse", "P1 ->"]) == 2
+    assert main(["parse", "--kind", "modal", "P0"]) == 2
+    assert main(["parse", "--kind", "modal", "Foo"]) == 2
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -241,22 +241,25 @@ def run_jck(*argv) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("verb, suffix, text", [
-    ("validate", ".afm", "h: two\nworlds: w0\n"),
-    ("validate", ".afm", "h: 1\nworlds: w0\nrelx: (w0,w0)\n"),
-    ("check", ".drv", "1. P1 ; hyp x\n"),
-    ("check", ".drv", "1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 1 y\n"),
-    ("validate", ".afm", f"h: 1\nworlds: w0\nval P{'7' * 5000}: w0\n"),
-    ("check", ".drv", f"{'7' * 5000}. P1 -> P1 ; axiom Taut\n"),
+@pytest.mark.parametrize("verb, suffix, text, extra", [
+    ("validate", ".afm", "h: two\nworlds: w0\n", ()),
+    ("validate", ".afm", "h: 1\nworlds: w0\nrelx: (w0,w0)\n", ()),
+    ("check", ".drv", "1. P1 ; hyp x\n", ()),
+    ("check", ".drv", "1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 1 y\n", ()),
+    ("validate", ".afm", f"h: 1\nworlds: w0\nval P{'7' * 5000}: w0\n", ()),
+    ("check", ".drv", f"{'7' * 5000}. P1 -> P1 ; axiom Taut\n", ()),
+    ("validate", ".afm", f"h: {'7' * 5000}\nworlds: w0\n", ()),
+    ("eval", ".afm", "h: 1\nworlds: w0\n", ("P1", "--world", f"w{'7' * 5000}")),
 ], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y", "model_val_long",
-        "drv_step_long"])
-def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text):
+        "drv_step_long", "model_h_long", "eval_world_long"])
+def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text, extra):
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
-    proc = run_jck(verb, str(path))
+    proc = run_jck(verb, str(path), *extra)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr) < 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,6 +271,14 @@ def test_over_long_integers_exit_2_without_traceback(argv):
     proc = run_jck(*argv)
     assert proc.returncode == 2
     assert "too large (at offset" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["1001", "100000000"])
+def test_agents_flag_above_cap_is_a_usage_error(count):
+    proc = run_jck("probe", "#1 P1", "--agents", count, "--trials", "1")
+    assert proc.returncode == 2
+    assert "must be at most 1000" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -320,10 +331,10 @@ def test_translate_x_flags_members(tmp_path, capsys):
 def test_translate_o(capsys):
     assert main(["translate-o",
                  "[m1@2]@2 del & [m2@1]@1 [m1@2]@2 del -> [x1@C]@C del"]) == 0
-    assert capsys.readouterr().out.strip() == "#2 del & #1 #2 del -> #C del"
+    assert capsys.readouterr().out == (GOLDEN / "translate_o_readme.txt").read_text()
     expr = "[x1@1]@1 P1 -> P2 & ~P3"
     main(["translate-o", expr])
-    assert capsys.readouterr().out.strip() == print_modal_formula(
+    assert capsys.readouterr().out.strip() == print_formula(
         forgetful(parse_formula(expr, 2)))
 
 
@@ -356,6 +367,13 @@ def test_out_of_range_numeric_flags_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be at least" in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2], ids=["seed0", "seed1", "seed2"])
+def test_probe_control_matches_golden(seed, capsys):
+    assert main(["probe", "#1 P1 -> #C P1", "--seed", str(seed)]) == 1
+    golden = (GOLDEN / f"probe_control_seed{seed}.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_probe_theorem_file(refl_drv, capsys):

@@ -16,17 +16,16 @@ from jck.gen import (
     random_formula, random_theorem,
 )
 from jck.modal import (
-    Box, CommonBox, EveryBox, KripkeModel, MImp, MProp, attack_kripke_model,
-    conservative_projection, forgetful, forgetful_soundness_probe,
-    format_kripke_model, kripke_satisfies, parse_kripke_file,
-    parse_modal_formula, print_modal_formula, probe_modal_formula,
+    KripkeModel, attack_kripke_model, conservative_projection, forgetful,
+    forgetful_soundness_probe, format_kripke_model, kripke_satisfies,
+    parse_kripke_file, parse_modal_formula, probe_modal_formula,
     random_kripke_model, realizes, translate_derivation_x,
     validate_kripke_model,
 )
 from jck import semantics
 from jck.semantics import attack_four_world_model, transitive_closure
 from jck.syntax import (
-    C, E, App, Const, Imp, Just, Neg, Proj, Prop, Sum, Var, agent,
+    C, E, App, Box, Const, Imp, Just, Neg, Proj, Prop, Sum, Var, agent,
     parse_formula, print_formula,
 )
 
@@ -48,8 +47,8 @@ TC = ConstantSpecification.total_c()
 ])
 def test_modal_print_is_canonical(text):
     a = parse_modal_formula(text, 2)
-    assert print_modal_formula(a) == text
-    assert parse_modal_formula(print_modal_formula(a), 2) == a
+    assert print_formula(a) == text
+    assert parse_modal_formula(print_formula(a), 2) == a
 
 
 def test_modal_parse_errors():
@@ -63,6 +62,10 @@ def test_modal_parse_errors():
         parse_modal_formula("[x1@1]@1 P1", 2)  # evidence syntax is not modal
     with pytest.raises(ParseError):
         parse_modal_formula("P1 P2", 2)
+    # atoms follow the evidence language's atom grammar
+    for text in ("P0", "Foo", "x1", "c2", "head"):
+        with pytest.raises((ParseError, InvalidInput)):
+            parse_modal_formula(text, 2)
 
 
 def test_modal_random_round_trips():
@@ -70,7 +73,7 @@ def test_modal_random_round_trips():
     for _ in range(150):
         h = rng.randint(1, 3)
         a = forgetful(random_formula(rng, h, rng.randint(0, 4)))
-        assert parse_modal_formula(print_modal_formula(a), h) == a
+        assert parse_modal_formula(print_formula(a), h) == a
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +83,16 @@ def test_modal_random_round_trips():
 def test_forgetful_shape():
     f = parse_formula("[m1@2]@2 del & [m2@1]@1 [m1@2]@2 del -> [x1@C]@C del", 2)
     img = forgetful(f)
-    assert print_modal_formula(img) == "#2 del & #1 #2 del -> #C del"
+    assert print_formula(img) == "#2 del & #1 #2 del -> #C del"
     assert realizes(f, img)
 
 
 def test_forgetful_maps_each_box_kind():
-    assert forgetful(Just(Var(1, E), E, Prop(1))) == EveryBox(MProp(1))
-    assert forgetful(Just(Var(1, C), C, Prop(1))) == CommonBox(MProp(1))
-    assert forgetful(Just(Var(1, agent(2)), agent(2), Prop(1))) == Box(2, MProp(1))
-    assert forgetful(Imp(Neg(Prop(1)), Prop(2))) == MImp(
-        parse_modal_formula("~P1", 1), MProp(2))
+    assert forgetful(Just(Var(1, E), E, Prop(1))) == Box(E, Prop(1))
+    assert forgetful(Just(Var(1, C), C, Prop(1))) == Box(C, Prop(1))
+    assert forgetful(Just(Var(1, agent(2)), agent(2), Prop(1))) == Box(agent(2), Prop(1))
+    assert forgetful(Imp(Neg(Prop(1)), Prop(2))) == Imp(
+        parse_modal_formula("~P1", 1), Prop(2))
 
 
 def test_realizes_is_forgetful_agreement():
@@ -355,6 +358,20 @@ def test_kripke_common_closure_computed_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_kripke_reads_evidence_boxes_as_full_evidence():
+    rng = random.Random(17)
+    for k in range(40):
+        h = rng.randint(1, 3)
+        frame = random_kripke_model(h, rng.randint(1, 4), seed=k)
+        full = semantics.AFModel(h, frame.worlds, frame.relations,
+                                 frame.valuation, mode="full")
+        a = random_formula(rng, h, rng.randint(0, 4))
+        for w in sorted(frame.worlds):
+            value = kripke_satisfies(frame, w, a)
+            assert value == kripke_satisfies(frame, w, forgetful(a))
+            assert value == semantics.satisfies(full, w, a)
+
+
 def test_kripke_boxes():
     # two agents whose relations chain: 0 -1-> 1 -2-> 2
     worlds = {0, 1, 2}
@@ -362,13 +379,13 @@ def test_kripke_boxes():
     m = KripkeModel(2, worlds,
                     {1: refl | {(0, 1)}, 2: refl | {(1, 2)}},
                     {1: {0, 1}})
-    p = MProp(1)
-    assert kripke_satisfies(m, 0, Box(1, p))          # sees worlds 0,1
-    assert not kripke_satisfies(m, 1, Box(2, p))      # sees world 2
-    assert kripke_satisfies(m, 0, EveryBox(p))        # one-step union: 0,1
-    assert not kripke_satisfies(m, 0, CommonBox(p))   # closure reaches 2
+    p = Prop(1)
+    assert kripke_satisfies(m, 0, Box(agent(1), p))      # sees worlds 0,1
+    assert not kripke_satisfies(m, 1, Box(agent(2), p))  # sees world 2
+    assert kripke_satisfies(m, 0, Box(E, p))             # one-step union: 0,1
+    assert not kripke_satisfies(m, 0, Box(C, p))         # closure reaches 2
     with pytest.raises(InvalidInput):
-        kripke_satisfies(m, 0, Box(3, p))
+        kripke_satisfies(m, 0, Box(agent(3), p))
     with pytest.raises(UnknownWorld):
         kripke_satisfies(m, 9, p)
 

@@ -400,6 +400,12 @@ def test_full_mode_reduces_to_relational_truth():
     assert not satisfies(tiny(mode="base", **frame), 0, Just(Var(1, agent(1)), agent(1), Prop(1)))
 
 
+def test_agent_index_above_h_raises_invalid_input():
+    m = random_model(2, 3, mode="full")
+    with pytest.raises(InvalidInput, match="agent index 3 outside 1..2"):
+        satisfies(m, 0, Just(Var(1, agent(3)), agent(3), Prop(1)))
+
+
 def test_unknown_world_raises():
     m = tiny()
     with pytest.raises(UnknownWorld):
