@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .errors import JckError, ParseError
+from .errors import JckError, ParseError, quoted
 from .syntax import (
     Parser, Sort, integer, parse_formula, parse_term, print_formula,
     print_term,
@@ -53,7 +53,7 @@ def _parse_world(text: str) -> int:
     if text.startswith("w"):
         text = text[1:]
     if not text.isdecimal():
-        raise JckError(f"not a world name: {text!r}")
+        raise JckError(f"not a world name: {quoted(text)}")
     return integer(text, "world number")
 
 

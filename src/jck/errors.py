@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and how their messages quote input."""
 
 
 class JckError(Exception):
@@ -29,3 +29,15 @@ class InvalidInput(JckError):
 
 class UnknownWorld(JckError):
     """A world id is not part of the model at hand."""
+
+
+QUOTE_LIMIT = 40
+
+
+def quoted(text: str) -> str:
+    """`text` as an error message quotes it: its repr, cut after
+    QUOTE_LIMIT characters and followed by its length when longer, so an
+    error line stays short whatever the input."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"

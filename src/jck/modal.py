@@ -25,7 +25,7 @@ from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
     Derivation, Hyp, MP, Step, is_agent_fragment_formula, match_axiom,
 )
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput, ParseError, quoted
 from .syntax import (
     And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, conjuncts,
     print_formula, subterms,
@@ -252,7 +252,7 @@ def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
         if stripped.startswith("evidence"):
             raise InvalidInput("evidence lines do not belong in a relational model file")
         if stripped.startswith(("mode", "cs")):
-            warnings.append(f"ignored line {stripped!r}")
+            warnings.append(f"ignored line {quoted(stripped)}")
             continue
         kept.append(raw)
     model, warns = parse_model_file("\n".join(kept))

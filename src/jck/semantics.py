@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .deduction import ConstantSpecification, match_axiom
-from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld
+from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quoted
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
     Parser, Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
@@ -429,7 +429,7 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
     # boxes are memoized, keyed by node identity: every node stays alive
-    # inside `a` meanwhile, and hashing a frozen tree re-hashes all of it
+    # inside `a` meanwhile, and an id is cheaper than even a cached hash
     memo: dict[tuple[int, int], bool] = {}
 
     def sat(v: int, f: Formula) -> bool:
@@ -555,7 +555,7 @@ def format_model(m: AFModel) -> str:
 
 def _world_id(token: str) -> int:
     if not token.startswith("w") or not token[1:].isdecimal():
-        raise ParseError(f"bad world name {token!r}; expected wN")
+        raise ParseError(f"bad world name {quoted(token)}; expected wN")
     return integer(token[1:], "world number")
 
 
@@ -567,13 +567,13 @@ def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecific
         if not line:
             continue
         if ":=" not in line:
-            raise ParseError(f"bad specification line {line!r}; expected ':='")
+            raise ParseError(f"bad specification line {quoted(line)}; expected ':='")
         left, right = line.split(":=", 1)
         p = Parser(left.strip(), h)
         const = p.parse_term()
         p.expect_end()
         if not isinstance(const, Const):
-            raise ParseError(f"specification member {left.strip()!r} is not a constant")
+            raise ParseError(f"specification member {quoted(left.strip())} is not a constant")
         p = Parser(right.strip(), h)
         body = p.parse_formula()
         p.expect_end()
@@ -627,7 +627,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
                 if not chunk:
                     continue
                 if not chunk.startswith("("):
-                    raise ParseError(f"bad relation pair {chunk!r}")
+                    raise ParseError(f"bad relation pair {quoted(chunk)}")
                 a, _, b = chunk[1:].partition(",")
                 pairs.add((_world_id(a), _world_id(b)))
         elif key.startswith("val"):
@@ -650,7 +650,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             evidence.append(EvidenceFact(world, term, body))
         elif key == "mode":
             if rest not in ("base", "full"):
-                raise ParseError(f"unknown mode {rest!r}")
+                raise ParseError(f"unknown mode {quoted(rest)}")
             mode = rest
         elif key == "cs":
             if rest == "totalC":
@@ -662,9 +662,9 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
                                        "but no loader was provided")
                 cs = parse_cs_table(cs_loader(path), need_h())
             else:
-                raise ParseError(f"unknown specification {rest!r}")
+                raise ParseError(f"unknown specification {quoted(rest)}")
         else:
-            raise ParseError(f"unknown model line {line!r}")
+            raise ParseError(f"unknown model line {quoted(line)}")
 
     if h is None:
         raise ParseError("missing h: line")

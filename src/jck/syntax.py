@@ -30,23 +30,91 @@ The modal language is the same tree with every evidence term erased: a
 `Box(sort, body)`, written `'#' <sort> unary`, stands where a justified
 assertion would.  `modal` parses it in place of `just`, and the one printer
 prints both languages.
+
+Nodes are frozen, slotted dataclasses that compute their structural hash
+once and keep it.  Equality is structural and cheap where it can be: the
+same object is equal at once, two nodes with cached hashes that differ are
+unequal at once, and otherwise the fields are compared as one tuple, whose
+compare skips children the two trees share.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .errors import InvalidInput, ParseError, SortError
+from .errors import InvalidInput, ParseError, SortError, quoted
+
+# ---------------------------------------------------------------------------
+# nodes
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Node:
+    """Base of every sort, term and formula: a frozen, slotted dataclass
+    whose one extra slot caches its structural hash."""
+
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+
+# a frozen dataclass refuses attribute assignment; the slot's own setter is
+# the cheapest way past it
+_set_hash = _Node._hash.__set__
+
+# Hash and equality of every node class, written once here and specialized
+# by `_node` to the class's compare fields, the way dataclass writes its own
+# methods: one frame each, reading the fields directly (one shared method
+# reading them through a getter took about twice as long a call).  The hash
+# is the dataclass one's value, the hash of the tuple of compare fields, so
+# sets and dicts keep their iteration order.  A Sum and an App of the same
+# fields share that hash; nodes of two classes are unequal at once, sparing
+# the reflected call.
+_METHODS = """
+def __hash__(self):
+    h = self._hash
+    if h is None:
+        h = hash(({mine}))
+        _set_hash(self, h)
+    return h
+
+def __eq__(self, other):
+    if self is other:
+        return True
+    if other.__class__ is not self.__class__:
+        return False if isinstance(other, _Node) else NotImplemented
+    h = self._hash
+    if h is not None:
+        g = other._hash
+        if g is not None and g != h:
+            return False
+    return ({mine}) == ({theirs})
+"""
+
+
+def _node(cls):
+    """`cls` as a frozen, slotted node dataclass with `_METHODS`."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    names = [f.name for f in fields(cls) if f.compare]
+    methods: dict = {}
+    exec(_METHODS.format(mine="".join(f"self.{n}, " for n in names),
+                         theirs="".join(f"other.{n}, " for n in names)),
+         globals(), methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    return cls
+
 
 # ---------------------------------------------------------------------------
 # sorts
 
 
-@dataclass(frozen=True)
-class Sort:
-    """An evidence sort: one agent, the group sort E, or the common sort C."""
+@_node
+class Sort(_Node):
+    """An evidence sort: one agent, the group sort E, or the common sort C.
+    Build agent sorts with `agent(i)` and use `E` and `C`: one object per
+    sort makes sort comparisons and sort-keyed lookups identity checks."""
 
     kind: str  # "agent" | "E" | "C"
     index: int = 0
@@ -80,7 +148,6 @@ C = Sort("C")
 
 @lru_cache(maxsize=1024)
 def agent(i: int) -> Sort:
-    # one object per agent, so sort-keyed cache lookups skip Sort.__eq__
     return Sort("agent", i)
 
 
@@ -109,13 +176,14 @@ def _check_atom_index(index) -> None:
 # terms
 
 
-class Term:
+class Term(_Node):
     """Base class for evidence terms.  Every term exposes a `.sort`."""
 
+    __slots__ = ()
     sort: Sort
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Term):
     index: int | str
     sort: Sort
@@ -124,7 +192,7 @@ class Const(Term):
         _check_atom_index(self.index)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Term):
     index: int
     sort: Sort
@@ -134,7 +202,7 @@ class Var(Term):
             raise InvalidInput(f"variable index must be a positive int, got {self.index!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Bang(Term):
     """Positive introspection operator of one agent, `!i(t)`."""
 
@@ -142,15 +210,15 @@ class Bang(Term):
     agent: int
 
     def __post_init__(self):
-        if self.t.sort != Sort("agent", self.agent):
+        if self.t.sort != agent(self.agent):
             raise SortError(f"!{self.agent} needs an agent-{self.agent} operand, got sort {self.t.sort}")
 
     @property
     def sort(self) -> Sort:
-        return Sort("agent", self.agent)
+        return agent(self.agent)
 
 
-@dataclass(frozen=True)
+@_node
 class Sum(Term):
     """Evidence pooling `t + s`; defined at agent sorts and at C only."""
 
@@ -165,7 +233,7 @@ class Sum(Term):
             raise SortError(f"+ operands must both have sort {self.sort}, got {self.t.sort} and {self.s.sort}")
 
 
-@dataclass(frozen=True)
+@_node
 class App(Term):
     """Evidence application `t * s`; defined at agent sorts and at C only."""
 
@@ -180,7 +248,7 @@ class App(Term):
             raise SortError(f"* operands must both have sort {self.sort}, got {self.t.sort} and {self.s.sort}")
 
 
-@dataclass(frozen=True)
+@_node
 class Tuple(Term):
     """One term per agent, pooled into sort E."""
 
@@ -192,7 +260,7 @@ class Tuple(Term):
         if not items:
             raise SortError("tuple needs at least one component")
         for k, item in enumerate(items, start=1):
-            if item.sort != Sort("agent", k):
+            if item.sort != agent(k):
                 raise SortError(f"tuple component {k} must have sort {k}, got {item.sort}")
 
     @property
@@ -200,7 +268,7 @@ class Tuple(Term):
         return E
 
 
-@dataclass(frozen=True)
+@_node
 class Proj(Term):
     """Projection `pi_i(t)` extracting agent i's share of an E-term."""
 
@@ -215,10 +283,10 @@ class Proj(Term):
 
     @property
     def sort(self) -> Sort:
-        return Sort("agent", self.agent)
+        return agent(self.agent)
 
 
-@dataclass(frozen=True)
+@_node
 class Head(Term):
     """First co-closure component of a C-term; sort E."""
 
@@ -233,7 +301,7 @@ class Head(Term):
         return E
 
 
-@dataclass(frozen=True)
+@_node
 class Tail(Term):
     """Second co-closure component of a C-term; sort E."""
 
@@ -248,7 +316,7 @@ class Tail(Term):
         return E
 
 
-@dataclass(frozen=True)
+@_node
 class Ind(Term):
     """Induction evidence `ind(t, s)` with t at C and s at E; sort C."""
 
@@ -270,11 +338,13 @@ class Ind(Term):
 # formulas
 
 
-class Formula:
+class Formula(_Node):
     """Base class for formulas."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@_node
 class Prop(Formula):
     index: int | str
 
@@ -282,30 +352,30 @@ class Prop(Formula):
         _check_atom_index(self.index)
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Just(Formula):
     """Justified assertion `[term]@sort body`."""
 
@@ -323,7 +393,7 @@ def just(term: Term, body: Formula) -> Just:
     return Just(term, term.sort, body)
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     """Modal box `#sort body`: the forgetful image of `[t]@sort body`, with
     the evidence term erased.  Only the modal parser and `modal.forgetful`
@@ -502,61 +572,84 @@ def substitute(a: Formula, x: Var | None = None, t: Term | None = None,
 # ---------------------------------------------------------------------------
 # printing
 
+# Each printer call keeps one memo of printed terms, keyed by identity: a
+# subterm shared inside a term, or between the formulas of one
+# `print_formulas` call, is printed once.  Every key stays alive inside the
+# printed objects for the whole call, so no id is reused meanwhile.
+# Formulas are not memoized: their text is rarely shared.
+
 # precedence levels: 1 any, 2 summand, 3 factor / closed
 def print_term(t: Term) -> str:
-    return _pt(t, 1)
+    return _pt(t, 1, {})
 
 
-def _pt(t: Term, need: int) -> str:
+def _pt(t: Term, need: int, memo: dict[int, str]) -> str:
+    out = memo.get(id(t))
+    if out is None:
+        out = memo[id(t)] = _term_text(t, memo)
+    if (need > 1 and isinstance(t, Sum)) or (need > 2 and isinstance(t, App)):
+        return f"({out})"
+    return out
+
+
+def _term_text(t: Term, memo: dict[int, str]) -> str:
+    """`t` at the loosest level; the user adds parentheses."""
     if isinstance(t, Const):
         head = f"c{t.index}" if isinstance(t.index, int) else t.index
         return f"{head}@{t.sort}"
     if isinstance(t, Var):
         return f"x{t.index}@{t.sort}"
     if isinstance(t, Bang):
-        return f"!{t.agent}({_pt(t.t, 1)})"
+        return f"!{t.agent}({_pt(t.t, 1, memo)})"
     if isinstance(t, Proj):
-        return f"pi_{t.agent}({_pt(t.t, 1)})"
+        return f"pi_{t.agent}({_pt(t.t, 1, memo)})"
     if isinstance(t, Head):
-        return f"head({_pt(t.t, 1)})"
+        return f"head({_pt(t.t, 1, memo)})"
     if isinstance(t, Tail):
-        return f"tail({_pt(t.t, 1)})"
+        return f"tail({_pt(t.t, 1, memo)})"
     if isinstance(t, Ind):
-        return f"ind({_pt(t.t, 1)}, {_pt(t.s, 1)})"
+        return f"ind({_pt(t.t, 1, memo)}, {_pt(t.s, 1, memo)})"
     if isinstance(t, Tuple):
-        return "<" + ", ".join(_pt(i, 1) for i in t.items) + ">"
+        return "<" + ", ".join([_pt(i, 1, memo) for i in t.items]) + ">"
     if isinstance(t, Sum):
-        out = f"{_pt(t.t, 1)} + {_pt(t.s, 2)}"
-        return f"({out})" if need > 1 else out
+        return f"{_pt(t.t, 1, memo)} + {_pt(t.s, 2, memo)}"
     if isinstance(t, App):
-        out = f"{_pt(t.t, 2)} * {_pt(t.s, 3)}"
-        return f"({out})" if need > 2 else out
+        return f"{_pt(t.t, 2, memo)} * {_pt(t.s, 3, memo)}"
     raise InvalidInput(f"not a term: {t!r}")
 
 
 # precedence levels: 1 any, 2 implication operand, 3 disjunct, 4 unary
 def print_formula(a: Formula) -> str:
-    return _pf(a, 1)
+    return _pf(a, 1, {})
 
 
-def _pf(a: Formula, need: int) -> str:
-    if isinstance(a, Prop):
+def print_formulas(formulas: list[Formula]) -> list[str]:
+    """`print_formula` of each, sharing one term memo across the list."""
+    memo: dict[int, str] = {}
+    return [_pf(a, 1, memo) for a in formulas]
+
+
+def _pf(a: Formula, need: int, memo: dict[int, str]) -> str:
+    # exact class tests, most frequent first: printing lifted proofs visits
+    # about a million formula nodes a second
+    cls = a.__class__
+    if cls is Prop:
         return f"P{a.index}" if isinstance(a.index, int) else a.index
-    if isinstance(a, Neg):
-        return f"~{_pf(a.body, 4)}"
-    if isinstance(a, Just):
-        return f"[{print_term(a.term)}]@{a.sort} {_pf(a.body, 4)}"
-    if isinstance(a, And):
-        out = f"{_pf(a.left, 3)} & {_pf(a.right, 4)}"
-        return f"({out})" if need > 3 else out
-    if isinstance(a, Or):
-        out = f"{_pf(a.left, 2)} | {_pf(a.right, 3)}"
-        return f"({out})" if need > 2 else out
-    if isinstance(a, Imp):
-        out = f"{_pf(a.left, 2)} -> {_pf(a.right, 1)}"
+    if cls is Just:
+        return f"[{_pt(a.term, 1, memo)}]@{a.sort} {_pf(a.body, 4, memo)}"
+    if cls is Imp:
+        out = f"{_pf(a.left, 2, memo)} -> {_pf(a.right, 1, memo)}"
         return f"({out})" if need > 1 else out
-    if isinstance(a, Box):
-        return f"#{a.sort} {_pf(a.body, 4)}"
+    if cls is And:
+        out = f"{_pf(a.left, 3, memo)} & {_pf(a.right, 4, memo)}"
+        return f"({out})" if need > 3 else out
+    if cls is Or:
+        out = f"{_pf(a.left, 2, memo)} | {_pf(a.right, 3, memo)}"
+        return f"({out})" if need > 2 else out
+    if cls is Neg:
+        return f"~{_pf(a.body, 4, memo)}"
+    if cls is Box:
+        return f"#{a.sort} {_pf(a.body, 4, memo)}"
     raise InvalidInput(f"not a formula: {a!r}")
 
 
@@ -589,10 +682,12 @@ def integer(text: str, what: str, position: int | None = None) -> int:
         return int(text)
     except ValueError:
         digits = text.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
         if digits.isdecimal():  # more digits than int() converts
             raise ParseError(f"{what} of {len(digits)} digits is too large",
                              position) from None
-        raise ParseError(f"{what} {text!r} is not an integer", position) from None
+        raise ParseError(f"{what} {quoted(text)} is not an integer", position) from None
 
 
 def _number(m: re.Match, group: str) -> int | str:
@@ -661,13 +756,13 @@ class Parser:
     def expect(self, kind: str) -> tuple[str, str, int, object]:
         tok = self.take()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {quoted(tok[1] or 'end of input')}", tok[2])
         return tok
 
     def expect_end(self) -> None:
         tok = self.peek()
         if tok[0] != "EOF":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+            raise ParseError(f"unexpected trailing input {quoted(tok[1])}", tok[2])
 
     # -- shared pieces
 
@@ -681,7 +776,7 @@ class Parser:
             return E
         if value == "C":
             return C
-        return Sort("agent", self.agent_index(value, pos))
+        return agent(self.agent_index(value, pos))
 
     def parse_sort_token(self) -> Sort:
         tok = self.take()
@@ -689,7 +784,7 @@ class Parser:
             return self._sort(tok[3], tok[2])
         if tok[0] == "IDENT" and tok[1] in ("E", "C"):
             return self._sort(tok[1], tok[2])
-        raise ParseError(f"expected a sort, found {tok[1] or 'end of input'!r}", tok[2])
+        raise ParseError(f"expected a sort, found {quoted(tok[1] or 'end of input')}", tok[2])
 
     # -- terms
 
@@ -718,7 +813,7 @@ class Parser:
         if kind == "NCONST":
             name, sort = payload
             if name in _RESERVED_NAMES:
-                raise ParseError(f"{name!r} is reserved", pos)
+                raise ParseError(f"{quoted(name)} is reserved", pos)
             return Const(name, self._sort(sort, pos))
         if kind == "BANG":
             self.agent_index(payload, pos)
@@ -757,7 +852,7 @@ class Parser:
             inner = self.parse_term()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
+        raise ParseError(f"expected a term, found {quoted(text or 'end of input')}", pos)
 
     # -- formulas
 
@@ -802,13 +897,13 @@ class Parser:
             return Prop(payload)
         if kind == "IDENT":
             if text in _RESERVED_NAMES or not _NAME_RE.match(text):
-                raise ParseError(f"{text!r} cannot name a proposition", pos)
+                raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
             return Prop(text)
         if kind == "(":
             inner = self.parse_formula()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
+        raise ParseError(f"expected a formula, found {quoted(text or 'end of input')}", pos)
 
 
 def parse_term(text: str, h: int) -> Term:

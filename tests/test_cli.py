@@ -164,6 +164,17 @@ def test_necessitate(refl_drv, capsys):
     assert "constant c" in out
 
 
+@pytest.mark.parametrize("target", ["1", "E", "C"])
+def test_lift_matches_golden(hyps_drv, target, capsys):
+    assert main(["lift", hyps_drv, "--target", target]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"lift_{target}.txt").read_text()
+
+
+def test_necessitate_matches_golden(refl_drv, capsys):
+    assert main(["necessitate", refl_drv, "--target", "E"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "necessitate_E.txt").read_text()
+
+
 def test_necessitate_rejects_open_derivations(hyps_drv):
     # hypothesis-bearing input is an input error for this verb
     assert main(["necessitate", hyps_drv, "--target", "E"]) == 2
@@ -250,8 +261,13 @@ def run_jck(*argv) -> subprocess.CompletedProcess:
     ("check", ".drv", f"{'7' * 5000}. P1 -> P1 ; axiom Taut\n", ()),
     ("validate", ".afm", f"h: {'7' * 5000}\nworlds: w0\n", ()),
     ("eval", ".afm", "h: 1\nworlds: w0\n", ("P1", "--world", f"w{'7' * 5000}")),
+    ("validate", ".afm", f"h: 1\nworlds: wx{'7' * 5000}\n", ()),
+    ("validate", ".afm", f"h: 1\nworlds: w0\nfoo{'7' * 5000}: 1\n", ()),
+    ("eval", ".afm", "h: 1\nworlds: w0\n", ("P1", "--world", f"x{'7' * 5000}")),
+    ("validate", ".afm", f"h: -{'7' * 5000}\nworlds: w0\n", ()),
 ], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y", "model_val_long",
-        "drv_step_long", "model_h_long", "eval_world_long"])
+        "drv_step_long", "model_h_long", "eval_world_long", "model_world_name_long",
+        "model_line_long", "eval_world_name_long", "model_h_signed_long"])
 def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text, extra):
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)

@@ -1,11 +1,14 @@
 """Kernel: tautologies, schema matching, constant specifications, checking."""
 
+import itertools
 import random
+import time
 
 import pytest
 
 from jck.errors import InvalidInput, ParseError, ResourceError
 from jck.gen import random_axiom_instance, random_derivation, random_formula
+from jck import deduction
 from jck.deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
     Derivation, Hyp, MP, Step, check_derivation, cs_contains,
@@ -14,8 +17,8 @@ from jck.deduction import (
     print_derivation,
 )
 from jck.syntax import (
-    C, E, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
-    Sum, Tail, Tuple, Var, agent, conj, parse_formula, print_formula,
+    C, E, And, App, Bang, Box, Const, Head, Imp, Ind, Just, Neg, Or, Proj,
+    Prop, Sum, Tail, Tuple, Var, agent, conj, parse_formula, print_formula,
 )
 
 TC = ConstantSpecification.total_c()
@@ -56,6 +59,109 @@ def test_tautology_atom_cap():
 def test_tautology_rejects_non_formula():
     with pytest.raises(InvalidInput):
         is_tautology(Var(1, C))
+
+
+def _tautology_by_rows(a) -> bool:
+    """Reference: every row of the truth table evaluated one at a time,
+    maximal justified assertions as opaque atoms."""
+    atoms = []
+
+    def collect(f):
+        if isinstance(f, (Prop, Just)):
+            if f not in atoms:
+                atoms.append(f)
+        elif isinstance(f, Neg):
+            collect(f.body)
+        else:
+            collect(f.left)
+            collect(f.right)
+
+    def value(f, row):
+        if isinstance(f, (Prop, Just)):
+            return row[atoms.index(f)]
+        if isinstance(f, Neg):
+            return not value(f.body, row)
+        if isinstance(f, And):
+            return value(f.left, row) and value(f.right, row)
+        if isinstance(f, Or):
+            return value(f.left, row) or value(f.right, row)
+        return not value(f.left, row) or value(f.right, row)
+
+    collect(a)
+    return all(value(a, row) for row in itertools.product((False, True), repeat=len(atoms)))
+
+
+def _random_skeleton(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(atoms)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Neg(_random_skeleton(rng, atoms, depth - 1))
+    left = _random_skeleton(rng, atoms, depth - 1)
+    # a repeated child makes the tree a DAG, as lifted proofs are
+    right = left if rng.random() < 0.1 else _random_skeleton(rng, atoms, depth - 1)
+    return (And, Or, Imp)[kind - 1](left, right)
+
+
+def test_tautology_matches_row_by_row_reference():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        atoms = [Prop(k) if k % 3 else Just(Var(k, C), C, Prop(k)) for k in range(1, n + 1)]
+        a = _random_skeleton(rng, atoms, rng.randint(1, 6))
+        shape = rng.randrange(3)
+        if shape == 1:
+            a = Or(a, Neg(a))
+        elif shape == 2:
+            a = Imp(a, _random_skeleton(rng, atoms, 3))
+        want = _tautology_by_rows(a)
+        assert is_tautology(a) == want, print_formula(a)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _disjunction(parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = Or(out, p)
+    return out
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 18])
+def test_tautology_across_chunks(n):
+    atoms = [Prop(k) for k in range(1, n + 1)]
+    # falsified by the all-false row only, in the first chunk
+    assert not is_tautology(_disjunction(atoms))
+    # falsified by the all-true row only, the last row of the last chunk
+    negated = _disjunction([Neg(p) for p in atoms])
+    assert not is_tautology(negated)
+    # a tautology that needs every chunk to confirm it
+    assert is_tautology(Or(_disjunction(atoms), Neg(atoms[-1])))
+    if n <= 16:
+        for a in (_disjunction(atoms), negated, Or(negated, atoms[0])):
+            assert is_tautology(a) == _tautology_by_rows(a)
+
+
+def test_wide_tautologies_are_fast():
+    atoms = [Prop(k) for k in range(1, 25)]
+    for a, want in ((Or(_disjunction(atoms), Neg(atoms[-1])), True),
+                    (_disjunction([Neg(p) for p in atoms]), False)):
+        start = time.perf_counter()
+        assert deduction._is_tautology.__wrapped__(a, 24) is want
+        assert time.perf_counter() - start < 2.0
+    with pytest.raises(ResourceError, match="25 propositional atoms exceed the cap of 24"):
+        is_tautology(_disjunction(atoms + [Prop(25)]))
+
+
+def test_tautology_cache_is_bounded():
+    maxsize = deduction._is_tautology.cache_info().maxsize
+    assert maxsize is not None
+    deduction._is_tautology.cache_clear()
+    for k in range(1, maxsize + 101):
+        is_tautology(Imp(Prop(k), Prop(k)))
+    assert deduction._is_tautology.cache_info().currsize <= maxsize
+    deduction._is_tautology.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +233,14 @@ def test_match_axiom_against_generator():
         h = rng.randint(1, 3)
         inst = random_axiom_instance(rng, schema, h, depth=rng.randint(0, 1))
         assert schema in match_axiom(inst), (schema, print_formula(inst))
+
+
+def test_formulas_with_a_modal_box_instantiate_no_schema():
+    box = Box(agent(1), Prop(1))
+    assert match_axiom(Imp(box, box)) == frozenset()
+    # Refl-shaped, with the box inside the justified assertion's body
+    assert match_axiom(Imp(Just(Var(1, agent(1)), agent(1), box), box)) == frozenset()
+    assert match_axiom(Imp(Prop(1), Prop(1))) == {AxiomSchema.TAUT}
 
 
 def test_random_formulas_rarely_axioms():
@@ -223,6 +337,15 @@ def test_check_statuses():
 
     c_level = _drv(Step(Just(Const(1, C), C, refl), AxNec(Const(1, C))))
     assert check_derivation(c_level, TC).ok
+
+
+def test_check_reports_a_modal_box_as_ill_formed():
+    box = Box(agent(1), Prop(1))
+    d = Derivation((), (Step(Imp(Prop(1), Prop(1)), Axiom(AxiomSchema.TAUT)),
+                        Step(Imp(box, box), Axiom(AxiomSchema.TAUT))))
+    r = check_derivation(d, TC)
+    assert (r.ok, r.step, r.status) == (False, 2, "IllFormed")
+    assert "modal box" in r.message
 
 
 def test_check_fragment_restriction():

@@ -11,13 +11,13 @@ from jck.errors import InvalidInput, ParseError, UnknownWorld
 from jck.gen import random_formula
 from jck.semantics import (
     AFModel, EvidenceFact, SaturationUniverse, attack_four_world_model,
-    attack_singleton_model, build_universe, evidence_holds, format_model,
+    attack_singleton_model, build_universe, evidence_holds, format_model, holds,
     parse_cs_table, parse_model_file, random_model, reach_C, reach_E,
     reflexive_transitive_closure, restrict_to_world, satisfies, saturate,
     transitive_closure, valid_in_model, validate_model,
 )
 from jck.syntax import (
-    C, E, App, Bang, Const, Formula, Head, Imp, Ind, Just, Neg, Proj, Prop,
+    C, E, App, Bang, Box, Const, Formula, Head, Imp, Ind, Just, Neg, Proj, Prop,
     Sum, Tail, Term, Tuple, Var, agent, formula_terms, subformulas, subterms,
 )
 
@@ -392,6 +392,14 @@ def test_satisfies_box_needs_evidence_and_successor_truth():
     # both
     m3 = tiny(h=1, rels={1: {(0, 1)}}, base=(fact,), valuation={1: {0, 1}})
     assert satisfies(m3, 0, Just(t, agent(1), Prop(1)))
+
+
+def test_base_mode_evaluates_a_modal_box_relationally():
+    m = attack_singleton_model()
+    for body in (DEL, Neg(DEL)):
+        f = Box(agent(1), body)
+        assert satisfies(m, 0, f) == holds(m, 0, f, facts=None)
+    assert satisfies(m, 0, Box(agent(1), DEL))
 
 
 def test_full_mode_reduces_to_relational_truth():

@@ -1,5 +1,7 @@
 """Terms, formulas, printing, and parsing."""
 
+import dataclasses
+import itertools
 import random
 import re
 
@@ -10,8 +12,8 @@ from jck.gen import random_formula, random_sort, random_term
 from jck.syntax import (
     C, E, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
     Sum, Tail, Tuple, Var, agent, bound_problems, check_bounds, conj,
-    formula_terms, parse_formula, parse_term, print_formula, print_term,
-    subformulas, subterms, substitute, variables_in,
+    Box, Formula, Sort, Term, formula_terms, parse_formula, parse_term, print_formula,
+    print_formulas, print_term, subformulas, subterms, substitute, variables_in,
 )
 
 
@@ -240,3 +242,67 @@ def test_random_round_trips():
         assert parse_term(print_term(t), h) == t
         a = random_formula(rng, h, rng.randint(0, 3))
         assert parse_formula(print_formula(a), h) == a
+
+
+# ---------------------------------------------------------------------------
+# cached hashes and equality
+
+
+def _nodes(x):
+    """Every node of a term or formula tree, sorts included."""
+    out, stack = [], [x]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for f in dataclasses.fields(node):
+            if f.compare:
+                value = getattr(node, f.name)
+                values = value if isinstance(value, tuple) else (value,)
+                stack.extend(v for v in values if isinstance(v, (Term, Formula, Sort)))
+    return out
+
+
+def _random_tree(seed):
+    rng = random.Random(seed)
+    h = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return random_term(rng, random_sort(rng, h), h, rng.randint(0, 4))
+    return random_formula(rng, h, rng.randint(0, 4))
+
+
+def test_hash_is_the_tuple_hash_of_the_compare_fields():
+    for seed in range(150):
+        for node in _nodes(_random_tree(seed)):
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.compare)
+            assert hash(node) == hash(fields)
+            assert hash(node) == hash(fields)  # cached
+
+
+def test_equality_is_structural():
+    trees = [_random_tree(seed) for seed in range(150)]
+    for seed, tree in enumerate(trees):
+        again = _random_tree(seed)
+        assert again is not tree and again == tree and not again != tree
+        hash(tree)  # one side cached, the other not
+        assert again == tree and hash(again) == hash(tree)
+    texts = [print_term(t) if isinstance(t, Term) else print_formula(t) for t in trees]
+    for (a, ta), (b, tb) in itertools.combinations(zip(trees, texts), 2):
+        if type(a) is type(b) and ta != tb:
+            assert a != b and not a == b
+    assert Box(agent(1), Prop(1)) != Box(agent(2), Prop(1))
+    assert agent(1) == Sort("agent", 1) and agent(1) != E
+
+
+def test_nodes_are_slotted():
+    assert not hasattr(Var(1, C), "__dict__")
+    assert not hasattr(agent(1), "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Prop(1).index = 2
+
+
+def test_print_formulas_shares_term_text():
+    t = Sum(Var(1, C), App(Const(1, C), Var(2, C), C), C)
+    shared = [Just(t, C, Prop(1)), Just(App(t, t, C), C, Prop(2)), Prop(3)]
+    assert print_formulas(shared) == [print_formula(a) for a in shared]
+    assert print_formulas(shared)[1] == (
+        "[(x1@C + c1@C * x2@C) * (x1@C + c1@C * x2@C)]@C P2")
