@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .errors import InvalidInput, ParseError, ResourceError, quoted
 from .syntax import (
@@ -117,9 +116,6 @@ def _rows_true(a: Formula, slot: dict[int, int], values, full: int) -> int:
     return left & right if cls is And else left | right
 
 
-# one proofs pass of the benchmark makes about 1,400 misses, an attack pass
-# about 3,700
-@lru_cache(maxsize=4096)
 def _is_tautology(a: Formula, max_atoms: int) -> bool:
     atoms: dict[Formula, int] = {}
     slot: dict[int, int] = {}
@@ -140,6 +136,13 @@ def _is_tautology(a: Formula, max_atoms: int) -> bool:
     return True
 
 
+# (formula, max_atoms) -> verdict, emptied when full: one probe per hit and
+# two per miss.  One proofs pass of the benchmark makes about 1,400 misses,
+# an attack pass about 3,700.
+_TAUTOLOGIES: dict[tuple[Formula, int], bool] = {}
+_TAUTOLOGY_CACHE_SIZE = 4096
+
+
 def is_tautology(a: Formula, max_atoms: int = 24) -> bool:
     """Exhaustive valuation over the formula's atoms.
 
@@ -149,7 +152,14 @@ def is_tautology(a: Formula, max_atoms: int = 24) -> bool:
     per chunk, and the first chunk with a false row decides.  Raises
     ResourceError when the atom count exceeds `max_atoms`.
     """
-    return _is_tautology(a, max_atoms)
+    key = (a, max_atoms)
+    out = _TAUTOLOGIES.get(key)
+    if out is None:
+        out = _is_tautology(a, max_atoms)
+        if len(_TAUTOLOGIES) >= _TAUTOLOGY_CACHE_SIZE:
+            _TAUTOLOGIES.clear()
+        _TAUTOLOGIES[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
     Derivation, Hyp, MP, Step, is_agent_fragment_formula, match_axiom,
 )
-from .errors import InvalidInput, ParseError, quoted
+from .errors import InvalidInput, quoted
 from .syntax import (
     And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, conjuncts,
     print_formula, subterms,
@@ -44,15 +45,11 @@ class _ModalParser(Parser):
     """The formula grammar with `#i`, `#E` and `#C` boxes in place of
     evidence boxes."""
 
-    def parse_unary(self) -> Formula:
-        kind, _, pos, _ = self.peek()
-        if kind == "#":
-            self.take()
-            sort = self.parse_sort_token()
-            return Box(sort, self.parse_unary())
-        if kind == "[":
-            raise ParseError("expected a formula, found '['", pos)
-        return super().parse_unary()
+    def parse_prefix(self, i: int):
+        if self.tokens[i][0] != "#":
+            return None  # `[` too: it opens no modal formula
+        self.i = i + 1
+        return partial(Box, self.parse_sort_token()), 0, self.i
 
 
 def parse_modal_formula(text: str, h: int) -> Formula:

@@ -36,15 +36,25 @@ once and keep it.  Equality is structural and cheap where it can be: the
 same object is equal at once, two nodes with cached hashes that differ are
 unequal at once, and otherwise the fields are compared as one tuple, whose
 compare skips children the two trees share.
+
+Text is read and written at the speed of the text, not of the tree.  The
+lexer is one regex pass over the text and classifies each distinct lexeme
+once, in a bounded module cache.  The parser is precedence climbing: one
+loop over an explicit stack for terms and one for formulas, so nesting costs
+no interpreter frame; input nested deeper than `MAX_DEPTH` raises
+ResourceError, since every later walk of a tree recurses per level.  The
+printers keep one memo per call, by identity, of the text of every term and
+formula printed, so a subformula shared across a lifted proof is printed
+once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .errors import InvalidInput, ParseError, SortError, quoted
+from .errors import InvalidInput, ParseError, ResourceError, SortError, quoted
 
 # ---------------------------------------------------------------------------
 # nodes
@@ -499,12 +509,6 @@ def bound_problems(x: Term | Formula, h: int) -> list[str]:
     return problems
 
 
-def check_bounds(x: Term | Formula, h: int) -> None:
-    problems = bound_problems(x, h)
-    if problems:
-        raise SortError("; ".join(problems))
-
-
 # ---------------------------------------------------------------------------
 # substitution
 
@@ -572,11 +576,17 @@ def substitute(a: Formula, x: Var | None = None, t: Term | None = None,
 # ---------------------------------------------------------------------------
 # printing
 
-# Each printer call keeps one memo of printed terms, keyed by identity: a
-# subterm shared inside a term, or between the formulas of one
-# `print_formulas` call, is printed once.  Every key stays alive inside the
-# printed objects for the whole call, so no id is reused meanwhile.
-# Formulas are not memoized: their text is rarely shared.
+# Each printer call keeps one memo, keyed by identity, of every term and
+# formula it has printed, holding the object's text at its loosest level; the
+# user of a child adds the parentheses its position needs.  A subterm or
+# subformula shared inside one object, or between the formulas of one
+# `print_formulas` call, is printed once.  A lifted proof restates its
+# premises' formulas and terms at every modus ponens: the lifted proofs of
+# one pass of the `proofs` benchmark have 3.7 million tree nodes but 54
+# thousand distinct objects, and printing the largest peaks at 7.4 MB
+# (tracemalloc) with formulas in the memo as without.  Every key stays alive
+# inside the printed objects for the whole call, so no id is reused
+# meanwhile.
 
 # precedence levels: 1 any, 2 summand, 3 factor / closed
 def print_term(t: Term) -> str:
@@ -624,28 +634,36 @@ def print_formula(a: Formula) -> str:
 
 
 def print_formulas(formulas: list[Formula]) -> list[str]:
-    """`print_formula` of each, sharing one term memo across the list."""
+    """`print_formula` of each, sharing one memo across the list."""
     memo: dict[int, str] = {}
     return [_pf(a, 1, memo) for a in formulas]
 
 
 def _pf(a: Formula, need: int, memo: dict[int, str]) -> str:
-    # exact class tests, most frequent first: printing lifted proofs visits
-    # about a million formula nodes a second
+    out = memo.get(id(a))
+    if out is None:
+        out = memo[id(a)] = _formula_text(a, memo)
+    if need > 1:
+        cls = a.__class__
+        if cls is Imp or (need > 2 and cls is Or) or (need > 3 and cls is And):
+            return f"({out})"
+    return out
+
+
+def _formula_text(a: Formula, memo: dict[int, str]) -> str:
+    """`a` at the loosest level; the user adds parentheses."""
+    # exact class tests, most frequent first
     cls = a.__class__
     if cls is Prop:
         return f"P{a.index}" if isinstance(a.index, int) else a.index
     if cls is Just:
         return f"[{_pt(a.term, 1, memo)}]@{a.sort} {_pf(a.body, 4, memo)}"
     if cls is Imp:
-        out = f"{_pf(a.left, 2, memo)} -> {_pf(a.right, 1, memo)}"
-        return f"({out})" if need > 1 else out
+        return f"{_pf(a.left, 2, memo)} -> {_pf(a.right, 1, memo)}"
     if cls is And:
-        out = f"{_pf(a.left, 3, memo)} & {_pf(a.right, 4, memo)}"
-        return f"({out})" if need > 3 else out
+        return f"{_pf(a.left, 3, memo)} & {_pf(a.right, 4, memo)}"
     if cls is Or:
-        out = f"{_pf(a.left, 2, memo)} | {_pf(a.right, 3, memo)}"
-        return f"({out})" if need > 2 else out
+        return f"{_pf(a.left, 2, memo)} | {_pf(a.right, 3, memo)}"
     if cls is Neg:
         return f"~{_pf(a.body, 4, memo)}"
     if cls is Box:
@@ -655,6 +673,16 @@ def _pf(a: Formula, need: int, memo: dict[int, str]) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
+
+# A parsed term or formula is at most MAX_DEPTH nodes deep, counting the
+# nodes of its terms, and its text opens at most MAX_DEPTH parentheses at
+# once; deeper input raises ResourceError.  Every later walk of a tree
+# recurses once per level (printing, hashing, equality, the truth table,
+# `holds`), the costliest, equality and `holds`, at three interpreter frames
+# a level, so at this depth each fits in the default recursion limit of 1000
+# with 250 frames left for its callers.  The canonical text of a tree within
+# the cap is within it.
+MAX_DEPTH = 250
 
 _TOKEN_RE = re.compile(
     r"""
@@ -668,10 +696,22 @@ _TOKEN_RE = re.compile(
     | (?P<INT>\d+)
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<SYM>[~&|+*<>,()\[\]@\#])
-    | (?P<WS>\s+)
     """,
     re.VERBOSE,
 )
+
+# One match per lexeme and its leading whitespace: `_TOKEN_RE`'s alternatives
+# in the same order, without their groups, then any other non-space character
+# (which `_TOKEN_RE` cannot read).  The lexeme is optional, so no match gives
+# back whitespace or fails, and the last matches, at the end, are empty.
+_LEXEME_RE = re.compile(
+    r"(\s*)((?:" + re.sub(r"\(\?P<\w+>", "(?:", _TOKEN_RE.pattern) + r")|\S)?",
+    re.VERBOSE,
+)
+
+# lexeme -> (kind, payload), for every lexeme read so far; cleared when full
+_LEXEMES: dict[str, tuple[str, object]] = {}
+_LEXEME_CACHE_SIZE = 4096
 
 
 def integer(text: str, what: str, position: int | None = None) -> int:
@@ -698,43 +738,88 @@ def _number(m: re.Match, group: str) -> int | str:
     return integer(digits, "number", m.start(group))
 
 
+def _classify(text: str, pos: int) -> tuple[str, object]:
+    """The kind and payload of the lexeme at `pos`, read by `_TOKEN_RE` at
+    that offset so that an error names it, and remembered in `_LEXEMES`."""
+    m = _TOKEN_RE.match(text, pos)
+    if m is None:
+        raise ParseError(f"cannot read {text[pos]!r}", pos)
+    kind = m.lastgroup
+    payload: object = None
+    if kind == "VAR":
+        payload = (_number(m, "vidx"), _number(m, "vsort"))
+    elif kind == "CONST":
+        payload = (_number(m, "cidx"), _number(m, "csort"))
+    elif kind == "NCONST":
+        payload = (m.group("nname"), _number(m, "nsort"))
+    elif kind == "PROP":
+        payload = _number(m, "pidx")
+    elif kind == "PI":
+        payload = _number(m, "piidx")
+    elif kind == "BANG":
+        payload = _number(m, "bidx")
+    elif kind == "INT":
+        payload = _number(m, "INT")
+    elif kind == "SYM":
+        kind = m.group("SYM")
+    elif kind == "ARROW":
+        kind = "->"
+    if len(_LEXEMES) >= _LEXEME_CACHE_SIZE:
+        _LEXEMES.clear()
+    entry = _LEXEMES[m.group()] = (kind, payload)
+    return entry
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
+    """(kind, text, offset, payload) of every token, then an EOF token."""
     tokens = []
+    append = tokens.append
+    known = _LEXEMES.get
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"cannot read {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "WS":
-            payload: object = None
-            if kind == "VAR":
-                payload = (_number(m, "vidx"), _number(m, "vsort"))
-            elif kind == "CONST":
-                payload = (_number(m, "cidx"), _number(m, "csort"))
-            elif kind == "NCONST":
-                payload = (m.group("nname"), _number(m, "nsort"))
-            elif kind == "PROP":
-                payload = _number(m, "pidx")
-            elif kind == "PI":
-                payload = _number(m, "piidx")
-            elif kind == "BANG":
-                payload = _number(m, "bidx")
-            elif kind == "INT":
-                payload = _number(m, "INT")
-            elif kind == "SYM":
-                kind = m.group("SYM")
-            elif kind == "ARROW":
-                kind = "->"
-            tokens.append((kind, m.group(), m.start(), payload))
-        pos = m.end()
-    tokens.append(("EOF", "", len(text), None))
+    for space, lexeme in _LEXEME_RE.findall(text):
+        pos += len(space)
+        if not lexeme:
+            break
+        entry = known(lexeme) or _classify(text, pos)
+        append((entry[0], lexeme, pos, entry[1]))
+        pos += len(lexeme)
+    append(("EOF", "", len(text), None))
     return tokens
 
 
+def _expected(kind: str, tok: tuple[str, str, int, object]) -> ParseError:
+    return ParseError(f"expected {kind!r}, found {quoted(tok[1] or 'end of input')}", tok[2])
+
+
+def _too_deep(pos: int) -> ResourceError:
+    return ResourceError(f"nesting deeper than {MAX_DEPTH} levels (at offset {pos})")
+
+
+# Entries of the parsers' stacks.  A pending binary operator is
+# (precedence >= 1, left operand, its depth); a pending prefix operator is
+# (-1, constructor of the node given its body, depth of what it holds besides
+# the body); an open bracket is (0, the token that closes it, constructor of
+# the node given the bracketed term, depth of what it holds besides), or a
+# tuple's list [0, "<", items so far, their depth, offset].  _BOTTOM ends
+# every stack.
+_BOTTOM = (0, None)
+_OPEN = (0, ")", None, 0)
+_NEGATION = (-1, Neg, 0)
+_TERM_FUNCTIONS = {"head": Head, "tail": Tail, "ind": Ind}
+# token kind -> (precedence, lowest precedence that it reduces); any other
+# token ends the operand and reduces every pending binary operator
+_TERM_OPS = {"+": (1, 1), "*": (2, 2)}
+_FORMULA_OPS = {"&": (3, 3), "|": (2, 2), "->": (1, 2)}  # `->` to the right
+_NO_OP = (0, 1)
+_BINARY = {1: Imp, 2: Or, 3: And}
+
+
 class Parser:
-    """Recursive descent over the token list of one text, for agent count
-    `h`.  The modal parser subclasses it and overrides `parse_unary` only."""
+    """Precedence climbing over the token list of one text, for agent count
+    `h` (Pratt, POPL 1973): `_term` and `_formula` are each one loop over an
+    explicit stack of pending operators and open brackets, so nesting costs
+    no interpreter frame.  The modal parser subclasses it and overrides
+    `parse_prefix` only."""
 
     def __init__(self, text: str, h: int):
         if not isinstance(h, int) or h < 1:
@@ -742,25 +827,21 @@ class Parser:
         self.h = h
         self.tokens = _tokenize(text)
         self.i = 0
+        # lexeme -> its term or proposition node, so that one text builds
+        # each atom once
+        self.leaves: dict[str, Term | Formula] = {}
 
-    # -- cursor utilities
-
-    def peek(self) -> tuple[str, str, int, object]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int, object]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    # -- the cursor, for callers that read tokens around a term or formula
 
     def expect(self, kind: str) -> tuple[str, str, int, object]:
-        tok = self.take()
+        tok = self.tokens[self.i]
+        self.i += 1
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {quoted(tok[1] or 'end of input')}", tok[2])
+            raise _expected(kind, tok)
         return tok
 
     def expect_end(self) -> None:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok[0] != "EOF":
             raise ParseError(f"unexpected trailing input {quoted(tok[1])}", tok[2])
 
@@ -779,131 +860,208 @@ class Parser:
         return agent(self.agent_index(value, pos))
 
     def parse_sort_token(self) -> Sort:
-        tok = self.take()
-        if tok[0] == "INT":
-            return self._sort(tok[3], tok[2])
-        if tok[0] == "IDENT" and tok[1] in ("E", "C"):
-            return self._sort(tok[1], tok[2])
-        raise ParseError(f"expected a sort, found {quoted(tok[1] or 'end of input')}", tok[2])
+        kind, text, pos, payload = self.tokens[self.i]
+        self.i += 1
+        if kind == "INT":
+            return self._sort(payload, pos)
+        if kind == "IDENT" and text in ("E", "C"):
+            return self._sort(text, pos)
+        raise ParseError(f"expected a sort, found {quoted(text or 'end of input')}", pos)
+
+    def parse_term(self) -> Term:
+        t, _, self.i = self._term(self.i)
+        return t
+
+    def parse_formula(self) -> Formula:
+        a, _, self.i = self._formula(self.i)
+        return a
+
+    def parse_prefix(self, i: int):
+        """The prefix operator other than `~` that starts at token `i`, as
+        (constructor of its node given the body, depth of what it holds
+        besides the body, index of the body's first token), or None when
+        token `i` starts none.  Here it is the evidence box `[t]@s`."""
+        tokens = self.tokens
+        if tokens[i][0] != "[":
+            return None
+        term, depth, i = self._term(i + 1)
+        for kind in ("]", "@"):
+            if tokens[i][0] != kind:
+                raise _expected(kind, tokens[i])
+            i += 1
+        self.i = i
+        return partial(Just, term, self.parse_sort_token()), depth, self.i
 
     # -- terms
 
-    def parse_term(self) -> Term:
-        left = self.parse_app()
-        while self.peek()[0] == "+":
-            self.take()
-            left = Sum(left, self.parse_app(), left.sort)
-        return left
+    def _atom(self, kind: str, pos: int, payload) -> Term:
+        index, sort = payload
+        if kind == "NCONST" and index in _RESERVED_NAMES:
+            raise ParseError(f"{quoted(index)} is reserved", pos)
+        return (Var if kind == "VAR" else Const)(index, self._sort(sort, pos))
 
-    def parse_app(self) -> Term:
-        left = self.parse_term_atom()
-        while self.peek()[0] == "*":
-            self.take()
-            left = App(left, self.parse_term_atom(), left.sort)
-        return left
-
-    def parse_term_atom(self) -> Term:
-        kind, text, pos, payload = self.take()
-        if kind == "VAR":
-            idx, sort = payload
-            return Var(idx, self._sort(sort, pos))
-        if kind == "CONST":
-            idx, sort = payload
-            return Const(idx, self._sort(sort, pos))
-        if kind == "NCONST":
-            name, sort = payload
-            if name in _RESERVED_NAMES:
-                raise ParseError(f"{quoted(name)} is reserved", pos)
-            return Const(name, self._sort(sort, pos))
-        if kind == "BANG":
-            self.agent_index(payload, pos)
-            self.expect("(")
-            inner = self.parse_term()
-            self.expect(")")
-            return Bang(inner, payload)
-        if kind == "PI":
-            self.agent_index(payload, pos)
-            self.expect("(")
-            inner = self.parse_term()
-            self.expect(")")
-            return Proj(payload, inner)
-        if kind == "IDENT" and text in ("head", "tail"):
-            self.expect("(")
-            inner = self.parse_term()
-            self.expect(")")
-            return Head(inner) if text == "head" else Tail(inner)
-        if kind == "IDENT" and text == "ind":
-            self.expect("(")
-            first = self.parse_term()
-            self.expect(",")
-            second = self.parse_term()
-            self.expect(")")
-            return Ind(first, second)
-        if kind == "<":
-            items = [self.parse_term()]
-            while self.peek()[0] == ",":
-                self.take()
-                items.append(self.parse_term())
-            self.expect(">")
-            if len(items) != self.h:
-                raise ParseError(f"tuple arity {len(items)} does not match agent count {self.h}", pos)
-            return Tuple(tuple(items))
-        if kind == "(":
-            inner = self.parse_term()
-            self.expect(")")
-            return inner
-        raise ParseError(f"expected a term, found {quoted(text or 'end of input')}", pos)
+    def _term(self, i: int) -> tuple[Term, int, int]:
+        """The term from token `i` on: (term, its depth, index after it)."""
+        tokens = self.tokens
+        leaves = self.leaves
+        stack: list = [_BOTTOM]
+        parens = 0
+        while True:
+            kind, text, pos, payload = tokens[i]
+            i += 1
+            if kind == "VAR" or kind == "CONST" or kind == "NCONST":
+                t = leaves.get(text)
+                if t is None:
+                    t = leaves[text] = self._atom(kind, pos, payload)
+            elif kind == "(":
+                parens += 1
+                if parens > MAX_DEPTH:
+                    raise _too_deep(pos)
+                stack.append(_OPEN)
+                continue
+            elif kind == "<":
+                stack.append([0, "<", [], 0, pos])
+                continue
+            else:
+                if kind == "BANG":
+                    make = partial(Bang, agent=self.agent_index(payload, pos))
+                elif kind == "PI":
+                    make = partial(Proj, self.agent_index(payload, pos))
+                elif kind == "IDENT" and text in _TERM_FUNCTIONS:
+                    make = _TERM_FUNCTIONS[text]
+                else:
+                    raise ParseError(f"expected a term, found {quoted(text or 'end of input')}", pos)
+                if tokens[i][0] != "(":
+                    raise _expected("(", tokens[i])
+                i += 1
+                stack.append((0, "," if make is Ind else ")", make, 0))
+                continue
+            d = 0
+            # t, of depth d, is an operand: reduce what it completes
+            while True:
+                kind = tokens[i][0]
+                prec, floor = _TERM_OPS.get(kind, _NO_OP)
+                top = stack[-1]
+                while top[0] >= floor:
+                    stack.pop()
+                    left = top[1]
+                    t = (App if top[0] == 2 else Sum)(left, t, left.sort)
+                    d = (top[2] if top[2] > d else d) + 1
+                    if d > MAX_DEPTH:
+                        raise _too_deep(tokens[i][2])
+                    top = stack[-1]
+                if prec:
+                    stack.append((prec, t, d))
+                    i += 1
+                    break
+                tag = top[1]
+                if tag is None:
+                    return t, d, i
+                if tag == "<":
+                    top[2].append(t)
+                    if d > top[3]:
+                        top[3] = d
+                    if kind == ",":
+                        i += 1
+                        break
+                    if kind != ">":
+                        raise _expected(">", tokens[i])
+                    items = top[2]
+                    if len(items) != self.h:
+                        raise ParseError(f"tuple arity {len(items)} does not match agent count {self.h}", top[4])
+                    t, d = Tuple(tuple(items)), top[3]
+                elif kind != tag:
+                    raise _expected(tag, tokens[i])
+                elif top is _OPEN:
+                    parens -= 1
+                    stack.pop()
+                    i += 1
+                    continue
+                elif tag == ",":  # ind's first operand
+                    stack[-1] = (0, ")", partial(Ind, t), d)
+                    i += 1
+                    break
+                else:
+                    t = top[2](t)
+                    if top[3] > d:
+                        d = top[3]
+                stack.pop()
+                d += 1
+                if d > MAX_DEPTH:
+                    raise _too_deep(tokens[i][2])
+                i += 1
 
     # -- formulas
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "->":
-            self.take()
-            return Imp(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek()[0] == "|":
-            self.take()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.take()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        kind, text, pos, payload = self.peek()
-        if kind == "~":
-            self.take()
-            return Neg(self.parse_unary())
-        if kind == "[":
-            self.take()
-            term = self.parse_term()
-            self.expect("]")
-            self.expect("@")
-            sort = self.parse_sort_token()
-            return Just(term, sort, self.parse_unary())
-        return self.parse_formula_atom()
-
-    def parse_formula_atom(self) -> Formula:
-        kind, text, pos, payload = self.take()
-        if kind == "PROP":
-            return Prop(payload)
-        if kind == "IDENT":
-            if text in _RESERVED_NAMES or not _NAME_RE.match(text):
-                raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
-            return Prop(text)
-        if kind == "(":
-            inner = self.parse_formula()
-            self.expect(")")
-            return inner
-        raise ParseError(f"expected a formula, found {quoted(text or 'end of input')}", pos)
+    def _formula(self, i: int) -> tuple[Formula, int, int]:
+        """The formula from token `i` on: (formula, its depth, index after
+        it)."""
+        tokens = self.tokens
+        leaves = self.leaves
+        stack: list = [_BOTTOM]
+        parens = 0
+        while True:
+            kind, text, pos, payload = tokens[i]
+            if kind == "PROP":
+                a = leaves.get(text)
+                if a is None:
+                    a = leaves[text] = Prop(payload)
+            elif kind == "~":
+                stack.append(_NEGATION)
+                i += 1
+                continue
+            elif kind == "(":
+                parens += 1
+                if parens > MAX_DEPTH:
+                    raise _too_deep(pos)
+                stack.append(_OPEN)
+                i += 1
+                continue
+            elif kind == "IDENT":
+                a = leaves.get(text)
+                if a is None:
+                    if text in _RESERVED_NAMES or not _NAME_RE.match(text):
+                        raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
+                    a = leaves[text] = Prop(text)
+            else:
+                prefix = self.parse_prefix(i)
+                if prefix is None:
+                    raise ParseError(f"expected a formula, found {quoted(text or 'end of input')}", pos)
+                make, depth, i = prefix
+                stack.append((-1, make, depth))
+                continue
+            i += 1
+            d = 0
+            # a, of depth d, is an operand: reduce what it completes
+            while True:
+                top = stack[-1]
+                while top[0] < 0:  # prefix operators bind tightest
+                    stack.pop()
+                    a = top[1](a)
+                    d = (top[2] if top[2] > d else d) + 1
+                    if d > MAX_DEPTH:
+                        raise _too_deep(tokens[i][2])
+                    top = stack[-1]
+                kind = tokens[i][0]
+                prec, floor = _FORMULA_OPS.get(kind, _NO_OP)
+                while top[0] >= floor:
+                    stack.pop()
+                    a = _BINARY[top[0]](top[1], a)
+                    d = (top[2] if top[2] > d else d) + 1
+                    if d > MAX_DEPTH:
+                        raise _too_deep(tokens[i][2])
+                    top = stack[-1]
+                if prec:
+                    stack.append((prec, a, d))
+                    i += 1
+                    break
+                if top is _BOTTOM:
+                    return a, d, i
+                if kind != ")":
+                    raise _expected(")", tokens[i])
+                parens -= 1
+                stack.pop()
+                i += 1
 
 
 def parse_term(text: str, h: int) -> Term:

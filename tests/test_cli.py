@@ -421,3 +421,29 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = re.sub(r" in \d+\.\ds ", " in N.Ns ", capsys.readouterr().out, count=1)
     assert out == (GOLDEN / "selftest.txt").read_text()
+
+
+_DEEP = 10_000
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("formula", "~" * _DEEP + "P1"),
+    ("formula", "(" * _DEEP + "P1" + ")" * _DEEP),
+    ("term", "!1(" * _DEEP + "x1@1" + ")" * _DEEP),
+    ("formula", "[x1@1]@1 " * _DEEP + "P1"),
+    ("modal", "#1 " * _DEEP + "P1"),
+], ids=["neg", "paren", "bang", "just", "box"])
+def test_deep_nesting_exits_2_without_traceback(kind, text, tmp_path, capsys):
+    assert main(["parse", "--kind", kind, text]) == 2
+    err = capsys.readouterr().err
+    assert "nesting deeper than" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    if kind == "modal":
+        return  # a derivation file holds no modal formula
+    formula = f"[{text}]@1 P1" if kind == "term" else text
+    path = tmp_path / "deep.drv"
+    path.write_text(f"1. {formula} ; axiom Taut\n")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "nesting deeper than" in err and err.count("\n") == 1
+    assert "Traceback" not in err

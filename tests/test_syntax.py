@@ -7,14 +7,20 @@ import re
 
 import pytest
 
-from jck.errors import InvalidInput, JckError, ParseError, SortError
-from jck.gen import random_formula, random_sort, random_term
+from jck import deduction, syntax
+from jck.errors import InvalidInput, JckError, ParseError, ResourceError, SortError
+from jck.gen import random_derivation, random_formula, random_sort, random_term
+from jck.modal import parse_modal_formula
+from jck.semantics import attack_kripke_model, holds
+from jck.synthesis import ConstantAllocator, LiftingContext, lift
 from jck.syntax import (
-    C, E, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
-    Sum, Tail, Tuple, Var, agent, bound_problems, check_bounds, conj,
+    C, E, MAX_DEPTH, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
+    Sum, Tail, Tuple, Var, agent, bound_problems, conj,
     Box, Formula, Sort, Term, formula_terms, parse_formula, parse_term, print_formula,
     print_formulas, print_term, subformulas, subterms, substitute, variables_in,
 )
+
+_PARSERS = {"formula": parse_formula, "term": parse_term, "modal": parse_modal_formula}
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +188,74 @@ def test_parse_requires_full_consumption():
         parse_formula("P1 P2", 2)
 
 
+_LONG = "7" * 5000
+
+
+# every message and offset as the recursive-descent parser wrote them
+@pytest.mark.parametrize("kind, text, message", [
+    ("formula", "P1 $ P2", "cannot read '$' (at offset 3)"),
+    ("term", "x1@1 + ?", "cannot read '?' (at offset 7)"),
+    ("formula", "é", "cannot read 'é' (at offset 0)"),
+    ("formula", "(P1 -> P2", "expected ')', found 'end of input' (at offset 9)"),
+    ("term", "!1(x1@1", "expected ')', found 'end of input' (at offset 7)"),
+    ("term", "(x1@1 + x2@1", "expected ')', found 'end of input' (at offset 12)"),
+    ("term", "ind(x1@C, x1@E", "expected ')', found 'end of input' (at offset 14)"),
+    ("term", "ind(x1@C x1@E)", "expected ',', found 'x1@E' (at offset 9)"),
+    ("term", "head x1@C", "expected '(', found 'x1@C' (at offset 5)"),
+    ("formula", "[x1@1 @1 P1", "expected ']', found '@' (at offset 6)"),
+    ("term", "<x1@1, x1@2", "expected '>', found 'end of input' (at offset 11)"),
+    ("formula", "[x1@1] 1 P1", "expected '@', found '1' (at offset 7)"),
+    ("formula", "[x1@1]@ P1", "expected a sort, found 'P1' (at offset 8)"),
+    ("formula", "[x1@1]@X P1", "expected a sort, found 'X' (at offset 7)"),
+    ("modal", "#", "expected a sort, found 'end of input' (at offset 1)"),
+    ("formula", "P1 P2", "unexpected trailing input 'P2' (at offset 3)"),
+    ("formula", "P1)", "unexpected trailing input ')' (at offset 2)"),
+    ("term", "x1@1 x2@1", "unexpected trailing input 'x2@1' (at offset 5)"),
+    ("modal", "#1 P1 #2", "unexpected trailing input '#' (at offset 6)"),
+    ("term", "x1@0", "agent index 0 outside 1..2 (at offset 0)"),
+    ("term", "x1@3", "agent index 3 outside 1..2 (at offset 0)"),
+    ("formula", "[x1@1]@3 P1", "agent index 3 outside 1..2 (at offset 7)"),
+    ("term", "!0(x1@1)", "agent index 0 outside 1..2 (at offset 0)"),
+    ("term", "pi_3(x1@E)", "agent index 3 outside 1..2 (at offset 0)"),
+    ("modal", "#0 P1", "agent index 0 outside 1..2 (at offset 1)"),
+    ("modal", "#3 P1", "agent index 3 outside 1..2 (at offset 1)"),
+    ("formula", f"P{_LONG}", "number of 5000 digits is too large (at offset 1)"),
+    ("term", f"x{_LONG}@1", "number of 5000 digits is too large (at offset 1)"),
+    ("term", f"x1@{_LONG}", "number of 5000 digits is too large (at offset 3)"),
+    ("term", f"!{_LONG}(x1@1)", "number of 5000 digits is too large (at offset 1)"),
+    ("modal", f"#{_LONG} P1", "number of 5000 digits is too large (at offset 1)"),
+    ("formula", f"P1 -> P2 & P{_LONG}", "number of 5000 digits is too large (at offset 12)"),
+    ("term", "head@1", "'head' is reserved (at offset 0)"),
+    ("term", "ind@C", "'ind' is reserved (at offset 0)"),
+    ("formula", "ind", "'ind' cannot name a proposition (at offset 0)"),
+    ("formula", "tail -> P1", "'tail' cannot name a proposition (at offset 0)"),
+    ("formula", "Foo", "'Foo' cannot name a proposition (at offset 0)"),
+    ("term", "<x1@1>", "tuple arity 1 does not match agent count 2 (at offset 0)"),
+    ("term", "<x1@1, x1@2, x1@2>", "tuple arity 3 does not match agent count 2 (at offset 0)"),
+    ("modal", "[x1@1]@1 P1", "expected a formula, found '[' (at offset 0)"),
+    ("modal", "P1 -> ~[x1@1]@1 P1", "expected a formula, found '[' (at offset 7)"),
+    ("formula", "#1 P1", "expected a formula, found '#' (at offset 0)"),
+    ("formula", "", "expected a formula, found 'end of input' (at offset 0)"),
+    ("term", "", "expected a term, found 'end of input' (at offset 0)"),
+    ("modal", "", "expected a formula, found 'end of input' (at offset 0)"),
+    ("formula", "   ", "expected a formula, found 'end of input' (at offset 3)"),
+    ("formula", "P1 ->", "expected a formula, found 'end of input' (at offset 5)"),
+    ("formula", "P1 & ", "expected a formula, found 'end of input' (at offset 5)"),
+    ("formula", "~", "expected a formula, found 'end of input' (at offset 1)"),
+    ("formula", "P1 | | P2", "expected a formula, found '|' (at offset 5)"),
+    ("formula", "-> P1", "expected a formula, found '->' (at offset 0)"),
+    ("formula", "x1@1", "expected a formula, found 'x1@1' (at offset 0)"),
+    ("term", "x1@1 +", "expected a term, found 'end of input' (at offset 6)"),
+    ("term", "x1@1 * ", "expected a term, found 'end of input' (at offset 7)"),
+    ("term", "P1", "expected a term, found 'P1' (at offset 0)"),
+    ("term", "12", "expected a term, found '12' (at offset 0)"),
+])
+def test_parse_error_messages_are_pinned(kind, text, message):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[kind](text, 2)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # structural helpers
 
@@ -224,8 +298,6 @@ def test_bound_problems():
     a = Just(Var(1, agent(3)), agent(3), Prop(1))
     assert bound_problems(a, 2)
     assert not bound_problems(a, 3)
-    with pytest.raises(SortError):
-        check_bounds(a, 2)
     # tuples must have exactly h slots
     assert bound_problems(Tuple((Var(1, agent(1)),)), 2)
 
@@ -306,3 +378,80 @@ def test_print_formulas_shares_term_text():
     assert print_formulas(shared) == [print_formula(a) for a in shared]
     assert print_formulas(shared)[1] == (
         "[(x1@C + c1@C * x2@C) * (x1@C + c1@C * x2@C)]@C P2")
+
+
+def test_print_formulas_parenthesizes_a_shared_object_per_use():
+    imp = Imp(Prop(1), Prop(2))
+    either = Or(Prop(1), Prop(2))
+    total = Sum(Var(1, C), Var(2, C), C)
+    formulas = [Imp(imp, imp), imp, And(either, either), either,
+                Just(App(total, total, C), C, Prop(3)), Just(total, C, Prop(3))]
+    assert print_formulas(formulas) == [
+        "(P1 -> P2) -> P1 -> P2", "P1 -> P2", "(P1 | P2) & (P1 | P2)", "P1 | P2",
+        "[(x1@C + x2@C) * (x1@C + x2@C)]@C P3", "[x1@C + x2@C]@C P3"]
+    assert print_formulas(formulas) == [print_formula(a) for a in formulas]
+
+
+@pytest.mark.parametrize("target", ["agent", "E", "C"])
+def test_print_formulas_matches_print_formula_on_lifted_proofs(target):
+    rng = random.Random(f"lifted:{target}")
+    done = 0
+    while done < 4:
+        h = rng.randint(1, 3)
+        d = random_derivation(rng, h, n_extra=3)
+        ctx = LiftingContext.from_derivation(d)
+        if d.hypotheses != ctx.expected_hypotheses():
+            continue
+        sort = {"agent": agent(rng.randint(1, h)), "E": E, "C": C}[target]
+        _, lifted = lift(d, sort, ctx, ConstantAllocator(), h=h)
+        formulas = list(lifted.hypotheses) + [s.formula for s in lifted.steps]
+        assert print_formulas(formulas) == [print_formula(a) for a in formulas]
+        done += 1
+
+
+def test_lexeme_cache_is_bounded():
+    bound = syntax._LEXEME_CACHE_SIZE
+    for n in range(bound + 100):
+        assert parse_term(f"k{n}@1", 2) == Const(f"k{n}", agent(1))
+        assert len(syntax._LEXEMES) <= bound
+    assert print_formula(parse_formula("[k1@1 + k2@1]@1 P1 -> P1", 2)) == "[k1@1 + k2@1]@1 P1 -> P1"
+
+
+# ---------------------------------------------------------------------------
+# the nesting cap
+
+
+def _nested(construct, n):
+    """(parser kind, text) nesting `construct` n levels deep, canonically
+    printed, so that n = MAX_DEPTH reaches the cap exactly."""
+    return {
+        "~": ("formula", "~" * n + "P1"),
+        "(": ("formula", "(" * n + "P1" + ")" * n),
+        "!1(": ("term", "!1(" * n + "x1@1" + ")" * n),
+        "[x1@1]@1": ("formula", "[x1@1]@1 " * n + "P1"),
+        "#1": ("modal", "#1 " * n + "P1"),
+        "&": ("formula", " & ".join(["P1"] * (n + 1))),
+        "->": ("formula", " -> ".join(["P1"] * (n + 1))),
+        "*(": ("term", "x1@1 * (" * (n - 1) + "x1@1 * x1@1" + ")" * (n - 1)),
+    }[construct]
+
+
+@pytest.mark.parametrize("construct", ["~", "(", "!1(", "[x1@1]@1", "#1", "&", "->", "*("])
+def test_nesting_at_the_cap_round_trips_and_one_more_level_is_refused(construct):
+    kind, text = _nested(construct, MAX_DEPTH)
+    parse = _PARSERS[kind]
+    x = parse(text, 2)
+    printed = print_term(x) if kind == "term" else print_formula(x)
+    assert parse(printed, 2) == x
+    if construct != "(":
+        assert printed == text
+    # every later walk of the tree recurses per level, and fits
+    again = parse(text, 2)
+    assert again is not x and again == x and hash(again) == hash(x)
+    a = x if kind != "term" else Just(x, agent(1), Prop(1))
+    if kind != "modal":
+        assert deduction.is_tautology(Imp(a, a))
+    holds(attack_kripke_model(), 0, a)
+    kind, text = _nested(construct, MAX_DEPTH + 1)
+    with pytest.raises(ResourceError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+        _PARSERS[kind](text, 2)
