@@ -15,16 +15,16 @@ import time
 from dataclasses import dataclass
 
 from .syntax import (
-    C, E, agent, And, App, Bang, Const, Formula, Head, Imp, Ind, Just, Neg,
-    Or, Proj, Prop, Sum, Tail, Term, Tuple, Var, conj, formula_terms,
-    parse_formula, parse_term, print_formula, print_term, subformulas,
-    subterms, variables_in,
+    C, E, agent, And, App, Bang, Const, Formula, Head, Imp, Ind, Just, Proj,
+    Prop, Sum, Tail, Term, Tuple, Var, formula_terms, parse_formula,
+    parse_term, print_formula, print_term, subformulas, subterms,
+    variables_in,
 )
 from .deduction import (
     Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
     Step, check_derivation, deduction_theorem, match_axiom,
 )
-from .errors import InvalidInput, ResourceError
+from .errors import ResourceError
 from .synthesis import (
     ConstantAllocator, LiftingContext, c_inspection, c_reflexivity, c_shift,
     e_application, e_reflexivity, e_sum, i_conversion,

@@ -10,7 +10,7 @@ synthesis layer produces is routed back through it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidInput, ParseError, ResourceError, quoted
@@ -64,6 +64,9 @@ def is_agent_fragment_formula(a: Formula) -> bool:
 # tautology checking
 
 
+# The most atoms a truth table is evaluated over; more raise ResourceError.
+MAX_ATOMS = 24
+
 # Atoms evaluated side by side: row r of a chunk's truth table is bit r of
 # an int, so a chunk covers 2**_CHUNK_ATOMS rows.
 _CHUNK_ATOMS = 14
@@ -116,13 +119,13 @@ def _rows_true(a: Formula, slot: dict[int, int], values, full: int) -> int:
     return left & right if cls is And else left | right
 
 
-def _is_tautology(a: Formula, max_atoms: int) -> bool:
+def _is_tautology(a: Formula) -> bool:
     atoms: dict[Formula, int] = {}
     slot: dict[int, int] = {}
     _number_atoms(a, atoms, slot)
     n = len(atoms)
-    if n > max_atoms:
-        raise ResourceError(f"{n} propositional atoms exceed the cap of {max_atoms}")
+    if n > MAX_ATOMS:
+        raise ResourceError(f"{n} propositional atoms exceed the cap of {MAX_ATOMS}")
     if n <= _CHUNK_ATOMS:  # one chunk holds the whole table
         full = (1 << (1 << n)) - 1
         return _rows_true(a, slot, _ROWS[n], full) == full
@@ -136,29 +139,28 @@ def _is_tautology(a: Formula, max_atoms: int) -> bool:
     return True
 
 
-# (formula, max_atoms) -> verdict, emptied when full: one probe per hit and
-# two per miss.  One proofs pass of the benchmark makes about 1,400 misses,
-# an attack pass about 3,700.
-_TAUTOLOGIES: dict[tuple[Formula, int], bool] = {}
+# formula -> verdict, emptied when full: one probe per hit and two per
+# miss.  One proofs pass of the benchmark makes about 1,400 misses, an
+# attack pass about 3,700.
+_TAUTOLOGIES: dict[Formula, bool] = {}
 _TAUTOLOGY_CACHE_SIZE = 4096
 
 
-def is_tautology(a: Formula, max_atoms: int = 24) -> bool:
+def is_tautology(a: Formula) -> bool:
     """Exhaustive valuation over the formula's atoms.
 
     Maximal justified assertions are treated as opaque atoms.  The truth
     table is evaluated a chunk at a time over int bitmasks, row r as bit r:
     the first 14 atoms vary inside a chunk, each later atom is held constant
     per chunk, and the first chunk with a false row decides.  Raises
-    ResourceError when the atom count exceeds `max_atoms`.
+    ResourceError when the atom count exceeds `MAX_ATOMS`.
     """
-    key = (a, max_atoms)
-    out = _TAUTOLOGIES.get(key)
+    out = _TAUTOLOGIES.get(a)
     if out is None:
-        out = _is_tautology(a, max_atoms)
+        out = _is_tautology(a)
         if len(_TAUTOLOGIES) >= _TAUTOLOGY_CACHE_SIZE:
             _TAUTOLOGIES.clear()
-        _TAUTOLOGIES[key] = out
+        _TAUTOLOGIES[a] = out
     return out
 
 
@@ -166,98 +168,74 @@ def is_tautology(a: Formula, max_atoms: int = 24) -> bool:
 # axiom schemata
 
 
-def _match_structural(schema: AxiomSchema, a: Formula) -> bool:
+def _structural_schemata(a: Formula) -> set[AxiomSchema]:
+    """Every structural schema `a` instantiates.  Each one but Refl is known
+    by the evidence operator at the head of its conclusion's term, so one
+    dispatch on that operator picks the only candidates to check."""
+    out: set[AxiomSchema] = set()
     if not isinstance(a, Imp):
-        return False
+        return out
     pre, post = a.left, a.right
-
-    if schema == AxiomSchema.APP:
-        # [t]@*(A -> B) -> ([s]@* A -> [t*s]@* B)
-        if not (isinstance(pre, Just) and isinstance(pre.body, Imp) and isinstance(post, Imp)):
-            return False
-        inner_pre, inner_post = post.left, post.right
-        if not (isinstance(inner_pre, Just) and isinstance(inner_post, Just)):
-            return False
-        if not isinstance(inner_post.term, App):
-            return False
-        sort = pre.sort
-        return (sort.is_star
-                and inner_pre.sort == sort and inner_post.sort == sort
-                and inner_post.term.t == pre.term and inner_post.term.s == inner_pre.term
-                and pre.body.left == inner_pre.body and pre.body.right == inner_post.body)
-
-    if schema in (AxiomSchema.SUML, AxiomSchema.SUMR):
-        # [t]@* A -> [t+s]@* A   /   [s]@* A -> [t+s]@* A
-        if not (isinstance(pre, Just) and isinstance(post, Just) and isinstance(post.term, Sum)):
-            return False
-        if not (pre.sort.is_star and pre.sort == post.sort and pre.body == post.body):
-            return False
-        part = post.term.t if schema == AxiomSchema.SUML else post.term.s
-        return part == pre.term
-
-    if schema == AxiomSchema.REFL:
+    boxed = isinstance(pre, Just)
+    if boxed and pre.sort.is_agent and pre.body == post:
         # [t]@i A -> A
-        return isinstance(pre, Just) and pre.sort.is_agent and pre.body == post
-
-    if schema == AxiomSchema.INSP:
-        # [t]@i A -> [!i(t)]@i [t]@i A
-        if not (isinstance(pre, Just) and pre.sort.is_agent and isinstance(post, Just)):
-            return False
-        return (isinstance(post.term, Bang) and post.term.t == pre.term
-                and post.sort == pre.sort and post.body == pre)
-
-    if schema == AxiomSchema.TUPLING:
+        out.add(AxiomSchema.REFL)
+    if isinstance(post, Imp):
+        # [t]@*(A -> B) -> ([s]@* A -> [t*s]@* B)
+        minor, concl = post.left, post.right
+        if (boxed and isinstance(pre.body, Imp) and isinstance(minor, Just)
+                and isinstance(concl, Just) and isinstance(concl.term, App)
+                and pre.sort.is_star and minor.sort == pre.sort and concl.sort == pre.sort
+                and concl.term.t == pre.term and concl.term.s == minor.term
+                and pre.body.left == minor.body and pre.body.right == concl.body):
+            out.add(AxiomSchema.APP)
+        return out
+    if not isinstance(post, Just):
+        return out
+    term = post.term
+    op = term.__class__
+    if op is Tuple:
         # [t1]@1 A & ... & [th]@h A -> [<t1,...,th>]@E A  (any conjunction shape)
-        if not (isinstance(post, Just) and isinstance(post.term, Tuple)):
-            return False
-        items = post.term.items
+        items = term.items
         parts = conjuncts(pre)
-        if len(parts) != len(items):
-            return False
-        for k, (part, item) in enumerate(zip(parts, items), start=1):
-            if not (isinstance(part, Just) and part.term == item
-                    and part.sort == agent(k) and part.body == post.body):
-                return False
-        return True
-
-    if schema == AxiomSchema.PROJ:
-        # [t]@E A -> [pi_i(t)]@i A
-        if not (isinstance(pre, Just) and pre.sort == E and isinstance(post, Just)):
-            return False
-        return (isinstance(post.term, Proj) and post.term.t == pre.term
-                and post.sort == agent(post.term.agent) and post.body == pre.body)
-
-    if schema == AxiomSchema.COCLOSHEAD:
-        # [t]@C A -> [head(t)]@E A
-        if not (isinstance(pre, Just) and pre.sort == C and isinstance(post, Just)):
-            return False
-        return isinstance(post.term, Head) and post.term.t == pre.term and post.body == pre.body
-
-    if schema == AxiomSchema.COCLOSTAIL:
-        # [t]@C A -> [tail(t)]@E [t]@C A
-        if not (isinstance(pre, Just) and pre.sort == C and isinstance(post, Just)):
-            return False
-        return isinstance(post.term, Tail) and post.term.t == pre.term and post.body == pre
-
-    if schema == AxiomSchema.INDUCTION:
+        if len(parts) == len(items) and all(
+                isinstance(part, Just) and part.term == item
+                and part.sort == agent(k) and part.body == post.body
+                for k, (part, item) in enumerate(zip(parts, items), start=1)):
+            out.add(AxiomSchema.TUPLING)
+    elif op is Ind:
         # A & [t]@C (A -> [s]@E A) -> [ind(t,s)]@C A
-        if not (isinstance(post, Just) and isinstance(post.term, Ind) and isinstance(pre, And)):
-            return False
         a0 = post.body
-        t, s = post.term.t, post.term.s
-        want = And(a0, Just(t, C, Imp(a0, Just(s, E, a0))))
-        return pre == want
-
-    raise InvalidInput(f"not a structural schema: {schema}")
-
-
-_STRUCTURAL = [s for s in AxiomSchema if s != AxiomSchema.TAUT]
-
-
-def matches_schema(schema: AxiomSchema, a: Formula, max_atoms: int = 24) -> bool:
-    if schema == AxiomSchema.TAUT:
-        return is_tautology(a, max_atoms)
-    return _match_structural(schema, a)
+        if isinstance(pre, And) and pre == And(a0, Just(term.t, C, Imp(a0, Just(term.s, E, a0)))):
+            out.add(AxiomSchema.INDUCTION)
+    elif not boxed:
+        pass  # each schema left has a justified premise
+    elif op is Sum:
+        # [t]@* A -> [t+s]@* A   /   [s]@* A -> [t+s]@* A
+        if pre.sort.is_star and pre.sort == post.sort and pre.body == post.body:
+            if term.t == pre.term:
+                out.add(AxiomSchema.SUML)
+            if term.s == pre.term:
+                out.add(AxiomSchema.SUMR)
+    elif op is Bang:
+        # [t]@i A -> [!i(t)]@i [t]@i A
+        if (pre.sort.is_agent and term.t == pre.term
+                and post.sort == pre.sort and post.body == pre):
+            out.add(AxiomSchema.INSP)
+    elif op is Proj:
+        # [t]@E A -> [pi_i(t)]@i A
+        if (pre.sort == E and term.t == pre.term
+                and post.sort == agent(term.agent) and post.body == pre.body):
+            out.add(AxiomSchema.PROJ)
+    elif op is Head:
+        # [t]@C A -> [head(t)]@E A
+        if pre.sort == C and term.t == pre.term and post.body == pre.body:
+            out.add(AxiomSchema.COCLOSHEAD)
+    elif op is Tail:
+        # [t]@C A -> [tail(t)]@E [t]@C A
+        if pre.sort == C and term.t == pre.term and post.body == pre:
+            out.add(AxiomSchema.COCLOSTAIL)
+    return out
 
 
 def _box_free(a: Formula, seen: set[int]) -> bool:
@@ -281,14 +259,14 @@ def _box_free(a: Formula, seen: set[int]) -> bool:
     return True
 
 
-def match_axiom(a: Formula, max_atoms: int = 24) -> frozenset[AxiomSchema]:
+def match_axiom(a: Formula) -> frozenset[AxiomSchema]:
     """Every schema this formula instantiates.  Overlaps are possible.  A
     formula with a modal box instantiates none: the evidence language has
     no box, so no axiom instance contains one."""
     if not _box_free(a, set()):
         return frozenset()
-    out = {s for s in _STRUCTURAL if _match_structural(s, a)}
-    if is_tautology(a, max_atoms):
+    out = _structural_schemata(a)
+    if is_tautology(a):
         out.add(AxiomSchema.TAUT)
     return frozenset(out)
 
@@ -307,12 +285,10 @@ class ConstantSpecification:
 
     kind "extensional": a finite member set, given outright.
     kind "totalC": every C-sorted constant justifies every axiom instance.
-    kind "allocated": the live table of a ConstantAllocator (pure C).
     """
 
     kind: str
     members: frozenset[tuple[int | str, Sort, Formula]] = frozenset()
-    allocator: object = field(default=None, compare=False)
 
     @classmethod
     def total_c(cls) -> "ConstantSpecification":
@@ -327,31 +303,11 @@ class ConstantSpecification:
                     raise InvalidInput(f"not an axiom instance: {print_formula(a)}")
         return cls("extensional", members)
 
-    @classmethod
-    def allocated(cls, allocator) -> "ConstantSpecification":
-        return cls("allocated", allocator=allocator)
-
-    @property
-    def is_c_axiomatically_appropriate(self) -> bool:
-        # a finite extensional table cannot cover every axiom instance
-        return self.kind in ("totalC", "allocated")
-
-    @property
-    def is_pure(self) -> Sort | None:
-        """The single sort all members share, if there is one."""
-        if self.kind in ("totalC", "allocated"):
-            return C
-        sorts = {sort for _, sort, _ in self.members}
-        return sorts.pop() if len(sorts) == 1 else None
-
     def pairs(self):
         """Iterate (constant term, formula) members; totalC is not enumerable."""
         if self.kind == "extensional":
             for idx, sort, a in self.members:
                 yield Const(idx, sort), a
-        elif self.kind == "allocated":
-            for a, idx in self.allocator.memo.items():
-                yield Const(idx, C), a
         else:
             raise InvalidInput("the total specification cannot be enumerated")
 
@@ -363,8 +319,6 @@ def cs_contains(cs: ConstantSpecification, c: Const, sort: Sort, a: Formula) -> 
         return sort == C and is_axiom(a)
     if cs.kind == "extensional":
         return (c.index, sort, a) in cs.members
-    if cs.kind == "allocated":
-        return sort == C and cs.allocator.memo.get(a) == c.index
     raise InvalidInput(f"unknown specification kind {cs.kind!r}")
 
 
@@ -430,8 +384,7 @@ class CheckReport:
 
 
 def check_derivation(d: Derivation, cs: ConstantSpecification,
-                     h: int | None = None, fragment: str = "full",
-                     max_atoms: int = 24) -> CheckReport:
+                     h: int | None = None, fragment: str = "full") -> CheckReport:
     """Accept or reject a derivation; the first failing step wins.
 
     With `h` given, every step formula is additionally screened for agent
@@ -466,7 +419,8 @@ def check_derivation(d: Derivation, cs: ConstantSpecification,
             if fragment == "agent" and rule.schema not in AGENT_FRAGMENT_SCHEMATA:
                 return fail(k, "NotAnAxiom", f"schema {rule.schema.value} unavailable in the single-agent fragment")
             try:
-                ok = matches_schema(rule.schema, f, max_atoms)
+                ok = (is_tautology(f) if rule.schema == AxiomSchema.TAUT
+                      else rule.schema in _structural_schemata(f))
             except ResourceError as e:
                 return fail(k, "NotAnAxiom", str(e))
             if not ok:

@@ -194,8 +194,7 @@ def random_axiom(rng: random.Random, h: int, depth: int = 1) -> tuple[AxiomSchem
     return schema, random_axiom_instance(rng, schema, h, depth)
 
 
-def random_derivation(rng: random.Random, h: int, n_extra: int = 4,
-                      with_hypotheses: bool = True) -> Derivation:
+def random_derivation(rng: random.Random, h: int, n_extra: int = 4) -> Derivation:
     """A mixed derivation, valid under a total C specification.
 
     Leaves: hypotheses (some C-boxed, some plain), axiom instances, and
@@ -203,12 +202,11 @@ def random_derivation(rng: random.Random, h: int, n_extra: int = 4,
     tautologies closed by modus ponens.
     """
     hyps: list[Formula] = []
-    if with_hypotheses:
-        for _ in range(rng.randrange(3)):
-            t = random_term(rng, C, h, 1)
-            hyps.append(Just(t, C, random_formula(rng, h, 1)))
-        for _ in range(rng.randrange(3)):
-            hyps.append(random_formula(rng, h, 1))
+    for _ in range(rng.randrange(3)):
+        t = random_term(rng, C, h, 1)
+        hyps.append(Just(t, C, random_formula(rng, h, 1)))
+    for _ in range(rng.randrange(3)):
+        hyps.append(random_formula(rng, h, 1))
     steps: list[Step] = []
     for n, f in enumerate(hyps, start=1):
         steps.append(Step(f, Hyp(n)))
@@ -239,8 +237,8 @@ def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:
 
     Sources: plain axiom instances, the derived reflexivity and conversion
     facts, introspection and shift at the common sort, and internalized
-    tautologies.  Requires a total or allocator-backed C specification to
-    re-check.
+    tautologies.  Re-checks under the total C specification, or under the
+    extensional table of `alloc`'s constants.
     """
     from .synthesis import (
         ConstantAllocator, c_inspection, c_reflexivity, c_shift, e_reflexivity,
@@ -279,11 +277,15 @@ def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:
     return d
 
 
-def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int,
-                    limit: int = 200000) -> list[Term]:
+# the most terms `enumerate_terms` builds, over all sorts and depths
+MAX_TERMS = 200000
+
+
+def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> list[Term]:
     """All terms of `sort` built from `leaves` with nesting <= max_depth.
 
-    Exhaustive by construction; raises InvalidInput past `limit` terms total.
+    Exhaustive by construction; raises InvalidInput past `MAX_TERMS` terms
+    total.
     """
     by_sort: dict[Sort, list[Term]] = {}
     for leaf in leaves:
@@ -300,8 +302,8 @@ def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int,
             nonlocal total
             new.setdefault(t.sort, []).append(t)
             total += 1
-            if total > limit:
-                raise InvalidInput(f"term enumeration exceeded {limit} terms")
+            if total > MAX_TERMS:
+                raise InvalidInput(f"term enumeration exceeded {MAX_TERMS} terms")
 
         for i in range(1, h + 1):
             s = agent(i)

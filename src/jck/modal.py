@@ -24,12 +24,13 @@ from functools import partial
 
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
-    Derivation, Hyp, MP, Step, is_agent_fragment_formula, match_axiom,
+    Derivation, Hyp, MP, Step, is_agent_fragment_formula,
+    is_agent_fragment_term, match_axiom,
 )
 from .errors import InvalidInput, quoted
 from .syntax import (
-    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, Term, conjuncts,
-    print_formula, subterms,
+    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, conjuncts,
+    print_formula,
 )
 from .semantics import (  # noqa: F401  (re-exported frame API)
     KripkeModel, attack_kripke_model, format_kripke_model, holds,
@@ -63,21 +64,23 @@ def parse_modal_formula(text: str, h: int) -> Formula:
 # translations
 
 
-def forgetful(a: Formula) -> Formula:
-    """Erase evidence terms, keeping only which box each one inhabited."""
+def _map_assertions(a: Formula, image) -> Formula:
+    """`a` with its connectives kept and each justified assertion `j`
+    replaced by `image(j, its body mapped)`."""
     if isinstance(a, Prop):
         return a
     if isinstance(a, Neg):
-        return Neg(forgetful(a.body))
-    if isinstance(a, And):
-        return And(forgetful(a.left), forgetful(a.right))
-    if isinstance(a, Or):
-        return Or(forgetful(a.left), forgetful(a.right))
-    if isinstance(a, Imp):
-        return Imp(forgetful(a.left), forgetful(a.right))
+        return Neg(_map_assertions(a.body, image))
+    if isinstance(a, (And, Or, Imp)):
+        return a.__class__(_map_assertions(a.left, image), _map_assertions(a.right, image))
     if isinstance(a, Just):
-        return Box(a.sort, forgetful(a.body))
+        return image(a, _map_assertions(a.body, image))
     raise InvalidInput(f"not a formula: {a!r}")
+
+
+def forgetful(a: Formula) -> Formula:
+    """Erase evidence terms, keeping only which box each one inhabited."""
+    return _map_assertions(a, lambda j, body: Box(j.sort, body))
 
 
 def realizes(r: Formula, a: Formula) -> bool:
@@ -85,30 +88,15 @@ def realizes(r: Formula, a: Formula) -> bool:
     return forgetful(r) == a
 
 
-def _term_erased(t: Term) -> bool:
+def _projected(j: Just, body: Formula) -> Formula:
     # a single group- or common-sorted subterm disqualifies the whole box
-    return any(not s.sort.is_agent for s in subterms(t))
+    return Just(j.term, j.sort, body) if is_agent_fragment_term(j.term) else body
 
 
 def conservative_projection(a: Formula) -> Formula:
     """Project onto the single-agent fragment: boxes whose terms touch the
     group or common machinery are dropped; everything else is kept as is."""
-    if isinstance(a, Prop):
-        return a
-    if isinstance(a, Neg):
-        return Neg(conservative_projection(a.body))
-    if isinstance(a, And):
-        return And(conservative_projection(a.left), conservative_projection(a.right))
-    if isinstance(a, Or):
-        return Or(conservative_projection(a.left), conservative_projection(a.right))
-    if isinstance(a, Imp):
-        return Imp(conservative_projection(a.left), conservative_projection(a.right))
-    if isinstance(a, Just):
-        body = conservative_projection(a.body)
-        if _term_erased(a.term):
-            return body
-        return Just(a.term, a.sort, body)
-    raise InvalidInput(f"not a formula: {a!r}")
+    return _map_assertions(a, _projected)
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,8 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, steps: list[Step]) 
     if schema == AxiomSchema.APP:
         boxed_imp = a.left
         boxed_minor = a.right.left
-        t_kept = not _term_erased(boxed_imp.term)
-        s_kept = not _term_erased(boxed_minor.term)
+        t_kept = is_agent_fragment_term(boxed_imp.term)
+        s_kept = is_agent_fragment_term(boxed_minor.term)
         if t_kept and s_kept:
             steps.append(Step(image, Axiom(AxiomSchema.APP)))
         elif t_kept:
@@ -154,15 +142,15 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, steps: list[Step]) 
             steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
     elif schema in (AxiomSchema.SUML, AxiomSchema.SUMR):
         premise = a.left
-        sum_kept = not _term_erased(a.right.term) if isinstance(a.right, Just) else False
+        sum_kept = is_agent_fragment_term(a.right.term) if isinstance(a.right, Just) else False
         if sum_kept:
             steps.append(Step(image, Axiom(schema)))
-        elif not _term_erased(premise.term):
+        elif is_agent_fragment_term(premise.term):
             steps.append(Step(image, Axiom(AxiomSchema.REFL)))
         else:
             steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
     elif schema in (AxiomSchema.REFL, AxiomSchema.INSP):
-        if not _term_erased(a.left.term):
+        if is_agent_fragment_term(a.left.term):
             steps.append(Step(image, Axiom(schema)))
         else:
             steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
@@ -273,13 +261,13 @@ class ProbeReport:
 
 
 def probe_modal_formula(a: Formula, h: int, trials: int = 100,
-                        seed: int = 0, max_worlds: int = 5) -> ProbeReport:
-    """Search seeded random reflexive-transitive models for a world falsifying
-    `a`.  No counterexample is evidence of validity only to the extent of the
-    trial budget."""
+                        seed: int = 0) -> ProbeReport:
+    """Search seeded random reflexive-transitive models of 1 to 5 worlds for
+    a world falsifying `a`.  No counterexample is evidence of validity only
+    to the extent of the trial budget."""
     rng = random.Random(seed)
     for _ in range(trials):
-        m = random_kripke_model(h, rng.randint(1, max_worlds),
+        m = random_kripke_model(h, rng.randint(1, 5),
                                 density=rng.uniform(0.1, 0.5),
                                 seed=rng.randrange(10 ** 9))
         for w in sorted(m.worlds):

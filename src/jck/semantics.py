@@ -27,12 +27,16 @@ from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quote
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
     Parser, Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
-    formula_terms, integer, print_formula, print_term, subformulas, subterms,
+    integer, parse_formula, parse_term, print_formula, print_term, subformulas,
+    subterms,
 )
 
 Pair = tuple[int, int]
 
 MAX_AGENTS = 1000  # cap on a model file's h: line; each agent costs a relation
+
+# saturations a model keeps, by (query, depth budget); cleared when full
+_SATURATION_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class AFModel(KripkeModel):
     `mode` is "base" (evidence from the fact base, closed under the nine
     rules) or "full" (every term evidences every formula).  The saturation
     cache, like the frame's, assumes the model is not changed after
-    construction.
+    construction; it holds at most `_SATURATION_CACHE_SIZE` saturations.
     """
 
     def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
@@ -178,16 +182,8 @@ def reflexive_transitive_closure(pairs, worlds) -> frozenset:
     return transitive_closure(set(pairs) | {(w, w) for w in worlds})
 
 
-def _pairs(succ: dict[int, list[int]]) -> frozenset:
-    return frozenset((w, v) for w, vs in succ.items() for v in vs)
-
-
-def reach_E(m: KripkeModel) -> frozenset:
-    return _pairs(m.successors(E))
-
-
 def reach_C(m: KripkeModel) -> frozenset:
-    return _pairs(m.successors(C))
+    return frozenset((w, v) for w, vs in m.successors(C).items() for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +210,9 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
     def add_formula(a: Formula) -> None:
         for f in subformulas(a):
             formulas.add(f)
-        for t in formula_terms(a):
-            terms.update(subterms(t))
+            # `terms` holds every subterm of a term it holds
+            if isinstance(f, Just) and f.term not in terms:
+                terms.update(subterms(f.term))
 
     add_formula(query)
     for fact in m.evidence_base:
@@ -400,10 +397,13 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
 
 def _facts_for_query(m: AFModel, query: Formula, depth_budget: int) -> frozenset:
     key = (query, depth_budget)
-    if key not in m._saturation_cache:
-        universe = build_universe(m, query, depth_budget)
-        m._saturation_cache[key] = saturate(m, universe)
-    return m._saturation_cache[key]
+    facts = m._saturation_cache.get(key)
+    if facts is None:
+        facts = saturate(m, build_universe(m, query, depth_budget))
+        if len(m._saturation_cache) >= _SATURATION_CACHE_SIZE:
+            m._saturation_cache.clear()
+        m._saturation_cache[key] = facts
+    return facts
 
 
 def evidence_holds(m: AFModel, w: int, t: Term, a: Formula,
@@ -472,22 +472,6 @@ def valid_in_model(m: AFModel, a: Formula, depth_budget: int = 3) -> bool:
     return all(satisfies(m, w, a, depth_budget) for w in m.worlds)
 
 
-def restrict_to_world(m: AFModel, w: int) -> AFModel:
-    """Singleton submodel at `w`: one world, identity relations, base facts
-    and valuation cut down to `w`."""
-    if w not in m.worlds:
-        raise UnknownWorld(f"unknown world {w}")
-    return AFModel(
-        h=m.h,
-        worlds={w},
-        relations={i: {(w, w)} for i in range(1, m.h + 1)},
-        valuation={p: ws & {w} for p, ws in m.valuation.items()},
-        evidence_base=[f for f in m.evidence_base if f.world == w],
-        cs=m.cs,
-        mode=m.mode,
-    )
-
-
 def _random_frame(rng: random.Random, h: int, n_worlds: int, density: float):
     """(worlds, relations, valuation) of a random frame: agent relations are
     reflexive-transitive closures of random edge sets, and P1..P4 each hold
@@ -510,10 +494,10 @@ def random_kripke_model(h: int, n_worlds: int, density: float = 0.3,
 
 
 def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
-                 seed: int = 0, mode: str = "base",
-                 cs: ConstantSpecification | None = None) -> AFModel:
-    """Seed-deterministic model: the frame `random_kripke_model` draws for
-    the same seed, then `n_base` random evidence facts."""
+                 seed: int = 0, mode: str = "base") -> AFModel:
+    """Seed-deterministic model under the total C specification: the frame
+    `random_kripke_model` draws for the same seed, then `n_base` random
+    evidence facts."""
     from .gen import random_formula, random_sort, random_term
     rng = random.Random(seed)
     worlds, relations, valuation = _random_frame(rng, h, n_worlds, density)
@@ -523,7 +507,7 @@ def random_model(h: int, n_worlds: int, density: float = 0.3, n_base: int = 4,
         base.append(EvidenceFact(rng.randrange(n_worlds),
                                  random_term(rng, sort, h, rng.randint(0, 2)),
                                  random_formula(rng, h, rng.randint(0, 2))))
-    return AFModel(h, worlds, relations, valuation, base, cs, mode)
+    return AFModel(h, worlds, relations, valuation, base, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +543,9 @@ def _world_id(token: str) -> int:
     return integer(token[1:], "world number")
 
 
-def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecification:
-    """Constant specification tables: one `<const> := <formula>` line each."""
+def parse_cs_table(text: str, h: int) -> ConstantSpecification:
+    """Constant specification tables: one `<const> := <formula>` line each,
+    whose formula must be an axiom instance."""
     members = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -569,16 +554,11 @@ def parse_cs_table(text: str, h: int, validate: bool = True) -> ConstantSpecific
         if ":=" not in line:
             raise ParseError(f"bad specification line {quoted(line)}; expected ':='")
         left, right = line.split(":=", 1)
-        p = Parser(left.strip(), h)
-        const = p.parse_term()
-        p.expect_end()
+        const = parse_term(left.strip(), h)
         if not isinstance(const, Const):
             raise ParseError(f"specification member {quoted(left.strip())} is not a constant")
-        p = Parser(right.strip(), h)
-        body = p.parse_formula()
-        p.expect_end()
-        members.append((const.index, const.sort, body))
-    return ConstantSpecification.extensional(members, validate=validate)
+        members.append((const.index, const.sort, parse_formula(right.strip(), h)))
+    return ConstantSpecification.extensional(members)
 
 
 def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...]]:

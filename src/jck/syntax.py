@@ -398,11 +398,6 @@ class Just(Formula):
             raise SortError(f"term has sort {self.term.sort}, asserted at sort {self.sort}")
 
 
-def just(term: Term, body: Formula) -> Just:
-    """Box `body` with `term` at the term's own sort."""
-    return Just(term, term.sort, body)
-
-
 @_node
 class Box(Formula):
     """Modal box `#sort body`: the forgetful image of `[t]@sort body`, with
@@ -479,10 +474,15 @@ def formula_terms(a: Formula) -> frozenset[Term]:
     return frozenset(f.term for f in subformulas(a) if isinstance(f, Just))
 
 
+def _assertion_subterms(formulas: frozenset[Formula]) -> frozenset[Term]:
+    """Every subterm of the terms of the justified assertions among
+    `formulas`, which `subformulas` has already walked."""
+    terms = frozenset(f.term for f in formulas if isinstance(f, Just))
+    return frozenset().union(*[subterms(t) for t in terms])
+
+
 def variables_in(x: Term | Formula) -> frozenset[Var]:
-    terms = subterms(x) if isinstance(x, Term) else frozenset().union(
-        *[subterms(t) for t in formula_terms(x)] or [frozenset()]
-    )
+    terms = subterms(x) if isinstance(x, Term) else _assertion_subterms(subformulas(x))
     return frozenset(t for t in terms if isinstance(t, Var))
 
 
@@ -494,7 +494,7 @@ def bound_problems(x: Term | Formula, h: int) -> list[str]:
         formulas: frozenset[Formula] = frozenset()
     else:
         formulas = subformulas(x)
-        terms = frozenset().union(*[subterms(t) for t in formula_terms(x)] or [frozenset()])
+        terms = _assertion_subterms(formulas)
     for t in terms:
         s = t.sort
         if s.is_agent and s.index > h:
@@ -507,70 +507,6 @@ def bound_problems(x: Term | Formula, h: int) -> list[str]:
         if isinstance(f, Just) and f.sort.is_agent and f.sort.index > h:
             problems.append(f"assertion sort {f.sort} > h={h}")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# substitution
-
-
-def substitute_in_term(u: Term, x: Var, t: Term) -> Term:
-    if u == x:
-        return t
-    if isinstance(u, (Const, Var)):
-        return u
-    if isinstance(u, Bang):
-        return Bang(substitute_in_term(u.t, x, t), u.agent)
-    if isinstance(u, Sum):
-        return Sum(substitute_in_term(u.t, x, t), substitute_in_term(u.s, x, t), u.sort)
-    if isinstance(u, App):
-        return App(substitute_in_term(u.t, x, t), substitute_in_term(u.s, x, t), u.sort)
-    if isinstance(u, Tuple):
-        return Tuple(tuple(substitute_in_term(i, x, t) for i in u.items))
-    if isinstance(u, Proj):
-        return Proj(u.agent, substitute_in_term(u.t, x, t))
-    if isinstance(u, Head):
-        return Head(substitute_in_term(u.t, x, t))
-    if isinstance(u, Tail):
-        return Tail(substitute_in_term(u.t, x, t))
-    if isinstance(u, Ind):
-        return Ind(substitute_in_term(u.t, x, t), substitute_in_term(u.s, x, t))
-    raise SortError(f"not a term: {u!r}")
-
-
-def substitute(a: Formula, x: Var | None = None, t: Term | None = None,
-               prop: int | str | None = None, by: Formula | None = None) -> Formula:
-    """Simultaneously replace variable `x` by `t` and proposition `prop` by `by`.
-
-    Replacements are applied in a single pass over the original formula, so
-    occurrences introduced by one replacement are not rewritten by the other.
-    """
-    if (x is None) != (t is None) or (prop is None) != (by is None):
-        raise InvalidInput("substitute needs matched (x, t) and (prop, by) pairs")
-    if x is not None:
-        if not isinstance(x, Var):
-            raise InvalidInput("substitution target must be a variable")
-        if not isinstance(t, Term):
-            raise SortError(f"not a term: {t!r}")
-        if x.sort != t.sort:
-            raise SortError(f"cannot substitute a {t.sort}-sorted term for a {x.sort}-sorted variable")
-
-    def go(f: Formula) -> Formula:
-        if isinstance(f, Prop):
-            return by if (prop is not None and f.index == prop) else f
-        if isinstance(f, Neg):
-            return Neg(go(f.body))
-        if isinstance(f, And):
-            return And(go(f.left), go(f.right))
-        if isinstance(f, Or):
-            return Or(go(f.left), go(f.right))
-        if isinstance(f, Imp):
-            return Imp(go(f.left), go(f.right))
-        if isinstance(f, Just):
-            term = substitute_in_term(f.term, x, t) if x is not None else f.term
-            return Just(term, f.sort, go(f.body))
-        raise InvalidInput(f"not a formula: {f!r}")
-
-    return go(a)
 
 
 # ---------------------------------------------------------------------------

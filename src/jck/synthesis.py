@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deduction import (
-    Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
-    Rule, Step, is_axiom,
+    Axiom, AxiomSchema, AxNec, Derivation, Hyp, MP, Rule, Step, is_axiom,
 )
 from .errors import InvalidInput
 from .syntax import (
@@ -27,8 +26,9 @@ class ConstantAllocator:
     """Hands out C-sorted proof constants for axiom instances, memoized.
 
     The same axiom instance always receives the same constant, so repeated
-    synthesis calls are deterministic.  The live table doubles as a pure,
-    C-axiomatically appropriate constant specification.
+    synthesis calls are deterministic.  The table `memo` maps each instance
+    to its constant's index; as members (index, C, instance) it is a
+    constant specification that justifies every constant handed out.
     """
 
     memo: dict[Formula, int] = field(default_factory=dict)
@@ -43,9 +43,6 @@ class ConstantAllocator:
             self.memo[axiom_formula] = idx
             self.next_index += 1
         return Const(idx, C)
-
-    def as_cs(self) -> ConstantSpecification:
-        return ConstantSpecification.allocated(self)
 
 
 class _Builder:

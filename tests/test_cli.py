@@ -18,7 +18,7 @@ from jck.semantics import (
     attack_four_world_model, attack_singleton_model, format_model, satisfies,
 )
 from jck.synthesis import ConstantAllocator, c_reflexivity
-from jck.syntax import C, Imp, Just, Prop, Var, parse_formula, print_formula
+from jck.syntax import C, Just, Prop, Var, parse_formula, print_formula
 
 GOLDEN = Path(__file__).parent / "golden"
 REFL_TEXT = print_derivation(c_reflexivity(Var(1, C), Prop(1)))
@@ -168,6 +168,24 @@ def test_necessitate(refl_drv, capsys):
 def test_lift_matches_golden(hyps_drv, target, capsys):
     assert main(["lift", hyps_drv, "--target", target]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"lift_{target}.txt").read_text()
+
+
+@pytest.mark.parametrize("target", ["1", "E", "C"])
+def test_lifted_proof_checks_under_its_printed_constants(hyps_drv, target, tmp_path, capsys):
+    # the `constant` lines, prefix dropped, form the --cs table of the proof
+    assert main(["lift", hyps_drv, "--target", target]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = [line[len("constant "):] for line in lines if line.startswith("constant ")]
+    proof = tmp_path / "lifted.drv"
+    proof.write_text("".join(f"{line}\n" for line in lines
+                             if not line.startswith(("term: ", "constant "))))
+    cs = tmp_path / "lifted.cs"
+    cs.write_text("".join(f"{line}\n" for line in table))
+    assert main(["check", str(proof), "--cs", str(cs)]) == 0
+    assert capsys.readouterr().out.startswith("accepted")
+    cs.write_text("".join(f"{line}\n" for line in table[1:]))
+    assert main(["check", str(proof), "--cs", str(cs)]) == 1
+    assert "NotInCS" in capsys.readouterr().out
 
 
 def test_necessitate_matches_golden(refl_drv, capsys):

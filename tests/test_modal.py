@@ -6,9 +6,8 @@ import random
 import pytest
 
 from jck.deduction import (
-    AGENT_FRAGMENT_SCHEMATA, AxNec, Axiom, AxiomSchema, ConstantSpecification,
-    Derivation, Hyp, MP, Step, check_derivation, is_agent_fragment_formula,
-    match_axiom,
+    AxNec, Axiom, AxiomSchema, ConstantSpecification, Derivation, Hyp, MP,
+    Step, check_derivation, is_agent_fragment_formula, match_axiom,
 )
 from jck.errors import InvalidInput, ParseError, UnknownWorld
 from jck.gen import (
@@ -25,8 +24,8 @@ from jck.modal import (
 from jck import semantics
 from jck.semantics import attack_four_world_model, transitive_closure
 from jck.syntax import (
-    C, E, App, Box, Const, Imp, Just, Neg, Proj, Prop, Sum, Var, agent,
-    parse_formula, print_formula,
+    C, E, Box, Const, Imp, Just, Neg, Prop, Var, agent, parse_formula,
+    print_formula,
 )
 
 TC = ConstantSpecification.total_c()

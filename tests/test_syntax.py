@@ -8,7 +8,7 @@ import re
 import pytest
 
 from jck import deduction, syntax
-from jck.errors import InvalidInput, JckError, ParseError, ResourceError, SortError
+from jck.errors import InvalidInput, ParseError, ResourceError, SortError
 from jck.gen import random_derivation, random_formula, random_sort, random_term
 from jck.modal import parse_modal_formula
 from jck.semantics import attack_kripke_model, holds
@@ -17,7 +17,7 @@ from jck.syntax import (
     C, E, MAX_DEPTH, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
     Sum, Tail, Tuple, Var, agent, bound_problems, conj,
     Box, Formula, Sort, Term, formula_terms, parse_formula, parse_term, print_formula,
-    print_formulas, print_term, subformulas, subterms, substitute, variables_in,
+    print_formulas, print_term, subformulas, subterms, variables_in,
 )
 
 _PARSERS = {"formula": parse_formula, "term": parse_term, "modal": parse_modal_formula}
@@ -271,21 +271,6 @@ def test_subterms_and_formula_terms():
 def test_variables_in():
     a = Just(App(Var(1, C), Const(1, C), C), C, Just(Var(2, agent(1)), agent(1), Prop(1)))
     assert variables_in(a) == {Var(1, C), Var(2, agent(1))}
-
-
-def test_substitute_replaces_everywhere():
-    x = Var(1, agent(1))
-    a = Imp(Just(x, agent(1), Prop(1)), Just(Sum(x, x, agent(1)), agent(1), Prop(1)))
-    b = substitute(a, x=x, t=Const(5, agent(1)))
-    assert variables_in(b) == frozenset()
-    assert print_formula(b) == "[c5@1]@1 P1 -> [c5@1 + c5@1]@1 P1"
-
-
-def test_substitute_checks_sorts():
-    with pytest.raises(SortError):
-        substitute(Just(Var(1, C), C, Prop(1)), x=Var(1, C), t=Var(1, E))
-    with pytest.raises(JckError):
-        substitute(Just(Var(1, C), C, Prop(1)), x=Var(1, C), t=Prop(1))
 
 
 def test_conj_left_associates():
