@@ -63,11 +63,15 @@ class KripkeModel:
         self.worlds = frozenset(worlds)
         self.relations = {i: frozenset(relations.get(i, ())) for i in range(1, h + 1)}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
-        self._succ_cache: dict[Sort, dict[int, list[int]]] = {}
+        self._succ_cache: dict[Sort, dict[int, tuple[int, ...]]] = {}
 
-    def successors(self, sort: Sort) -> dict[int, list[int]]:
-        """World-successor map for the given sort's accessibility relation.
-        This is where an agent index above `h` is caught, on a cache miss."""
+    def successors(self, sort: Sort) -> dict[int, tuple[int, ...]]:
+        """World-successor map for the given sort's accessibility relation:
+        every world maps to a tuple of worlds.  Common reachability comes
+        straight from `reach_by_component` over the agent union, so the
+        worlds of one strongly connected component share one tuple and no
+        pair set is built.  The tuples are shared; never mutate them.  This
+        is where an agent index above `h` is caught, on a cache miss."""
         succ = self._succ_cache.get(sort)
         if succ is None:
             if sort.is_agent:
@@ -76,11 +80,13 @@ class KripkeModel:
                 rel = self.relations[sort.index]
             else:
                 rel = frozenset().union(*self.relations.values())
-                if sort == C:
-                    rel = transitive_closure(rel)
-            succ = {w: [] for w in self.worlds}
+            graph: dict[int, list[int]] = {w: [] for w in self.worlds}
             for w, v in rel:
-                succ[w].append(v)
+                graph.setdefault(w, []).append(v)
+            if sort == C:
+                succ = reach_by_component(graph)
+            else:
+                succ = {w: tuple(vs) for w, vs in graph.items()}
             self._succ_cache[sort] = succ
         return succ
 
@@ -114,68 +120,132 @@ class ValidationReport:
         return self.ok
 
 
-def validate_kripke_model(m: KripkeModel) -> ValidationReport:
-    """Frame checks, which `validate_model` runs first: every relation a
-    preorder over known worlds, every valuation over known worlds.  The
-    transitivity check looks each pair's target up in a successor map, so it
-    costs one step per pair (w,v) and successor of v."""
-    problems: list[str] = []
-    for i in range(1, m.h + 1):
-        rel = m.relations[i]
-        for w, v in rel:
-            if w not in m.worlds or v not in m.worlds:
-                problems.append(f"rel {i}: pair ({w},{v}) uses an unknown world")
-        for w in m.worlds:
-            if (w, w) not in rel:
-                problems.append(f"rel {i}: missing reflexive pair ({w},{w})")
-        succ: dict[int, list[int]] = {}
-        for v, u in rel:
-            succ.setdefault(v, []).append(u)
-        for w, v in rel:
-            for u in succ.get(v, ()):
-                if (w, u) not in rel:
-                    problems.append(f"rel {i}: missing transitive pair ({w},{u})")
-    for p, ws in m.valuation.items():
-        for w in ws:
-            if w not in m.worlds:
-                problems.append(f"val {p}: unknown world {w}")
-    dedup = tuple(dict.fromkeys(problems))
-    return ValidationReport(not dedup, dedup)
+def _unknown_pair_problems(i: int, rel, worlds) -> list[str]:
+    return [f"rel {i}: pair ({w},{v}) uses an unknown world"
+            for w, v in rel if w not in worlds or v not in worlds]
 
 
-def validate_model(m: AFModel) -> ValidationReport:
-    """Frame and typing checks: preorder relations, known worlds, sorted facts."""
-    problems = list(validate_kripke_model(m).problems)
+def _preorder_problems(i: int, rel, worlds) -> list[str]:
+    """Missing reflexive and transitive pairs.  The transitivity check looks
+    each pair's target up in a successor map, so it costs one step per pair
+    (w,v) and successor of v."""
+    problems = [f"rel {i}: missing reflexive pair ({w},{w})"
+                for w in worlds if (w, w) not in rel]
+    succ: dict[int, list[int]] = {}
+    for v, u in rel:
+        succ.setdefault(v, []).append(u)
+    for w, v in rel:
+        for u in succ.get(v, ()):
+            if (w, u) not in rel:
+                problems.append(f"rel {i}: missing transitive pair ({w},{u})")
+    return problems
+
+
+def _valuation_problems(m: KripkeModel) -> list[str]:
+    return [f"val {p}: unknown world {w}"
+            for p, ws in m.valuation.items() for w in ws if w not in m.worlds]
+
+
+def _evidence_problems(m: AFModel) -> list[str]:
+    problems = []
     for fact in m.evidence_base:
         if fact.world not in m.worlds:
             problems.append(f"evidence at unknown world {fact.world}")
         for issue in bound_problems(fact.term, m.h) + bound_problems(fact.formula, m.h):
             problems.append(f"evidence ({fact.world}, {print_term(fact.term)}, "
                             f"{print_formula(fact.formula)}): {issue}")
+    return problems
+
+
+def _report(problems: list[str]) -> ValidationReport:
     dedup = tuple(dict.fromkeys(problems))
     return ValidationReport(not dedup, dedup)
 
 
-def transitive_closure(pairs) -> frozenset:
-    """Smallest transitive superset of `pairs` (paths of length >= 1).
+def validate_kripke_model(m: KripkeModel) -> ValidationReport:
+    """Frame checks, which `validate_model` runs first: every relation a
+    preorder over known worlds, every valuation over known worlds."""
+    problems: list[str] = []
+    for i in range(1, m.h + 1):
+        problems += _unknown_pair_problems(i, m.relations[i], m.worlds)
+        problems += _preorder_problems(i, m.relations[i], m.worlds)
+    return _report(problems + _valuation_problems(m))
 
-    One depth-first search from each world with an out-edge, over a successor
-    map built once: O(W * (W + R)) for W worlds and R pairs, and linear in
-    each world's reachable set."""
-    succ: dict[int, set[int]] = {}
-    for w, v in pairs:
-        succ.setdefault(w, set()).add(v)
-    closure: list[Pair] = []
-    for w, first in succ.items():
-        seen = set(first)
-        stack = list(first)
-        while stack:
-            for u in succ.get(stack.pop(), ()):
-                if u not in seen:
-                    seen.add(u)
+
+def validate_model(m: AFModel) -> ValidationReport:
+    """Frame and typing checks: preorder relations, known worlds, sorted facts."""
+    return _report(list(validate_kripke_model(m).problems) + _evidence_problems(m))
+
+
+def reach_by_component(graph: dict) -> dict:
+    """Map each node of `graph` (node -> its successors), and each successor
+    that is not a key, to the tuple of nodes it reaches by paths of length
+    >= 1.
+
+    One iterative pass of Tarjan's strongly connected components algorithm
+    (Tarjan, *Depth-first search and linear graph algorithms*, 1972).  The
+    nodes of a component reach the same nodes, so they share one tuple; a
+    component is finished only after every component it reaches, so its
+    tuple is the union of theirs (Nuutila, *Efficient transitive closure
+    computation in large digraphs*, 1995).  A successor already in the
+    union is skipped with what it reaches.  The tuples are shared; never
+    mutate them."""
+    index: dict = {}    # order of discovery
+    low: dict = {}
+    at: dict = {}       # position on `stack`
+    reach: dict = {}    # finished nodes; the rest of `index` is on the stack
+    stack: list = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        at[root] = 0
+        stack.append(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            v, edges = work[-1]
+            for u in edges:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    at[u] = len(stack)
                     stack.append(u)
-        closure.extend((w, u) for u in seen)
-    return frozenset(closure)
+                    work.append((u, iter(graph.get(u, ()))))
+                    break
+                if u not in reach and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] < index[v]:
+                    continue
+                members = stack[at[v]:]
+                del stack[at[v]:]
+                # a cycle reaches its own members (which also keeps them out
+                # of the loop below); a lone node reaches itself only by a loop
+                out = set(members) if len(members) > 1 or v in graph.get(v, ()) else set()
+                for x in members:
+                    for u in graph.get(x, ()):
+                        if u not in out:
+                            out.add(u)
+                            out.update(reach[u])
+                shared = tuple(out)
+                for x in members:
+                    reach[x] = shared
+    return reach
+
+
+def transitive_closure(pairs) -> frozenset:
+    """Smallest transitive superset of `pairs` (paths of length >= 1): the
+    pairs of `reach_by_component` over the graph of `pairs`, which reads
+    each pair once instead of searching again from every node.  The
+    frozenset is new; the tuples it is built from are not returned."""
+    graph: dict[int, list[int]] = {}
+    for w, v in pairs:
+        graph.setdefault(w, []).append(v)
+    return frozenset((w, u) for w, us in reach_by_component(graph).items() for u in us)
 
 
 def reflexive_transitive_closure(pairs, worlds) -> frozenset:
@@ -425,11 +495,17 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
     A modal box `Box(s, A)` holds when A holds at every s-successor.  An
     evidence box `[t]@s A` also needs the fact (w, t, A) in `facts`, unless
     `facts` is None: then every term evidences every formula, the full
-    evidence reading, and `[t]@s A` holds exactly when `Box(s, A)` does."""
+    evidence reading, and `[t]@s A` holds exactly when `Box(s, A)` does.
+
+    The relational part of a box depends only on the successors, so it is
+    memoized by successor tuple: the worlds of one common-knowledge
+    component share theirs (`KripkeModel.successors`), and each C box is
+    evaluated once per component.  The evidence test stays per world."""
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
-    # boxes are memoized, keyed by node identity: every node stays alive
-    # inside `a` meanwhile, and an id is cheaper than even a cached hash
+    # keyed by identity: the successor tuples live in the model's cache and
+    # every node inside `a` meanwhile, and an id is cheaper than even a
+    # cached hash
     memo: dict[tuple[int, int], bool] = {}
 
     def sat(v: int, f: Formula) -> bool:
@@ -445,14 +521,13 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
             return (not sat(v, f.left)) or sat(v, f.right)
         if not isinstance(f, (Just, Box)):
             raise InvalidInput(f"cannot evaluate {f!r}")
-        key = (v, id(f))
+        if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
+            return False
+        succ = m.successors(f.sort).get(v, ())
+        key = (id(succ), id(f))
         out = memo.get(key)
         if out is None:
-            if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
-                out = False
-            else:
-                out = all(sat(u, f.body) for u in m.successors(f.sort).get(v, ()))
-            memo[key] = out
+            out = memo[key] = all(sat(u, f.body) for u in succ)
         return out
 
     return sat(w, a)
@@ -658,7 +733,11 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
                             "for reflexive-transitive closure")
         relations[i] = closed
     model = AFModel(h, worlds, relations, valuation, evidence, cs, mode)
-    report = validate_model(model)
+    # the relations are closed preorders by construction; only the worlds
+    # they name and the typing of the rest can still be wrong
+    problems = [p for i in range(1, h + 1)
+                for p in _unknown_pair_problems(i, model.relations[i], model.worlds)]
+    report = _report(problems + _valuation_problems(model) + _evidence_problems(model))
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     return model, tuple(warnings)

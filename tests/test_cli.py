@@ -13,7 +13,9 @@ import jck
 from conftest import build_induction2_input
 from jck.cli import main
 from jck.deduction import Axiom, AxiomSchema, Derivation, Step, print_derivation
-from jck.modal import attack_kripke_model, forgetful, format_kripke_model
+from jck.modal import (
+    attack_kripke_model, forgetful, format_kripke_model, parse_kripke_file,
+)
 from jck.semantics import (
     attack_four_world_model, attack_singleton_model, format_model, satisfies,
 )
@@ -323,6 +325,29 @@ def test_agent_count_above_cap_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "exceeds the cap" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_common_knowledge_on_a_2000_world_cycle(tmp_path):
+    # each agent links disjoint pairs of worlds, and the two together make
+    # one cycle through all 2,000: common reachability relates every world
+    # to every other, 4 M pairs, but is one component with one tuple
+    n = 2000
+    text = "\n".join([
+        "h: 2", "worlds: " + " ".join(f"w{w}" for w in range(n)),
+        "rel 1: " + " ".join(f"(w{w},w{w + 1})" for w in range(0, n, 2)),
+        "rel 2: " + " ".join(f"(w{w},w{(w + 1) % n})" for w in range(1, n, 2)),
+        "val P1: " + " ".join(f"w{w}" for w in range(n)),
+    ]) + "\n"
+    path = tmp_path / "cycle.krm"
+    path.write_text(text)
+    proc = run_jck("eval", "--kripke", str(path), "#C P1", "--world", "w0")
+    assert proc.returncode == 0
+    assert proc.stdout == "true\n"
+    assert "Traceback" not in proc.stderr
+    m, _ = parse_kripke_file(text)
+    succ = m.successors(C)
+    assert len(succ) == n and len({id(us) for us in succ.values()}) == 1
+    assert sorted(succ[0]) == list(range(n))
 
 
 def test_validate(attack_afm, attack_krm, single_afm, tmp_path, capsys):

@@ -22,7 +22,7 @@ from jck.modal import (
     validate_kripke_model,
 )
 from jck import semantics
-from jck.semantics import attack_four_world_model, transitive_closure
+from jck.semantics import attack_four_world_model, reach_by_component
 from jck.syntax import (
     C, E, Box, Const, Imp, Just, Neg, Prop, Var, agent, parse_formula,
     print_formula,
@@ -343,12 +343,12 @@ def test_kripke_validate_transitivity():
 def test_kripke_common_closure_computed_once(monkeypatch):
     calls = []
 
-    def counting(pairs):
+    def counting(graph):
         calls.append(1)
-        return transitive_closure(pairs)
+        return reach_by_component(graph)
 
     m = random_kripke_model(2, 32, density=0.05, seed=4)
-    monkeypatch.setattr(semantics, "transitive_closure", counting)
+    monkeypatch.setattr(semantics, "reach_by_component", counting)
     queries = [parse_modal_formula(text, 2)
                for text in ("#C P1", "#C (P1 | P2)", "#1 #C P3", "#C #C P4 -> #E P4")]
     for a in queries:

@@ -5,20 +5,20 @@ import random
 
 import pytest
 
-from jck import semantics
+from jck import modal, semantics
 from jck.acceptance import naive_saturate
 from jck.deduction import ConstantSpecification
 from jck.errors import InvalidInput, ParseError, UnknownWorld
 from jck.gen import random_formula
 from jck.semantics import (
-    AFModel, EvidenceFact, SaturationUniverse, attack_four_world_model,
+    AFModel, EvidenceFact, KripkeModel, SaturationUniverse, attack_four_world_model,
     attack_singleton_model, build_universe, evidence_holds, format_model, holds,
     parse_cs_table, parse_model_file, random_model, reach_C,
     reflexive_transitive_closure, satisfies, saturate, transitive_closure,
     valid_in_model, validate_model,
 )
 from jck.syntax import (
-    C, E, App, Bang, Box, Const, Formula, Head, Imp, Ind, Just, Neg, Proj, Prop,
+    C, E, And, App, Bang, Box, Const, Formula, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
     Sum, Tail, Term, Tuple, Var, agent, formula_terms, subformulas, subterms,
 )
 
@@ -77,26 +77,87 @@ def fixed_point_closure(pairs) -> frozenset:
         closure |= fresh
 
 
-@pytest.mark.parametrize("pairs", [
+EDGE_CASES = [
     set(),
     {(0, 0)},
     {(0, 0), (1, 1), (2, 2)},
     {(0, 1), (1, 2), (2, 3), (3, 0)},
     {(0, 1), (1, 0), (5, 6), (6, 7), (9, 9)},
     {(0, 1), (1, 1), (1, 2), (2, 1), (3, 3)},
-], ids=["empty", "self_loop", "self_loops", "cycle", "disconnected", "mixed"])
+]
+EDGE_IDS = ["empty", "self_loop", "self_loops", "cycle", "disconnected", "mixed"]
+
+
+def seeded_relations(seed: int = 7, count: int = 80):
+    """`count` seeded pair sets over up to 40 nodes: unclosed, mostly not
+    reflexive, from empty to a few pairs per node."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        density = rng.uniform(0.0, 3.0 / n)
+        yield n, {(w, v) for w in range(n) for v in range(n) if rng.random() < density}
+
+
+@pytest.mark.parametrize("pairs", EDGE_CASES, ids=EDGE_IDS)
 def test_transitive_closure_edge_cases(pairs):
     assert transitive_closure(pairs) == fixed_point_closure(pairs)
 
 
 def test_transitive_closure_matches_fixed_point_oracle():
-    rng = random.Random(7)
-    for _ in range(80):
-        n = rng.randint(1, 40)
-        density = rng.uniform(0.0, 3.0 / n)
-        pairs = {(w, v) for w in range(n) for v in range(n) if rng.random() < density}
+    for _, pairs in seeded_relations():
         assert transitive_closure(pairs) == fixed_point_closure(pairs)
         assert transitive_closure(iter(sorted(pairs))) == fixed_point_closure(pairs)
+
+
+def assert_common_map_is_the_closure(m: KripkeModel) -> None:
+    """`successors(C)` read as sets is the fixed-point closure of the agent
+    union; every world has an entry; worlds of one strongly connected
+    component share one tuple object."""
+    closure = fixed_point_closure(frozenset().union(*m.relations.values()))
+    succ = m.successors(C)
+    assert m.worlds <= set(succ)
+    assert all(isinstance(us, tuple) and len(set(us)) == len(us) for us in succ.values())
+    assert {(w, u) for w, us in succ.items() for u in us} == closure
+    for w, v in closure:
+        if (v, w) in closure:
+            assert succ[w] is succ[v]
+
+
+@pytest.mark.parametrize("pairs", EDGE_CASES, ids=EDGE_IDS)
+def test_common_successors_edge_cases(pairs):
+    # worlds 20 and 21 have no pairs at all
+    worlds = {w for pair in pairs for w in pair} | {20, 21}
+    m = KripkeModel(1, worlds, {1: pairs}, {})
+    assert_common_map_is_the_closure(m)
+    assert m.successors(C)[20] == ()
+
+
+def test_common_successors_match_fixed_point_oracle():
+    rng = random.Random(11)
+    for n, pairs in seeded_relations():
+        # split the pairs among up to three agents; a few worlds stay
+        # isolated, or a few nodes are pairs' unknown worlds
+        h = rng.randint(1, 3)
+        relations: dict[int, set] = {i: set() for i in range(1, h + 1)}
+        for pair in pairs:
+            relations[rng.randint(1, h)].add(pair)
+        m = KripkeModel(h, range(max(1, n + rng.randint(-3, 3))), relations, {})
+        assert_common_map_is_the_closure(m)
+
+
+def test_common_successors_of_closed_frames():
+    for seed in range(10):
+        assert_common_map_is_the_closure(random_model(3, 12, density=0.1, seed=seed))
+
+
+def test_common_successors_share_a_tuple_per_component():
+    # two cycles, 0-1-2 and 3-4, and a bridge 2 -> 3 between them
+    m = KripkeModel(2, range(6), {1: {(0, 1), (2, 0), (3, 4)}, 2: {(1, 2), (4, 3), (2, 3)}}, {})
+    succ = m.successors(C)
+    assert succ[0] is succ[1] is succ[2]
+    assert succ[3] is succ[4]
+    assert sorted(succ[0]) == [0, 1, 2, 3, 4] and sorted(succ[3]) == [3, 4]
+    assert succ[5] == ()
 
 
 def test_reach_c_chains_across_agents():
@@ -407,6 +468,98 @@ def test_base_mode_evaluates_a_modal_box_relationally():
         f = Box(agent(1), body)
         assert satisfies(m, 0, f) == holds(m, 0, f, facts=None)
     assert satisfies(m, 0, Box(agent(1), DEL))
+
+
+def reference_evaluator(m):
+    """Oracle for `holds` with no memo: `evaluate(w, a, facts=None)` reads
+    each box world by world, over successor lists drawn from pair sets, the
+    common one from `fixed_point_closure`."""
+    union = frozenset().union(*m.relations.values())
+    pair_sets = {E: union, C: fixed_point_closure(union)}
+    pair_sets.update((agent(i), rel) for i, rel in m.relations.items())
+    succ = {sort: {w: [v for x, v in sorted(rel) if x == w] for w in m.worlds}
+            for sort, rel in pair_sets.items()}
+
+    def evaluate(v: int, f: Formula, facts=None) -> bool:
+        if isinstance(f, Prop):
+            return v in m.valuation.get(f.index, ())
+        if isinstance(f, Neg):
+            return not evaluate(v, f.body, facts)
+        if isinstance(f, And):
+            return evaluate(v, f.left, facts) and evaluate(v, f.right, facts)
+        if isinstance(f, Or):
+            return evaluate(v, f.left, facts) or evaluate(v, f.right, facts)
+        if isinstance(f, Imp):
+            return not evaluate(v, f.left, facts) or evaluate(v, f.right, facts)
+        if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
+            return False
+        return all(evaluate(u, f.body, facts) for u in succ[f.sort][v])
+
+    return evaluate
+
+
+def boxed_variants(rng, h: int):
+    """A random formula, its modal image, and both under a common box."""
+    a = random_formula(rng, h, rng.randint(1, 4))
+    image = modal.forgetful(a)
+    return [a, image, Box(C, image), Just(Var(1, C), C, a),
+            Box(C, Imp(Box(C, image), Just(Var(2, C), C, a)))]
+
+
+def test_holds_matches_memo_free_oracle_on_unclosed_frames():
+    rng = random.Random(23)
+    for n, pairs in seeded_relations(seed=19, count=60):
+        h = rng.randint(1, 3)
+        relations: dict[int, set] = {i: set() for i in range(1, h + 1)}
+        for pair in pairs:
+            relations[rng.randint(1, h)].add(pair)
+        valuation = {k: {w for w in range(n) if rng.random() < 0.6} for k in range(1, 5)}
+        m = KripkeModel(h, range(n), relations, valuation)
+        reference = reference_evaluator(m)
+        for a in boxed_variants(rng, h):
+            justs = [f for f in subformulas(a) if isinstance(f, Just)]
+            facts = {(w, j.term, j.body) for w in range(n) for j in justs
+                     if rng.random() < 0.8}
+            for w in range(n):
+                assert holds(m, w, a) == reference(w, a)
+                assert holds(m, w, a, facts) == reference(w, a, facts)
+
+
+def test_evidence_is_tested_per_world_inside_a_component():
+    # one common component {0, 1, 2}; only worlds 0 and 2 hold the evidence
+    t = Var(1, C)
+    m = KripkeModel(2, range(3), {1: {(0, 1)}, 2: {(1, 2), (2, 0)}}, {1: {0, 1, 2}})
+    facts = {(0, t, Prop(1)), (2, t, Prop(1))}
+    boxed = Just(t, C, Prop(1))
+    assert [holds(m, w, boxed, facts) for w in range(3)] == [True, False, True]
+    assert not holds(m, 0, Box(C, boxed), facts)
+    assert holds(m, 0, Box(C, Box(C, Prop(1))), facts)
+
+
+def test_base_mode_matches_oracle_where_evidence_differs_within_a_component():
+    rng = random.Random(29)
+    x1 = Var(1, agent(1))
+    for k in range(30):
+        n = rng.randint(2, 8)
+        # agent 2 cycles through every world, so all of them form one
+        # common component; agent 1 adds a few one-way pairs
+        cycle = {(w, (w + 1) % n) for w in range(n)}
+        one_way = {(w, v) for w in range(n) for v in range(n) if rng.random() < 0.15}
+        valuation = {i: {w for w in range(n) if rng.random() < 0.7} for i in range(1, 5)}
+        queries = [Box(C, Just(x1, agent(1), Prop(1))),
+                   Just(Var(2, C), C, Or(Just(x1, agent(1), Prop(1)), Prop(2)))]
+        queries += boxed_variants(rng, 2)[::2]
+        base = [EvidenceFact(w, x1, Prop(1)) for w in range(n) if rng.random() < 0.5]
+        base += [EvidenceFact(rng.randrange(n), j.term, j.body)
+                 for a in queries for j in subformulas(a)
+                 if isinstance(j, Just) and rng.random() < 0.5]
+        m = AFModel(2, range(n), {1: one_way, 2: cycle}, valuation, base,
+                    ConstantSpecification.total_c())
+        reference = reference_evaluator(m)
+        for a in queries:
+            facts = saturate(m, build_universe(m, a))
+            for w in range(n):
+                assert satisfies(m, w, a) == reference(w, a, facts), (k, w, a)
 
 
 def test_full_mode_reduces_to_relational_truth():
