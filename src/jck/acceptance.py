@@ -21,8 +21,8 @@ from .syntax import (
     variables_in,
 )
 from .deduction import (
-    Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
-    Step, check_derivation, deduction_theorem, match_axiom,
+    Axiom, AxiomSchema, AxNec, Builder, ConstantSpecification, Derivation,
+    Hyp, Step, check_derivation, deduction_theorem, match_axiom,
 )
 from .errors import ResourceError
 from .synthesis import (
@@ -77,12 +77,9 @@ def _axiom_step(schema: AxiomSchema, instance: Formula) -> Derivation:
 
 def _imp_intro(d: Derivation, premise: Formula) -> Derivation:
     """From a hypothesis-free proof of X, a proof of `premise -> X`."""
-    x = d.conclusion
-    steps = list(d.steps)
-    n = len(steps)
-    steps.append(Step(Imp(x, Imp(premise, x)), Axiom(AxiomSchema.TAUT)))
-    steps.append(Step(Imp(premise, x), MP(n + 1, n)))
-    return Derivation((), tuple(steps))
+    b = Builder()
+    b.by_taut([b.include(d)], Imp(premise, d.conclusion))
+    return b.build()
 
 
 def _boxed_hyps_first(d: Derivation) -> Derivation:
@@ -107,19 +104,9 @@ def _boxed_hyps_first(d: Derivation) -> Derivation:
 
 def _conj_intro(d1: Derivation, d2: Derivation) -> Derivation:
     """From hypothesis-free proofs of A and B, a proof of `A & B`."""
-    a, b = d1.conclusion, d2.conclusion
-    steps = list(d1.steps)
-    n1 = len(steps)
-    for st in d2.steps:
-        rule = st.rule
-        if isinstance(rule, MP):
-            rule = MP(rule.i + n1, rule.j + n1)
-        steps.append(Step(st.formula, rule))
-    n2 = len(steps)
-    steps.append(Step(Imp(a, Imp(b, And(a, b))), Axiom(AxiomSchema.TAUT)))
-    steps.append(Step(Imp(b, And(a, b)), MP(n2 + 1, n1)))
-    steps.append(Step(And(a, b), MP(n2 + 2, n2)))
-    return Derivation((), tuple(steps))
+    b = Builder()
+    b.by_taut([b.include(d1), b.include(d2)], And(d1.conclusion, d2.conclusion))
+    return b.build()
 
 
 # ---------------------------------------------------------------------------

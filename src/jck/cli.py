@@ -192,6 +192,10 @@ def cmd_validate(args) -> int:
 def cmd_translate_x(args) -> int:
     d = _load_derivation(args.file, args.agents)
     cs = _load_cs(args.cs, args.agents)
+    report = check_derivation(d, cs, h=args.agents)
+    if not report.ok:
+        print("input derivation does not check; refusing to translate")
+        return _report_check(report)
     x = translate_derivation_x(d, cs)
     print(print_derivation(x.derivation), end="")
     if x.cs.kind == "extensional":

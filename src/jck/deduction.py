@@ -372,6 +372,71 @@ class Derivation:
         return self.steps[-1].formula
 
 
+class Builder:
+    """Assembles a derivation step by step, the one way every construction
+    here numbers steps.  Each method appends and returns the new step's
+    1-based index, as written in derivation files."""
+
+    def __init__(self, hypotheses: tuple[Formula, ...] = ()):
+        self.hypotheses = tuple(hypotheses)
+        self.steps: list[Step] = []
+
+    def emit(self, formula: Formula, rule: Rule) -> int:
+        """Append a step as given, with no check."""
+        self.steps.append(Step(formula, rule))
+        return len(self.steps)
+
+    def formula(self, k: int) -> Formula:
+        return self.steps[k - 1].formula
+
+    def hyp(self, index: int) -> int:
+        return self.emit(self.hypotheses[index - 1], Hyp(index))
+
+    def axiom(self, schema: AxiomSchema, formula: Formula) -> int:
+        return self.emit(formula, Axiom(schema))
+
+    def taut(self, formula: Formula) -> int:
+        return self.emit(formula, Axiom(AxiomSchema.TAUT))
+
+    def axnec(self, constant: Const, body: Formula) -> int:
+        return self.emit(Just(constant, constant.sort, body), AxNec(constant))
+
+    def mp(self, i: int, j: int) -> int:
+        major = self.formula(i)
+        if not isinstance(major, Imp) or major.left != self.formula(j):
+            raise InvalidInput("builder misuse: steps do not compose under modus ponens")
+        return self.emit(major.right, MP(i, j))
+
+    def include(self, d: Derivation) -> int:
+        """Splice a hypothesis-free derivation in; returns its conclusion's index."""
+        if d.hypotheses:
+            raise InvalidInput("can only include hypothesis-free derivations")
+        offset = len(self.steps)
+        for step in d.steps:
+            rule = step.rule
+            if isinstance(rule, MP):
+                rule = MP(rule.i + offset, rule.j + offset)
+            self.steps.append(Step(step.formula, rule))
+        return len(self.steps)
+
+    def by_taut(self, premises: list[int], target: Formula) -> int:
+        """Close a propositional gap: premises F1..Fn entail `target`.
+
+        Emits the curried tautology F1 -> (F2 -> ... -> target) and peels it
+        with one modus ponens per premise.  The kernel verifies the tautology.
+        """
+        curried = target
+        for k in reversed(premises):
+            curried = Imp(self.formula(k), curried)
+        at = self.taut(curried)
+        for k in premises:
+            at = self.mp(at, k)
+        return at
+
+    def build(self) -> Derivation:
+        return Derivation(self.hypotheses, tuple(self.steps))
+
+
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
@@ -400,16 +465,18 @@ def check_derivation(d: Derivation, cs: ConstantSpecification,
     box_free: set[int] = set()
     for k, step in enumerate(d.steps, start=1):
         f = step.formula
-        # modus ponens cannot bring in a box its premises lack
-        if not isinstance(step.rule, MP) and not _box_free(f, box_free):
-            return fail(k, "IllFormed", f"step formula has a modal box: {print_formula(f)}")
-        if h is not None:
-            problems = bound_problems(f, h)
-            if problems:
-                return fail(k, "IllFormed", problems[0])
-        if fragment == "agent" and not is_agent_fragment_formula(f):
-            return fail(k, "NotInFragment", f"step formula leaves the single-agent fragment: {print_formula(f)}")
         rule = step.rule
+        # a modus-ponens conclusion is a subformula of an earlier, screened
+        # step, and each screen below passes to subformulas
+        if not isinstance(rule, MP):
+            if not _box_free(f, box_free):
+                return fail(k, "IllFormed", f"step formula has a modal box: {print_formula(f)}")
+            if h is not None:
+                problems = bound_problems(f, h)
+                if problems:
+                    return fail(k, "IllFormed", problems[0])
+            if fragment == "agent" and not is_agent_fragment_formula(f):
+                return fail(k, "NotInFragment", f"step formula leaves the single-agent fragment: {print_formula(f)}")
         if isinstance(rule, Hyp):
             if not 1 <= rule.index <= len(d.hypotheses):
                 return fail(k, "BadHypIndex", f"no hypothesis {rule.index}")
@@ -464,35 +531,19 @@ def deduction_theorem(d: Derivation, hypothesis: Formula, cs: ConstantSpecificat
     a = hypothesis
     kept = [f for f in d.hypotheses if f != a]
     new_index = {f: i for i, f in enumerate(kept, start=1)}
-
-    steps: list[Step] = []
-
-    def emit(f: Formula, rule: Rule) -> int:
-        steps.append(Step(f, rule))
-        return len(steps)
-
+    b = Builder(kept)
     mapped: dict[int, int] = {}  # old step -> new step proving A -> F
     for k, step in enumerate(d.steps, start=1):
         f = step.formula
-        if f == a:
-            mapped[k] = emit(Imp(a, a), Axiom(AxiomSchema.TAUT))
-            continue
         rule = step.rule
-        if isinstance(rule, MP):
-            major = emit(Imp(Imp(a, d.steps[rule.i - 1].formula),
-                             Imp(Imp(a, d.steps[rule.j - 1].formula), Imp(a, f))),
-                         Axiom(AxiomSchema.TAUT))
-            partial = emit(Imp(Imp(a, d.steps[rule.j - 1].formula), Imp(a, f)), MP(major, mapped[rule.i]))
-            mapped[k] = emit(Imp(a, f), MP(partial, mapped[rule.j]))
-            continue
-        if isinstance(rule, Hyp):
-            base = emit(f, Hyp(new_index[f]))
+        if f == a:
+            mapped[k] = b.taut(Imp(a, a))
+        elif isinstance(rule, MP):
+            mapped[k] = b.by_taut([mapped[rule.i], mapped[rule.j]], Imp(a, f))
         else:
-            base = emit(f, rule)
-        lifted = emit(Imp(f, Imp(a, f)), Axiom(AxiomSchema.TAUT))
-        mapped[k] = emit(Imp(a, f), MP(lifted, base))
-
-    return Derivation(tuple(kept), tuple(steps))
+            base = b.hyp(new_index[f]) if isinstance(rule, Hyp) else b.emit(f, rule)
+            mapped[k] = b.by_taut([base], Imp(a, f))
+    return b.build()
 
 
 # ---------------------------------------------------------------------------

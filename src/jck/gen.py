@@ -10,9 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .deduction import (
-    Axiom, AxiomSchema, AxNec, Derivation, Hyp, MP, Step,
-)
+from .deduction import Axiom, AxiomSchema, Builder, Derivation, Step
 from .errors import InvalidInput
 from .syntax import (
     agent, And, App, Bang, C, conj, Const, E, Formula, Head, Imp, Ind, Just,
@@ -207,29 +205,23 @@ def random_derivation(rng: random.Random, h: int, n_extra: int = 4) -> Derivatio
         hyps.append(Just(t, C, random_formula(rng, h, 1)))
     for _ in range(rng.randrange(3)):
         hyps.append(random_formula(rng, h, 1))
-    steps: list[Step] = []
-    for n, f in enumerate(hyps, start=1):
-        steps.append(Step(f, Hyp(n)))
-    schema, inst = random_axiom(rng, h)
-    steps.append(Step(inst, Axiom(schema)))
+    b = Builder(hyps)
+    for n in range(1, len(hyps) + 1):
+        b.hyp(n)
+    b.axiom(*random_axiom(rng, h))
     if rng.random() < 0.5:
         c = Const(rng.randint(1, 4), C)
-        body = random_axiom_instance(rng, rng.choice(ALL_SCHEMATA), h)
-        steps.append(Step(Just(c, C, body), AxNec(c)))
+        b.axnec(c, random_axiom_instance(rng, rng.choice(ALL_SCHEMATA), h))
     for _ in range(n_extra):
-        i = rng.randrange(len(steps)) + 1
-        j = rng.randrange(len(steps)) + 1
-        f, g = steps[i - 1].formula, steps[j - 1].formula
+        i = rng.randrange(len(b.steps)) + 1
+        j = rng.randrange(len(b.steps)) + 1
+        f = b.formula(i)
         if rng.random() < 0.5:
-            glue = Imp(f, Imp(g, And(f, g)))
-            target = And(f, g)
+            target = And(f, b.formula(j))
         else:
-            glue = Imp(f, Imp(g, Or(f, random_formula(rng, h, 1))))
-            target = glue.right.right
-        steps.append(Step(glue, Axiom(AxiomSchema.TAUT)))
-        steps.append(Step(Imp(g, target), MP(len(steps), i)))
-        steps.append(Step(target, MP(len(steps), j)))
-    return Derivation(tuple(hyps), tuple(steps))
+            target = Or(f, random_formula(rng, h, 1))
+        b.by_taut([i, j], target)
+    return b.build()
 
 
 def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .deduction import (
-    AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
-    Derivation, Hyp, MP, Step, is_agent_fragment_formula,
+    AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, Builder,
+    ConstantSpecification, Derivation, Hyp, MP, is_agent_fragment_formula,
     is_agent_fragment_term, match_axiom,
 )
 from .errors import InvalidInput, quoted
@@ -116,55 +116,40 @@ class XTranslation:
 _SCHEMA_ORDER = list(AxiomSchema)
 
 
-def _expand_projected_axiom(schema: AxiomSchema, a: Formula, steps: list[Step]) -> None:
-    """Append steps deriving the projection of the axiom instance `a`."""
+def _expand_projected_axiom(schema: AxiomSchema, a: Formula, b: Builder) -> int:
+    """Append steps deriving the projection of the axiom instance `a`;
+    returns the index of the step proving it."""
     image = conservative_projection(a)
-
-    def refl_then_glue(refl_instance: Formula) -> None:
-        steps.append(Step(refl_instance, Axiom(AxiomSchema.REFL)))
-        steps.append(Step(Imp(refl_instance, image), Axiom(AxiomSchema.TAUT)))
-        steps.append(Step(image, MP(len(steps), len(steps) - 1)))
-
     if schema == AxiomSchema.APP:
         boxed_imp = a.left
         boxed_minor = a.right.left
         t_kept = is_agent_fragment_term(boxed_imp.term)
         s_kept = is_agent_fragment_term(boxed_minor.term)
         if t_kept and s_kept:
-            steps.append(Step(image, Axiom(AxiomSchema.APP)))
-        elif t_kept:
+            return b.axiom(AxiomSchema.APP, image)
+        if t_kept:
             # image is literally [t](X -> Y) -> (X -> Y)
-            steps.append(Step(image, Axiom(AxiomSchema.REFL)))
-        elif s_kept:
+            return b.axiom(AxiomSchema.REFL, image)
+        if s_kept:
             minor = conservative_projection(boxed_minor)
-            refl_then_glue(Imp(minor, minor.body))
-        else:
-            steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
+            return b.by_taut([b.axiom(AxiomSchema.REFL, Imp(minor, minor.body))], image)
     elif schema in (AxiomSchema.SUML, AxiomSchema.SUMR):
-        premise = a.left
         sum_kept = is_agent_fragment_term(a.right.term) if isinstance(a.right, Just) else False
         if sum_kept:
-            steps.append(Step(image, Axiom(schema)))
-        elif is_agent_fragment_term(premise.term):
-            steps.append(Step(image, Axiom(AxiomSchema.REFL)))
-        else:
-            steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
+            return b.axiom(schema, image)
+        if is_agent_fragment_term(a.left.term):
+            return b.axiom(AxiomSchema.REFL, image)
     elif schema in (AxiomSchema.REFL, AxiomSchema.INSP):
         if is_agent_fragment_term(a.left.term):
-            steps.append(Step(image, Axiom(schema)))
-        else:
-            steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
+            return b.axiom(schema, image)
     elif schema == AxiomSchema.TUPLING:
         # flatten before projecting: a projected conjunct may itself be an And
         parts = [conservative_projection(p) for p in conjuncts(a.left)]
-        if any(p == image.right for p in parts):
-            steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
-        else:
-            refl_then_glue(Imp(parts[0], image.right))
-    else:
-        # taut, projection, both co-closure forms, induction: the image is a
-        # propositional tautology
-        steps.append(Step(image, Axiom(AxiomSchema.TAUT)))
+        if not any(p == image.right for p in parts):
+            return b.by_taut([b.axiom(AxiomSchema.REFL, Imp(parts[0], image.right))], image)
+    # every other case, among them taut, projection, both co-closure forms
+    # and induction: the image is a propositional tautology
+    return b.taut(image)
 
 
 def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTranslation:
@@ -185,24 +170,22 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
                     flagged.append((c.index, c.sort, image))
     cs_x = ConstantSpecification.extensional(members, validate=False)
 
-    hyps = tuple(conservative_projection(f) for f in d.hypotheses)
-    steps: list[Step] = []
+    b = Builder(tuple(conservative_projection(f) for f in d.hypotheses))
     mapped: dict[int, int] = {}
     for k, step in enumerate(d.steps, start=1):
         rule = step.rule
         if isinstance(rule, Hyp):
-            steps.append(Step(hyps[rule.index - 1], Hyp(rule.index)))
+            mapped[k] = b.hyp(rule.index)
         elif isinstance(rule, Axiom):
-            _expand_projected_axiom(rule.schema, step.formula, steps)
+            mapped[k] = _expand_projected_axiom(rule.schema, step.formula, b)
         elif isinstance(rule, MP):
-            image = conservative_projection(step.formula)
-            steps.append(Step(image, MP(mapped[rule.i], mapped[rule.j])))
+            mapped[k] = b.emit(conservative_projection(step.formula),
+                               MP(mapped[rule.i], mapped[rule.j]))
         elif isinstance(rule, AxNec):
             c = rule.constant
             body = step.formula.body
             if c.sort.is_agent:
-                steps.append(Step(Just(c, c.sort, conservative_projection(body)),
-                                  AxNec(c)))
+                mapped[k] = b.axnec(c, conservative_projection(body))
             else:
                 schemata = match_axiom(body)
                 if not schemata:
@@ -210,11 +193,10 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
                         "cannot project a specification step whose body "
                         f"{print_formula(body)} is not an axiom instance")
                 schema = min(schemata, key=_SCHEMA_ORDER.index)
-                _expand_projected_axiom(schema, body, steps)
+                mapped[k] = _expand_projected_axiom(schema, body, b)
         else:
             raise InvalidInput(f"unknown rule {rule!r}")
-        mapped[k] = len(steps)
-    return XTranslation(Derivation(hyps, tuple(steps)), cs_x, tuple(flagged))
+    return XTranslation(b.build(), cs_x, tuple(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +216,10 @@ def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
     kept = []
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("evidence"):
+        key = stripped.partition(":")[0].strip()
+        if key == "evidence":
             raise InvalidInput("evidence lines do not belong in a relational model file")
-        if stripped.startswith(("mode", "cs")):
+        if key in ("mode", "cs"):
             warnings.append(f"ignored line {quoted(stripped)}")
             continue
         kept.append(raw)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deduction import (
-    Axiom, AxiomSchema, AxNec, Derivation, Hyp, MP, Rule, Step, is_axiom,
+    Axiom, AxiomSchema, AxNec, Builder, Derivation, Hyp, MP, is_axiom,
 )
 from .errors import InvalidInput
 from .syntax import (
@@ -45,77 +45,13 @@ class ConstantAllocator:
         return Const(idx, C)
 
 
-class _Builder:
-    """Accumulates steps; all indices are 1-based, as in derivation files."""
-
-    def __init__(self, hypotheses: tuple[Formula, ...] = ()):
-        self.hypotheses = tuple(hypotheses)
-        self.steps: list[Step] = []
-
-    def _emit(self, formula: Formula, rule: Rule) -> int:
-        self.steps.append(Step(formula, rule))
-        return len(self.steps)
-
-    def formula(self, k: int) -> Formula:
-        return self.steps[k - 1].formula
-
-    def hyp(self, index: int) -> int:
-        return self._emit(self.hypotheses[index - 1], Hyp(index))
-
-    def axiom(self, schema: AxiomSchema, formula: Formula) -> int:
-        return self._emit(formula, Axiom(schema))
-
-    def taut(self, formula: Formula) -> int:
-        return self._emit(formula, Axiom(AxiomSchema.TAUT))
-
-    def axnec(self, constant: Const, body: Formula) -> int:
-        return self._emit(Just(constant, constant.sort, body), AxNec(constant))
-
-    def mp(self, i: int, j: int) -> int:
-        major = self.formula(i)
-        if not isinstance(major, Imp) or major.left != self.formula(j):
-            raise InvalidInput("builder misuse: steps do not compose under modus ponens")
-        return self._emit(major.right, MP(i, j))
-
-    def include(self, d: Derivation) -> int:
-        """Splice a hypothesis-free derivation in; returns its conclusion's index."""
-        if d.hypotheses:
-            raise InvalidInput("can only include hypothesis-free derivations")
-        offset = len(self.steps)
-        for step in d.steps:
-            rule = step.rule
-            if isinstance(rule, MP):
-                rule = MP(rule.i + offset, rule.j + offset)
-            self.steps.append(Step(step.formula, rule))
-        return len(self.steps)
-
-    def by_taut(self, premises: list[int], target: Formula) -> int:
-        """Close a propositional gap: premises F1..Fn entail `target`.
-
-        Emits the curried tautology F1 -> (F2 -> ... -> target) and peels it
-        with one modus ponens per premise.  The kernel verifies the tautology.
-        """
-        curried = target
-        for k in reversed(premises):
-            curried = Imp(self.formula(k), curried)
-        at = self.taut(curried)
-        for k in premises:
-            at = self.mp(at, k)
-        return at
-
-    def build(self) -> Derivation:
-        return Derivation(self.hypotheses, tuple(self.steps))
-
-
 # ---------------------------------------------------------------------------
 # derived group-level operations
 
 
 def e_reflexivity(t: Term, a: Formula) -> Derivation:
     """Proof of `[t]@E A -> A` via projection to agent 1 and reflexivity."""
-    if t.sort != E:
-        raise InvalidInput(f"expected an E-sorted term, got sort {t.sort}")
-    b = _Builder()
+    b = Builder()
     p1 = Just(Proj(1, t), agent(1), a)
     s1 = b.axiom(AxiomSchema.PROJ, Imp(Just(t, E, a), p1))
     s2 = b.axiom(AxiomSchema.REFL, Imp(p1, a))
@@ -129,13 +65,11 @@ def e_application(h: int, t: Term, s: Term, a: Formula, bb: Formula) -> tuple[Te
     Returns the term `<pi_1(t)*pi_1(s), ..., pi_h(t)*pi_h(s)>` and a proof of
     `[t]@E (A -> B) -> ([s]@E A -> [term]@E B)`.
     """
-    if t.sort != E or s.sort != E:
-        raise InvalidInput("expected E-sorted terms")
     term = Tuple(tuple(App(Proj(i, t), Proj(i, s), agent(i)) for i in range(1, h + 1)))
     x = Just(t, E, Imp(a, bb))
     y = Just(s, E, a)
     z = Just(term, E, bb)
-    b = _Builder()
+    b = Builder()
     premises = []
     results = []
     for i in range(1, h + 1):
@@ -157,14 +91,12 @@ def e_sum(h: int, t: Term, s: Term, a: Formula) -> tuple[Term, Derivation, Deriv
     Returns `<pi_1(t)+pi_1(s), ...>` with proofs of `[t]@E A -> [term]@E A`
     and `[s]@E A -> [term]@E A`.
     """
-    if t.sort != E or s.sort != E:
-        raise InvalidInput("expected E-sorted terms")
     term = Tuple(tuple(Sum(Proj(i, t), Proj(i, s), agent(i)) for i in range(1, h + 1)))
     z = Just(term, E, a)
 
     def one_side(source: Term, schema: AxiomSchema) -> Derivation:
         x = Just(source, E, a)
-        b = _Builder()
+        b = Builder()
         premises = []
         results = []
         for i in range(1, h + 1):
@@ -186,10 +118,8 @@ def e_sum(h: int, t: Term, s: Term, a: Formula) -> tuple[Term, Derivation, Deriv
 
 def i_conversion(t: Term, i: int, a: Formula) -> tuple[Term, Derivation]:
     """Convert common evidence to one agent: `[t]@C A -> [pi_i(head(t))]@i A`."""
-    if t.sort != C:
-        raise InvalidInput(f"expected a C-sorted term, got sort {t.sort}")
     term = Proj(i, Head(t))
-    b = _Builder()
+    b = Builder()
     x = Just(t, C, a)
     mid = Just(Head(t), E, a)
     out = Just(term, agent(i), a)
@@ -201,10 +131,8 @@ def i_conversion(t: Term, i: int, a: Formula) -> tuple[Term, Derivation]:
 
 def c_reflexivity(t: Term, a: Formula) -> Derivation:
     """Proof of `[t]@C A -> A`, chaining conversion to agent 1 with reflexivity."""
-    if t.sort != C:
-        raise InvalidInput(f"expected a C-sorted term, got sort {t.sort}")
     term, conversion = i_conversion(t, 1, a)
-    b = _Builder()
+    b = Builder()
     s1 = b.include(conversion)
     s2 = b.axiom(AxiomSchema.REFL, Imp(Just(term, agent(1), a), a))
     b.by_taut([s1, s2], Imp(Just(t, C, a), a))
@@ -217,14 +145,12 @@ def c_inspection(t: Term, a: Formula, alloc: ConstantAllocator) -> tuple[Term, D
     The constant c justifies the co-closure instance
     `[t]@C A -> [tail(t)]@E [t]@C A`; the induction axiom then closes the loop.
     """
-    if t.sort != C:
-        raise InvalidInput(f"expected a C-sorted term, got sort {t.sort}")
     f = Just(t, C, a)
     g = Just(Tail(t), E, f)
     c = alloc.constant_for(Imp(f, g))
     term = Ind(c, Tail(t))
     out = Just(term, C, f)
-    b = _Builder()
+    b = Builder()
     s1 = b.axnec(c, Imp(f, g))
     s2 = b.axiom(AxiomSchema.INDUCTION, Imp(And(f, Just(c, C, Imp(f, g))), out))
     b.by_taut([s1, s2], Imp(f, out))
@@ -237,14 +163,12 @@ def c_shift(t: Term, a: Formula, alloc: ConstantAllocator) -> tuple[Term, Deriva
     Uses inspection at C plus a constant for the head co-closure instance,
     applied at C.
     """
-    if t.sort != C:
-        raise InvalidInput(f"expected a C-sorted term, got sort {t.sort}")
     f = Just(t, C, a)
     k = Just(Head(t), E, a)
     insp_term, insp = c_inspection(t, a, alloc)
     c = alloc.constant_for(Imp(f, k))
     term = App(c, insp_term, C)
-    b = _Builder()
+    b = Builder()
     s1 = b.include(insp)                       # F -> [!C t]@C F
     s2 = b.axnec(c, Imp(f, k))                 # [c]@C (F -> K)
     boxed_f = Just(insp_term, C, f)
@@ -314,8 +238,6 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
     group-level application builds h-tuples); it defaults to the largest agent
     index mentioned, or 1.
     """
-    if not target.is_star and target != E:
-        raise InvalidInput(f"cannot lift to sort {target}")
     if alloc is None:
         alloc = ConstantAllocator()
     if ctx is None:
@@ -331,7 +253,7 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
     fresh = _fresh_variables(d, target, len(ctx.plain))
     out_hyps = tuple(Just(s, C, bb) for s, bb in ctx.boxed) + tuple(
         Just(y, target, ck) for y, ck in zip(fresh, ctx.plain))
-    b = _Builder(out_hyps)
+    b = Builder(out_hyps)
 
     def lift_c_boxed(step_idx: int, boxed: Just) -> tuple[Term, int]:
         """Turn a step proving [u]@C B into evidence for that very formula."""
@@ -434,7 +356,7 @@ def internalize_induction_1(a: Formula, s: Term, d: Derivation,
     if d.conclusion != want:
         raise InvalidInput(f"derivation must conclude {print_formula(want)}")
     t, boxed = necessitate(d, C, alloc, h)
-    b = _Builder()
+    b = Builder()
     s1 = b.include(boxed)  # [t]@C (A -> [s]@E A)
     out = Just(Ind(t, s), C, a)
     s2 = b.axiom(AxiomSchema.INDUCTION, Imp(And(a, Just(t, C, want)), out))
@@ -460,14 +382,14 @@ def internalize_induction_2(a: Formula, bb: Formula, s: Term, d: Derivation,
         raise InvalidInput(f"derivation must conclude {print_formula(want)}")
 
     # strengthen the premise: A & B -> [s]@E (A & B)
-    pre = _Builder()
+    pre = Builder()
     base = pre.include(d)
     pre.by_taut([base], Imp(ab, Just(s, E, ab)))
     t, ind_step = internalize_induction_1(ab, s, pre.build(), alloc, h)
 
     c = alloc.constant_for(Imp(ab, a))
     term = App(c, Ind(t, s), C)
-    b = _Builder()
+    b = Builder()
     s1 = b.include(ind_step)                     # A & B -> [ind(t,s)]@C (A & B)
     s2 = b.axnec(c, Imp(ab, a))
     boxed_ab = Just(Ind(t, s), C, ab)

@@ -1,6 +1,6 @@
 """Shared fixture builders for the test suite."""
 
-from jck.deduction import Axiom, AxiomSchema, Derivation, MP, Step
+from jck.deduction import Axiom, AxiomSchema, Builder, Derivation, Step
 from jck.syntax import And, Imp, Just, Or, Prop, Tail, Var, C, E
 from jck.synthesis import e_application, necessitate
 
@@ -20,20 +20,8 @@ def build_induction2_input(alloc, h=2):
     tt, taut_boxed = necessitate(taut, E, alloc, h=h)
     app_term, app_d = e_application(h, tt, Tail(t0), bb, ab)
     cct = Imp(bb, Just(Tail(t0), E, bb))
-    n = len(taut_boxed.steps)
-    steps = list(taut_boxed.steps)
-    steps.append(Step(cct, Axiom(AxiomSchema.COCLOSTAIL)))
-    for st in app_d.steps:
-        rule = st.rule
-        if isinstance(rule, MP):
-            rule = MP(rule.i + n + 1, rule.j + n + 1)
-        steps.append(Step(st.formula, rule))
-    want = Imp(bb, Just(app_term, E, ab))
-    chain = Imp(steps[n - 1].formula,
-                Imp(cct, Imp(steps[-1].formula, want)))
-    steps.append(Step(chain, Axiom(AxiomSchema.TAUT)))
-    k = len(steps)
-    steps.append(Step(chain.right, MP(k, n)))
-    steps.append(Step(chain.right.right, MP(k + 1, n + 1)))
-    steps.append(Step(want, MP(k + 2, k - 1)))
-    return a, bb, app_term, Derivation((), tuple(steps))
+    b = Builder()
+    premises = [b.include(taut_boxed), b.axiom(AxiomSchema.COCLOSTAIL, cct),
+                b.include(app_d)]
+    b.by_taut(premises, Imp(bb, Just(app_term, E, ab)))
+    return a, bb, app_term, b.build()

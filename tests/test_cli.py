@@ -361,6 +361,20 @@ def test_validate(attack_afm, attack_krm, single_afm, tmp_path, capsys):
     assert main(["validate", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("line", ["modes: 3", "csv: 3"])
+def test_validate_kripke_reads_keys_not_prefixes(tmp_path, capsys, line):
+    # only a `mode` or `cs` key is ignored; a key that merely starts with one
+    # is as unknown as it is to the evidence-model loader
+    path = tmp_path / "frame.krm"
+    path.write_text(f"h: 1\nworlds: w0\n{line}\n")
+    for argv in (["validate", str(path)], ["validate", str(path), "--kripke"]):
+        assert main(argv) == 2
+        assert "unknown model line" in capsys.readouterr().err
+    path.write_text("h: 1\nworlds: w0\nmode : base\ncs: totalC\n")
+    assert main(["validate", str(path), "--kripke"]) == 0
+    assert capsys.readouterr().err.count("warning: ignored line") == 2
+
+
 # ---------------------------------------------------------------------------
 # translations
 
@@ -385,6 +399,22 @@ def test_translate_x_flags_members(tmp_path, capsys):
     assert "cs member: c1@1 :=" in out
     assert "flagged: c2@2" in out
     assert "accepted" in out
+
+
+@pytest.mark.parametrize("text, rejection", [
+    ("1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 5 1\n", "at step 2: BadMP"),
+    ("hyp: P1\n1. P1 ; hyp 3\n", "at step 1: BadHypIndex"),
+    ("1. P1 -> P1 ; axiom Refl\n", "at step 1: NotAnAxiom"),
+])
+def test_translate_x_refuses_bad_input(tmp_path, capsys, text, rejection):
+    # each of these once escaped as KeyError, IndexError or AttributeError
+    drv = tmp_path / "bad.drv"
+    drv.write_text(text)
+    assert main(["translate-x", str(drv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("input derivation does not check; refusing to translate\n")
+    assert f"rejected {rejection} (" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_translate_o(capsys):

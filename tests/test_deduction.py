@@ -358,6 +358,19 @@ def test_check_agent_bound():
                   Axiom(AxiomSchema.REFL)))
     assert check_derivation(d, TC, h=3).ok
     assert check_derivation(d, TC, h=2).status == "IllFormed"
+    # hypothesis and axnec steps bring in new material too, and are screened
+    boxed = Just(Var(1, agent(3)), agent(3), Prop(1))
+    d = _drv(Step(boxed, Hyp(1)), hyps=(boxed,))
+    assert check_derivation(d, TC, h=3).ok
+    report = check_derivation(d, TC, h=2)
+    assert (report.step, report.status) == (1, "IllFormed")
+    c = Const(1, agent(3))
+    body = Imp(Prop(1), Prop(1))
+    cs = ConstantSpecification.extensional([(1, agent(3), body)])
+    d = _drv(Step(Just(c, agent(3), body), AxNec(c)))
+    assert check_derivation(d, cs, h=3).ok
+    report = check_derivation(d, cs, h=2)
+    assert (report.step, report.status) == (1, "IllFormed")
 
 
 def test_random_derivations_check():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import build_induction2_input
-from jck.errors import InvalidInput
+from jck.errors import InvalidInput, SortError
 from jck.deduction import (
     Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
     Step, check_derivation,
@@ -73,7 +73,7 @@ def test_e_reflexivity():
     assert accepted(d, h=2)
     assert d.conclusion == Imp(Just(t, E, a), a)
     assert not d.hypotheses
-    with pytest.raises(InvalidInput):
+    with pytest.raises(SortError):  # raised by the projection constructor
         e_reflexivity(Var(1, C), a)
 
 
