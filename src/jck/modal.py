@@ -24,12 +24,12 @@ from functools import partial
 
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, Builder,
-    ConstantSpecification, Derivation, Hyp, MP, is_agent_fragment_formula,
-    is_agent_fragment_term, match_axiom,
+    ConstantSpecification, Derivation, Hyp, MP, check_derivation,
+    is_agent_fragment_formula, is_agent_fragment_term, match_axiom,
 )
 from .errors import InvalidInput, quoted
 from .syntax import (
-    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, conjuncts,
+    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, agent, conjuncts,
     print_formula,
 )
 from .semantics import (  # noqa: F401  (re-exported frame API)
@@ -157,7 +157,11 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
 
     The result derives the projected conclusion from the projected hypotheses
     inside the single-agent fragment, under the projected specification
-    (agent-sorted members only, bodies projected)."""
+    (agent-sorted members only, bodies projected).  A derivation the kernel
+    rejects raises InvalidInput naming the failing step."""
+    report = check_derivation(d, cs)
+    if not report.ok:
+        raise InvalidInput(f"input derivation rejected at step {report.step}: {report.message}")
     members = []
     flagged = []
     if cs.kind == "extensional":
@@ -224,7 +228,8 @@ def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
             continue
         kept.append(raw)
     model, warns = parse_model_file("\n".join(kept))
-    k = KripkeModel(model.h, model.worlds, model.relations, model.valuation)
+    frame = {i: model.successors(agent(i)) for i in range(1, model.h + 1)}
+    k = KripkeModel(model.h, model.worlds, frame, model.valuation)
     return k, tuple(warnings) + warns
 
 

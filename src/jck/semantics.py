@@ -1,8 +1,11 @@
 """Finite frames and evidence models: validation, saturation, and satisfaction.
 
-A frame (`KripkeModel`) carries worlds, per-agent accessibility relations and
-a valuation.  Group reachability is the union of the agent relations; common
-reachability is its transitive closure.  An evidence model (`AFModel`) is a
+A frame (`KripkeModel`) carries worlds, one successor map per agent and a
+valuation.  The loader and the generator close each agent's pairs straight
+into its map, the evaluator and the saturator read the maps, and the pair
+sets (`relations`) are derived from them on demand.  Group reachability is
+the union of the agent maps; common reachability is its transitive closure,
+one more map.  An evidence model (`AFModel`) is a
 frame plus a finite base of evidence facts, a constant specification and an
 evidence mode; the modal side (`modal`) reads the same frame with the evidence
 left out, and uses this module's frame text format, generator and fixture.
@@ -20,6 +23,7 @@ model reads each `[t]@s A` as the modal box `#s A`.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .deduction import ConstantSpecification, match_axiom
@@ -49,11 +53,14 @@ class EvidenceFact:
 
 
 class KripkeModel:
-    """Finite multi-agent S4 frame: worlds, one preorder per agent, and a
-    valuation.  Group reachability is the union of the agent relations and
-    common reachability its transitive closure; each sort's successor map is
-    built on first use and cached.  Treat instances as immutable after
-    construction; the cache assumes it.
+    """Finite multi-agent S4 frame: worlds, one successor map per agent, and
+    a valuation.  An agent's relation is given either as its successor map
+    (a dict from world to the tuple of worlds it reaches, as the loader and
+    the generator build them) or as a collection of pairs; `relations` holds
+    the pair sets, derived from the maps on first read.  Group reachability
+    is the union of the agent maps and common reachability its transitive
+    closure; each sort's successor map is built on first use and cached.
+    Treat instances as immutable after construction; the caches assume it.
     """
 
     def __init__(self, h: int, worlds, relations, valuation):
@@ -61,32 +68,52 @@ class KripkeModel:
             raise InvalidInput("need at least one agent")
         self.h = h
         self.worlds = frozenset(worlds)
-        self.relations = {i: frozenset(relations.get(i, ())) for i in range(1, h + 1)}
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self._succ_cache: dict[Sort, dict[int, tuple[int, ...]]] = {}
+        self._pairs: dict[int, frozenset] = {}
+        for i in range(1, h + 1):
+            rel = relations.get(i, ())
+            if isinstance(rel, dict):
+                self._succ_cache[agent(i)] = rel
+            else:
+                self._pairs[i] = frozenset(rel)
+
+    @property
+    def relations(self) -> dict[int, frozenset]:
+        """Agent index -> pair set; a relation given as a successor map has
+        its pair set derived here, once."""
+        if len(self._pairs) < self.h:
+            self._pairs = {i: self._pairs[i] if i in self._pairs else
+                           frozenset((w, v) for w, vs in self.successors(agent(i)).items()
+                                     for v in vs)
+                           for i in range(1, self.h + 1)}
+        return self._pairs
 
     def successors(self, sort: Sort) -> dict[int, tuple[int, ...]]:
         """World-successor map for the given sort's accessibility relation:
-        every world maps to a tuple of worlds.  Common reachability comes
-        straight from `reach_by_component` over the agent union, so the
-        worlds of one strongly connected component share one tuple and no
-        pair set is built.  The tuples are shared; never mutate them.  This
-        is where an agent index above `h` is caught, on a cache miss."""
+        every world maps to a tuple of worlds.  Group and common maps are
+        built from the agent maps; common reachability comes straight from
+        `reach_by_component` over their union, so the worlds of one strongly
+        connected component share one tuple and no pair set is built.  The
+        tuples are shared; never mutate them.  This is where an agent index
+        above `h` is caught, on a cache miss."""
         succ = self._succ_cache.get(sort)
         if succ is None:
+            graph: dict[int, list[int]] = {w: [] for w in self.worlds}
             if sort.is_agent:
                 if sort.index > self.h:
                     raise InvalidInput(f"agent index {sort.index} outside 1..{self.h}")
-                rel = self.relations[sort.index]
+                for w, v in self._pairs[sort.index]:
+                    graph.setdefault(w, []).append(v)
             else:
-                rel = frozenset().union(*self.relations.values())
-            graph: dict[int, list[int]] = {w: [] for w in self.worlds}
-            for w, v in rel:
-                graph.setdefault(w, []).append(v)
+                for i in range(1, self.h + 1):
+                    for w, vs in self.successors(agent(i)).items():
+                        graph.setdefault(w, []).extend(vs)
             if sort == C:
                 succ = reach_by_component(graph)
             else:
-                succ = {w: tuple(vs) for w, vs in graph.items()}
+                # agents share successors (every world's loop, at least)
+                succ = {w: tuple(dict.fromkeys(vs)) for w, vs in graph.items()}
             self._succ_cache[sort] = succ
         return succ
 
@@ -177,6 +204,9 @@ def validate_model(m: AFModel) -> ValidationReport:
     return _report(list(validate_kripke_model(m).problems) + _evidence_problems(m))
 
 
+_DONE = float("inf")  # the low value of a finished node, below no other
+
+
 def reach_by_component(graph: dict) -> dict:
     """Map each node of `graph` (node -> its successors), and each successor
     that is not a key, to the tuple of nodes it reaches by paths of length
@@ -190,43 +220,43 @@ def reach_by_component(graph: dict) -> dict:
     computation in large digraphs*, 1995).  A successor already in the
     union is skipped with what it reaches.  The tuples are shared; never
     mutate them."""
-    index: dict = {}    # order of discovery
-    low: dict = {}
-    at: dict = {}       # position on `stack`
-    reach: dict = {}    # finished nodes; the rest of `index` is on the stack
+    low: dict = {}      # order of discovery, lowered while on the stack
+    reach: dict = {}    # finished nodes
     stack: list = []
     for root in graph:
-        if root in index:
+        if root in low:
             continue
-        index[root] = low[root] = len(index)
-        at[root] = 0
+        low[root] = len(low)
+        # (node, its order of discovery, its position on `stack`, its edges)
+        work = [(root, low[root], len(stack), iter(graph[root]))]
         stack.append(root)
-        work = [(root, iter(graph[root]))]
         while work:
-            v, edges = work[-1]
+            v, order, at, edges = work[-1]
+            lv = low[v]
             for u in edges:
-                if u not in index:
-                    index[u] = low[u] = len(index)
-                    at[u] = len(stack)
+                if u not in low:
+                    low[v] = lv
+                    low[u] = len(low)
+                    work.append((u, low[u], len(stack), iter(graph.get(u, ()))))
                     stack.append(u)
-                    work.append((u, iter(graph.get(u, ()))))
                     break
-                if u not in reach and index[u] < low[v]:
-                    low[v] = index[u]
+                if low[u] < lv:  # a finished node's low is _DONE
+                    lv = low[u]
             else:
+                low[v] = lv
                 work.pop()
-                if work:
+                if lv < order:
                     parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] < index[v]:
+                    if lv < low[parent]:
+                        low[parent] = lv
                     continue
-                members = stack[at[v]:]
-                del stack[at[v]:]
+                members = stack[at:]
+                del stack[at:]
                 # a cycle reaches its own members (which also keeps them out
                 # of the loop below); a lone node reaches itself only by a loop
                 out = set(members) if len(members) > 1 or v in graph.get(v, ()) else set()
                 for x in members:
+                    low[x] = _DONE
                     for u in graph.get(x, ()):
                         if u not in out:
                             out.add(u)
@@ -370,15 +400,22 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
 
     known: set[tuple[int, Term, Formula]] = set()
     by_world_term: dict[tuple[int, Term], set[Formula]] = {}
-    queue: list[tuple[int, Term, Formula]] = []
+    # (world, term, formula, spread): `spread` is False for a C-sorted fact
+    # that arrived by monotonicity, whose successors the fact it came from
+    # has already reached, since the C map is transitive
+    queue: list[tuple[int, Term, Formula, bool]] = []
 
-    def emit(w: int, t: Term, a: Formula) -> None:
+    def emit(w: int, t: Term, a: Formula, spread: bool = True) -> None:
         fact = (w, t, a)
         if fact in known:
             return
         known.add(fact)
-        by_world_term.setdefault((w, t), set()).add(a)
-        queue.append(fact)
+        formulas = by_world_term.get((w, t))
+        if formulas is None:
+            by_world_term[(w, t)] = {a}
+        else:
+            formulas.add(a)
+        queue.append((w, t, a, spread))
 
     def holds(w: int, t: Term, a: Formula) -> bool:
         return a in by_world_term.get((w, t), ())
@@ -401,13 +438,16 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
                     emit(w, c, a)
 
     while queue:
-        w, t, a = queue.pop()
+        w, t, a, spread = queue.pop()
         sort = t.sort
+        is_agent = sort.is_agent
+        is_common = sort == C
 
-        # monotonicity along the star-sort relations
-        if sort.is_agent or sort == C:
+        # monotonicity along the star-sort relations; an agent relation need
+        # not be transitive, so agent facts keep spreading from each arrival
+        if spread and (is_agent or is_common):
             for v in succ_star[sort].get(w, ()):
-                emit(v, t, a)
+                emit(v, t, a, is_agent)
 
         # application, both premise roles
         if isinstance(a, Imp):
@@ -423,15 +463,18 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
         for u in sums_by_child.get(t, ()):
             emit(w, u, a)
 
-        # inspection
-        if sort.is_agent:
-            boxed = Just(t, sort, a)
-            for u in bangs_by_child.get(t, ()):
+        # inspection; the boxed conclusion is built only for a term with a
+        # bang in the universe
+        if is_agent:
+            bangs = bangs_by_child.get(t)
+            if bangs:
+                boxed = Just(t, sort, a)
                 if boxed in fu:
-                    emit(w, u, boxed)
+                    for u in bangs:
+                        emit(w, u, boxed)
 
         # tupling
-        if sort.is_agent:
+        if is_agent:
             for u in tuples_by_slot.get((t, sort.index), ()):
                 if all(holds(w, item, a) for item in u.items):
                     emit(w, u, a)
@@ -442,20 +485,22 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
                 emit(w, u, a)
 
         # co-closure, head and tail conclusions
-        if sort == C:
+        if is_common:
             for u in heads_by_child.get(t, ()):
                 emit(w, u, a)
-            boxed = Just(t, C, a)
-            for u in tails_by_child.get(t, ()):
+            tails = tails_by_child.get(t)
+            if tails:
+                boxed = Just(t, C, a)
                 if boxed in fu:
-                    emit(w, u, boxed)
+                    for u in tails:
+                        emit(w, u, boxed)
 
         # induction, from either premise
         if sort == E:
             for u in inds_by_e.get(t, ()):
                 if holds(w, u.t, Imp(a, Just(t, E, a))):
                     emit(w, u, a)
-        if sort == C and isinstance(a, Imp):
+        if is_common and isinstance(a, Imp):
             body = a.right
             if isinstance(body, Just) and body.sort == E and body.body == a.left:
                 u = inds_by_pair.get((t, body.term))
@@ -548,15 +593,18 @@ def valid_in_model(m: AFModel, a: Formula, depth_budget: int = 3) -> bool:
 
 
 def _random_frame(rng: random.Random, h: int, n_worlds: int, density: float):
-    """(worlds, relations, valuation) of a random frame: agent relations are
-    reflexive-transitive closures of random edge sets, and P1..P4 each hold
-    at a world with probability 1/2."""
+    """(worlds, relations, valuation) of a random frame: each agent's
+    relation is the successor map of the reflexive-transitive closure of a
+    random edge set, and P1..P4 each hold at a world with probability 1/2."""
     worlds = set(range(n_worlds))
     relations = {}
     for i in range(1, h + 1):
-        edges = {(w, v) for w in worlds for v in worlds
-                 if w != v and rng.random() < density}
-        relations[i] = reflexive_transitive_closure(edges, worlds)
+        graph = {w: [w] for w in worlds}
+        for w in worlds:
+            for v in worlds:
+                if w != v and rng.random() < density:
+                    graph[w].append(v)
+        relations[i] = reach_by_component(graph)
     valuation = {k: {w for w in worlds if rng.random() < 0.5}
                  for k in range(1, 5)}
     return worlds, relations, valuation
@@ -618,6 +666,39 @@ def _world_id(token: str) -> int:
     return integer(token[1:], "world number")
 
 
+# A whole `worlds:` or `val` line, and a whole `rel` line, in the usual
+# spelling; a line they do not match is read token by token, which accepts
+# the looser spellings and words the error.
+_WORLD_LIST_RE = re.compile(r"(?:w\d++(?:\s++|\Z))*+")
+_PAIR_LIST_RE = re.compile(r"(?: *+\( *+w\d++ *+, *+w\d++ *+\) *+,?+)*+")
+_WORLD_RE = re.compile(r"w(\d+)")
+_PAIR_RE = re.compile(r"w(\d+) *, *w(\d+)")
+
+
+def _world_ids(text: str) -> list[int]:
+    """The worlds named on a `worlds:` or `val` line, in order."""
+    if _WORLD_LIST_RE.fullmatch(text):
+        return [integer(d, "world number") for d in _WORLD_RE.findall(text)]
+    return [_world_id(tok) for tok in text.split()]
+
+
+def _world_pairs(text: str) -> list[Pair]:
+    """The pairs written on a `rel` line, in order."""
+    if _PAIR_LIST_RE.fullmatch(text):
+        return [(integer(a, "world number"), integer(b, "world number"))
+                for a, b in _PAIR_RE.findall(text)]
+    pairs = []
+    for chunk in text.replace(" ", "").split(")"):
+        chunk = chunk.strip(",")
+        if not chunk:
+            continue
+        if not chunk.startswith("("):
+            raise ParseError(f"bad relation pair {quoted(chunk)}")
+        a, _, b = chunk[1:].partition(",")
+        pairs.append((_world_id(a), _world_id(b)))
+    return pairs
+
+
 def parse_cs_table(text: str, h: int) -> ConstantSpecification:
     """Constant specification tables: one `<const> := <formula>` line each,
     whose formula must be an axiom instance."""
@@ -639,9 +720,10 @@ def parse_cs_table(text: str, h: int) -> ConstantSpecification:
 def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...]]:
     """Load a model from its text form; returns (model, warnings).
 
-    Relations are closed reflexively and transitively on load; closure that
-    adds pairs is reported as a warning, not an error.  `cs_loader` maps a
-    path from a `cs: file <path>` line to that file's text.
+    Relations are closed reflexively and transitively on load, each straight
+    into the agent's successor map; closure that adds pairs is reported as a
+    warning, not an error.  `cs_loader` maps a path from a `cs: file <path>`
+    line to that file's text.
     """
     h = None
     worlds: set[int] = set()
@@ -671,27 +753,19 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             if h > MAX_AGENTS:
                 raise ResourceError(f"h: {h} exceeds the cap of {MAX_AGENTS} agents")
         elif key == "worlds":
-            worlds.update(_world_id(tok) for tok in rest.split())
+            worlds.update(_world_ids(rest))
         elif key.startswith("rel"):
             i = integer(key[3:].strip(), "agent index")
             if not 1 <= i <= need_h():
                 raise ParseError(f"agent index {i} outside 1..{h}")
-            pairs = relations.setdefault(i, set())
-            for chunk in rest.replace(" ", "").split(")"):
-                chunk = chunk.strip(",")
-                if not chunk:
-                    continue
-                if not chunk.startswith("("):
-                    raise ParseError(f"bad relation pair {quoted(chunk)}")
-                a, _, b = chunk[1:].partition(",")
-                pairs.add((_world_id(a), _world_id(b)))
+            relations.setdefault(i, set()).update(_world_pairs(rest))
         elif key.startswith("val"):
             name = key[3:].strip()
             if name.startswith("P") and name[1:].isdecimal():
                 prop_key = integer(name[1:], "proposition index")
             else:
                 prop_key = name
-            valuation[prop_key] = {_world_id(tok) for tok in rest.split()}
+            valuation[prop_key] = set(_world_ids(rest))
         elif key == "evidence":
             p = Parser(rest, need_h())
             p.expect("(")
@@ -725,18 +799,28 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         raise ParseError("missing h: line")
     if not worlds:
         raise ParseError("missing worlds: line")
+    # each agent's frame is the reach map of its pairs plus a loop at every
+    # world, a closed preorder by construction; only the worlds it names and
+    # the typing of the rest can still be wrong
+    frame = {}
+    problems = []
     for i in range(1, h + 1):
         given = relations.get(i, set())
-        closed = reflexive_transitive_closure(given, worlds)
-        if closed != given:
-            warnings.append(f"rel {i}: added {len(closed) - len(given)} pairs "
+        graph: dict[int, list[int]] = {w: [w] for w in worlds}
+        for w, v in given:
+            graph.setdefault(w, []).append(v)
+        frame[i] = reach = reach_by_component(graph)
+        if not worlds.issuperset(reach):
+            # the error names every closed pair that touches an unknown
+            # world, in the closed pair set's order
+            closed = reflexive_transitive_closure(given, worlds)
+            problems += _unknown_pair_problems(i, closed, worlds)
+        # the closure contains the given pairs
+        added = sum(map(len, reach.values())) - len(given)
+        if added:
+            warnings.append(f"rel {i}: added {added} pairs "
                             "for reflexive-transitive closure")
-        relations[i] = closed
-    model = AFModel(h, worlds, relations, valuation, evidence, cs, mode)
-    # the relations are closed preorders by construction; only the worlds
-    # they name and the typing of the rest can still be wrong
-    problems = [p for i in range(1, h + 1)
-                for p in _unknown_pair_problems(i, model.relations[i], model.worlds)]
+    model = AFModel(h, worlds, frame, valuation, evidence, cs, mode)
     report = _report(problems + _valuation_problems(model) + _evidence_problems(model))
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))

@@ -2,12 +2,14 @@
 single-agent fragment, Kripke evaluation, and the random refutation probe."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from jck.deduction import (
     AxNec, Axiom, AxiomSchema, ConstantSpecification, Derivation, Hyp, MP,
     Step, check_derivation, is_agent_fragment_formula, match_axiom,
+    parse_derivation,
 )
 from jck.errors import InvalidInput, ParseError, UnknownWorld
 from jck.gen import (
@@ -223,7 +225,7 @@ def test_translate_group_schemata_become_tautologies():
     _translated_ok(_single(AxiomSchema.COCLOSTAIL, tail), h=h)
 
     ind = parse_formula(
-        "[x1@E]@E P1 & [x2@C]@C (P1 -> [x1@E]@E P1) -> [ind(x2@C, x1@E)]@C P1", h)
+        "P1 & [x2@C]@C (P1 -> [x1@E]@E P1) -> [ind(x2@C, x1@E)]@C P1", h)
     _translated_ok(_single(AxiomSchema.INDUCTION, ind), h=h)
 
 
@@ -296,6 +298,19 @@ def test_translate_common_axnec_prefers_first_schema():
     assert res.derivation.steps[-1].rule == Axiom(AxiomSchema.SUML)
 
 
+@pytest.mark.parametrize("text,step", [
+    ("1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 5 1", 2),  # premise past the end
+    ("1. P1 ; hyp 3", 1),                           # no such hypothesis
+    ("1. P1 -> P1 ; axiom Refl", 1),                # not an instance
+])
+def test_translate_refuses_a_rejected_derivation(text, step):
+    d = parse_derivation(text, 1)
+    report = check_derivation(d, TC)
+    assert not report.ok and report.step == step
+    with pytest.raises(InvalidInput, match=f"rejected at step {step}: "):
+        translate_derivation_x(d, TC)
+
+
 def test_translate_rejects_non_axiom_common_body():
     body = Imp(Prop(1), Prop(2))  # not an axiom instance
     cs = ConstantSpecification.extensional([(1, C, body)], validate=False)
@@ -355,6 +370,43 @@ def test_kripke_common_closure_computed_once(monkeypatch):
         for w in sorted(m.worlds):
             kripke_satisfies(m, w, a)
     assert len(calls) == 1
+
+
+def test_kripke_file_shares_the_loaders_successor_maps(monkeypatch):
+    made = []
+
+    def recording(graph):
+        made.append(reach_by_component(graph))
+        return made[-1]
+
+    monkeypatch.setattr(semantics, "reach_by_component", recording)
+    text = "h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1)\nrel 2: (w1,w2) (w2,w1)\n"
+    m, warns = parse_kripke_file(text)
+    assert len(made) == 2  # one closure per agent, none rebuilt from pairs
+    assert m.successors(agent(1)) is made[0] and m.successors(agent(2)) is made[1]
+    assert m.relations[2] == {(0, 0), (1, 1), (2, 2), (1, 2), (2, 1)}
+    assert warns == ("rel 1: added 3 pairs for reflexive-transitive closure",
+                     "rel 2: added 3 pairs for reflexive-transitive closure")
+
+
+def test_loading_and_probing_build_no_pair_closure(monkeypatch):
+    # frames stay successor maps: neither closure over pair sets runs
+    calls = []
+    for name in ("transitive_closure", "reflexive_transitive_closure"):
+        def counting(*args, _name=name, _fn=getattr(semantics, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(semantics, name, counting)
+    models = Path(__file__).parent / "golden" / "models"
+    m, warns = semantics.parse_model_file((models / "cycles16.afm").read_text())
+    assert warns  # written unclosed
+    k, _ = parse_kripke_file((models / "cycles16.full.afm").read_text())
+    for w in sorted(m.worlds):
+        semantics.satisfies(m, w, parse_formula("[x1@C]@C P2 -> P2", 2))
+        kripke_satisfies(k, w, parse_modal_formula("#C P1 -> #E P1", 2))
+    report = probe_modal_formula(parse_modal_formula("#1 P1 -> #C P1", 2), 2, seed=3)
+    assert report.refuted
+    assert calls == []
 
 
 def test_kripke_reads_evidence_boxes_as_full_evidence():

@@ -8,8 +8,8 @@ import pytest
 from jck import modal, semantics
 from jck.acceptance import naive_saturate
 from jck.deduction import ConstantSpecification
-from jck.errors import InvalidInput, ParseError, UnknownWorld
-from jck.gen import random_formula
+from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
+from jck.gen import random_formula, random_term
 from jck.semantics import (
     AFModel, EvidenceFact, KripkeModel, SaturationUniverse, attack_four_world_model,
     attack_singleton_model, build_universe, evidence_holds, format_model, holds,
@@ -164,6 +164,88 @@ def test_reach_c_chains_across_agents():
     m = tiny(h=2, worlds=(0, 1, 2), rels={1: {(0, 1)}, 2: {(1, 2)}})
     rc = reach_C(m)
     assert (0, 2) in rc
+
+
+# ---------------------------------------------------------------------------
+# frames as successor maps: the loader and the generator
+
+
+def pair_set(succ) -> frozenset:
+    return frozenset((w, v) for w, vs in succ.items() for v in vs)
+
+
+SPELLINGS = ("unclosed", "closed", "duplicates", "self_loops", "loose")
+
+
+def written_frames(seed: int = 23, count: int = 160):
+    """Seeded frame files of 1-40 worlds and 1-3 agents with their worlds
+    and the pairs each agent's line names.  Each line is written unclosed,
+    closed, with duplicate pairs, with some self-loops, or in the loose
+    spelling (`,,` between pairs) that only the token-by-token reader takes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        h = rng.randint(1, 3)
+        worlds = set(range(n))
+        lines = [f"h: {h}", "worlds: " + " ".join(f"w{w}" for w in sorted(worlds))]
+        given = {}
+        for i in range(1, h + 1):
+            density = rng.uniform(0.0, 3.0 / n)
+            edges = {(w, v) for w in range(n) for v in range(n)
+                     if w != v and rng.random() < density}
+            spelling = rng.choice(SPELLINGS)
+            if spelling == "closed":
+                edges = set(reflexive_transitive_closure(edges, worlds))
+            elif spelling == "self_loops":
+                edges |= {(w, w) for w in worlds if rng.random() < 0.5}
+            written = [f"(w{w},w{v})" for w, v in sorted(edges)]
+            if spelling == "duplicates":
+                written += rng.sample(written, len(written) // 2)
+                rng.shuffle(written)
+            lines.append(f"rel {i}: " + (",," if spelling == "loose" else " ").join(written))
+            given[i] = edges
+        yield "\n".join(lines) + "\n", h, worlds, given
+
+
+def test_loaded_frame_is_the_closure_of_the_written_pairs():
+    for text, h, worlds, given in written_frames():
+        m, warns = parse_model_file(text)
+        k, kripke_warns = modal.parse_kripke_file(text)
+        want_warns = []
+        for i in range(1, h + 1):
+            closed = reflexive_transitive_closure(given[i], worlds)
+            succ = m.successors(agent(i))
+            assert all(len(set(vs)) == len(vs) for vs in succ.values())
+            assert pair_set(succ) == m.relations[i] == k.relations[i] == closed
+            if closed != given[i]:
+                want_warns.append(f"rel {i}: added {len(closed) - len(given[i])} pairs "
+                                  "for reflexive-transitive closure")
+        common = transitive_closure(frozenset().union(*m.relations.values()))
+        assert pair_set(m.successors(C)) == pair_set(k.successors(C)) == common
+        assert warns == kripke_warns == tuple(want_warns)
+        assert k.worlds == m.worlds and k.valuation == m.valuation
+
+
+def redrawn_frame(seed: int, h: int, n: int, density: float):
+    """The relations and valuation `random_kripke_model` draws for `seed`,
+    drawn again here in the same order and closed as pair sets."""
+    rng = random.Random(seed)
+    worlds = set(range(n))
+    relations = {i: reflexive_transitive_closure(
+        {(w, v) for w in worlds for v in worlds if w != v and rng.random() < density}, worlds)
+        for i in range(1, h + 1)}
+    valuation = {k: frozenset(w for w in worlds if rng.random() < 0.5) for k in range(1, 5)}
+    return relations, valuation
+
+
+def test_random_frames_close_the_same_draws():
+    for seed in range(200):
+        h, n, density = 1 + seed % 3, 1 + seed % 9, (0.1, 0.3, 0.6)[seed % 4 % 3]
+        relations, valuation = redrawn_frame(seed, h, n, density)
+        k = modal.random_kripke_model(h, n, density, seed)
+        m = random_model(h, n, density, seed=seed)
+        assert k.relations == m.relations == relations
+        assert k.valuation == m.valuation == valuation
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +517,42 @@ def test_saturation_matches_naive_oracle_sample():
     assert ran == 30
 
 
+def test_saturation_matches_naive_oracle_with_common_facts():
+    """Common facts spread once along the closed C map; the answer is the
+    oracle's, and the universe cap fires exactly above its size."""
+    rng = random.Random(37)
+    for k in range(300):
+        h = rng.randint(1, 3)
+        n = rng.randint(1, 7)
+        frame = random_model(h, n, density=rng.uniform(0.1, 0.5), n_base=rng.randint(0, 3),
+                             seed=k)
+        common = [EvidenceFact(rng.randrange(n), random_term(rng, C, h, rng.randint(0, 1)),
+                               random_formula(rng, h, rng.randint(0, 2)))
+                  for _ in range(rng.randint(1, 3))]
+        m = AFModel(h, frame.worlds, {i: frame.successors(agent(i)) for i in range(1, h + 1)},
+                    frame.valuation, frame.evidence_base + tuple(common))
+        q = random_formula(rng, h, rng.randint(0, 2))
+        u = build_universe(m, q, 1)
+        size = len(u.terms) + len(u.formulas)
+        with pytest.raises(ResourceError):
+            build_universe(m, q, 1, max_size=size - 1)
+        assert build_universe(m, q, 1, max_size=size) == u
+        assert saturate(m, u) == naive_saturate(m, u)
+
+
+def test_agent_monotonicity_chains_on_a_relation_that_is_not_transitive():
+    # 0 -> 1 -> 2 for agent 1, with no pair (0,2): the fact at 0 reaches 2
+    # only by spreading again from 1; the C fact reaches 2 through the closure
+    t1, tc = Const(1, agent(1)), Var(1, C)
+    m = AFModel(2, {0, 1, 2}, {1: {(0, 1), (1, 2)}, 2: {(2, 0)}}, {},
+                (EvidenceFact(0, t1, Prop(1)), EvidenceFact(1, tc, Prop(2))), EMPTY_CS)
+    u = universe_of(t1, Prop(1), tc, Prop(2))
+    facts = saturate(m, u)
+    assert facts == naive_saturate(m, u)
+    assert {w for w, t, _ in facts if t == t1} == {0, 1, 2}
+    assert {w for w, t, _ in facts if t == tc} == {0, 1, 2}
+
+
 # ---------------------------------------------------------------------------
 # satisfaction
 
@@ -689,6 +807,21 @@ def test_model_file_errors(text, exc):
     else:
         with pytest.raises(exc):
             parse_model_file(text)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("worlds: w0 w1x", "bad world name 'w1x'; expected wN"),
+    ("rel 1: (w0,w1) x", "bad relation pair 'x'"),
+    ("rel 1: (w0,w1) (w0;w1)", "bad world name 'w0;w1'; expected wN"),
+    ("rel 1: (w0,w1) (w1,w0,w1)", "bad world name 'w0,w1'; expected wN"),
+    ("val P1: w0 1", "bad world name '1'; expected wN"),
+    ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
+])
+def test_model_file_line_errors_name_the_token(line, message):
+    # a line the one-pass reader does not take is read token by token
+    with pytest.raises(ParseError) as caught:
+        parse_model_file(f"h: 1\nworlds: w0 w1\n{line}\n")
+    assert str(caught.value) == message
 
 
 def test_model_file_specification_loader():
