@@ -31,7 +31,7 @@ from .semantics import (
 from .modal import (
     forgetful, format_kripke_model, kripke_satisfies, parse_kripke_file,
     parse_modal_formula, probe_modal_formula, forgetful_soundness_probe,
-    realizes, translate_derivation_x,
+    realizes, translate_checked_x,
 )
 from .acceptance import attack_scenario, format_results, run_all
 
@@ -196,7 +196,7 @@ def cmd_translate_x(args) -> int:
     if not report.ok:
         print("input derivation does not check; refusing to translate")
         return _report_check(report)
-    x = translate_derivation_x(d, cs)
+    x = translate_checked_x(d, cs)
     print(print_derivation(x.derivation), end="")
     if x.cs.kind == "extensional":
         for index, sort, body in sorted(

@@ -162,6 +162,13 @@ def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTransla
     report = check_derivation(d, cs)
     if not report.ok:
         raise InvalidInput(f"input derivation rejected at step {report.step}: {report.message}")
+    return translate_checked_x(d, cs)
+
+
+def translate_checked_x(d: Derivation, cs: ConstantSpecification) -> XTranslation:
+    """`translate_derivation_x` of a derivation the caller has already
+    checked with the kernel (as `jck translate-x` does, with its `h`); on
+    an unchecked one it may fail with any error."""
     members = []
     flagged = []
     if cs.kind == "extensional":

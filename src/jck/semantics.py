@@ -23,7 +23,6 @@ model reads each `[t]@s A` as the modal box `#s A`.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
 from .deduction import ConstantSpecification, match_axiom
@@ -204,9 +203,6 @@ def validate_model(m: AFModel) -> ValidationReport:
     return _report(list(validate_kripke_model(m).problems) + _evidence_problems(m))
 
 
-_DONE = float("inf")  # the low value of a finished node, below no other
-
-
 def reach_by_component(graph: dict) -> dict:
     """Map each node of `graph` (node -> its successors), and each successor
     that is not a key, to the tuple of nodes it reaches by paths of length
@@ -220,43 +216,43 @@ def reach_by_component(graph: dict) -> dict:
     computation in large digraphs*, 1995).  A successor already in the
     union is skipped with what it reaches.  The tuples are shared; never
     mutate them."""
-    low: dict = {}      # order of discovery, lowered while on the stack
-    reach: dict = {}    # finished nodes
+    index: dict = {}    # order of discovery
+    low: dict = {}
+    at: dict = {}       # position on `stack`
+    reach: dict = {}    # finished nodes; the rest of `index` is on the stack
     stack: list = []
     for root in graph:
-        if root in low:
+        if root in index:
             continue
-        low[root] = len(low)
-        # (node, its order of discovery, its position on `stack`, its edges)
-        work = [(root, low[root], len(stack), iter(graph[root]))]
+        index[root] = low[root] = len(index)
+        at[root] = 0
         stack.append(root)
+        work = [(root, iter(graph[root]))]
         while work:
-            v, order, at, edges = work[-1]
-            lv = low[v]
+            v, edges = work[-1]
             for u in edges:
-                if u not in low:
-                    low[v] = lv
-                    low[u] = len(low)
-                    work.append((u, low[u], len(stack), iter(graph.get(u, ()))))
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    at[u] = len(stack)
                     stack.append(u)
+                    work.append((u, iter(graph.get(u, ()))))
                     break
-                if low[u] < lv:  # a finished node's low is _DONE
-                    lv = low[u]
+                if u not in reach and index[u] < low[v]:
+                    low[v] = index[u]
             else:
-                low[v] = lv
                 work.pop()
-                if lv < order:
+                if work:
                     parent = work[-1][0]
-                    if lv < low[parent]:
-                        low[parent] = lv
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] < index[v]:
                     continue
-                members = stack[at:]
-                del stack[at:]
+                members = stack[at[v]:]
+                del stack[at[v]:]
                 # a cycle reaches its own members (which also keeps them out
                 # of the loop below); a lone node reaches itself only by a loop
                 out = set(members) if len(members) > 1 or v in graph.get(v, ()) else set()
                 for x in members:
-                    low[x] = _DONE
                     for u in graph.get(x, ()):
                         if u not in out:
                             out.add(u)
@@ -666,27 +662,13 @@ def _world_id(token: str) -> int:
     return integer(token[1:], "world number")
 
 
-# A whole `worlds:` or `val` line, and a whole `rel` line, in the usual
-# spelling; a line they do not match is read token by token, which accepts
-# the looser spellings and words the error.
-_WORLD_LIST_RE = re.compile(r"(?:w\d++(?:\s++|\Z))*+")
-_PAIR_LIST_RE = re.compile(r"(?: *+\( *+w\d++ *+, *+w\d++ *+\) *+,?+)*+")
-_WORLD_RE = re.compile(r"w(\d+)")
-_PAIR_RE = re.compile(r"w(\d+) *, *w(\d+)")
-
-
 def _world_ids(text: str) -> list[int]:
     """The worlds named on a `worlds:` or `val` line, in order."""
-    if _WORLD_LIST_RE.fullmatch(text):
-        return [integer(d, "world number") for d in _WORLD_RE.findall(text)]
     return [_world_id(tok) for tok in text.split()]
 
 
 def _world_pairs(text: str) -> list[Pair]:
     """The pairs written on a `rel` line, in order."""
-    if _PAIR_LIST_RE.fullmatch(text):
-        return [(integer(a, "world number"), integer(b, "world number"))
-                for a, b in _PAIR_RE.findall(text)]
     pairs = []
     for chunk in text.replace(" ", "").split(")"):
         chunk = chunk.strip(",")

@@ -12,7 +12,9 @@ import pytest
 import jck
 from conftest import build_induction2_input
 from jck.cli import main
-from jck.deduction import Axiom, AxiomSchema, Derivation, Step, print_derivation
+from jck.deduction import (
+    Axiom, AxiomSchema, Derivation, Step, check_derivation, print_derivation,
+)
 from jck.modal import (
     attack_kripke_model, forgetful, format_kripke_model, parse_kripke_file,
 )
@@ -384,6 +386,21 @@ def test_translate_x_plain(hyps_drv, capsys):
     out = capsys.readouterr().out
     assert "hyp: P1\n" in out  # the boxed hypothesis lost its box
     assert "accepted" in out
+
+
+def test_translate_x_runs_the_kernel_once_on_its_input(hyps_drv, monkeypatch, capsys):
+    import jck.cli
+    import jck.modal
+    checked = []
+
+    def counting(d, cs, h=None, fragment="full"):
+        checked.append(fragment)
+        return check_derivation(d, cs, h=h, fragment=fragment)
+
+    monkeypatch.setattr(jck.cli, "check_derivation", counting)
+    monkeypatch.setattr(jck.modal, "check_derivation", counting)
+    assert main(["translate-x", hyps_drv]) == 0
+    assert checked == ["full", "agent"]  # the input once, then the translation
 
 
 def test_translate_x_flags_members(tmp_path, capsys):

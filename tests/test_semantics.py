@@ -181,7 +181,7 @@ def written_frames(seed: int = 23, count: int = 160):
     """Seeded frame files of 1-40 worlds and 1-3 agents with their worlds
     and the pairs each agent's line names.  Each line is written unclosed,
     closed, with duplicate pairs, with some self-loops, or in the loose
-    spelling (`,,` between pairs) that only the token-by-token reader takes."""
+    spelling (`,,` between pairs)."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 40)
@@ -816,9 +816,15 @@ def test_model_file_errors(text, exc):
     ("rel 1: (w0,w1) (w1,w0,w1)", "bad world name 'w0,w1'; expected wN"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
     ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
+    # long lines that go wrong only at their last token
+    pytest.param("worlds: " + "w0 " * 20000 + "w1x",
+                 "bad world name 'w1x'; expected wN", id="long_worlds"),
+    pytest.param("rel 1: " + "(w0, w1) , " * 20000 + "x",
+                 "bad relation pair 'x'", id="long_rel"),
+    pytest.param("rel 1: " + "(w0,w1)" * 20000 + "(w0;w1)",
+                 "bad world name 'w0;w1'; expected wN", id="long_rel_bad_pair"),
 ])
 def test_model_file_line_errors_name_the_token(line, message):
-    # a line the one-pass reader does not take is read token by token
     with pytest.raises(ParseError) as caught:
         parse_model_file(f"h: 1\nworlds: w0 w1\n{line}\n")
     assert str(caught.value) == message
