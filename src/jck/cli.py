@@ -14,8 +14,8 @@ import sys
 
 from .errors import JckError, ParseError, quoted
 from .syntax import (
-    Parser, Sort, integer, parse_formula, parse_term, print_formula,
-    print_term,
+    Parser, Sort, check_depth, integer, parse_formula, parse_term,
+    print_formula, print_term,
 )
 from .deduction import (
     ConstantSpecification, check_derivation, parse_derivation,
@@ -117,6 +117,8 @@ def _internalize(args, build) -> int:
         return _report_check(report)
     alloc = ConstantAllocator()
     term, lines, out = build(d, alloc)
+    check_depth([term, *alloc.memo, *out.hypotheses, *(s.formula for s in out.steps)],
+                "the result")
     print(f"term: {print_term(term)}")
     for line in lines:
         print(line)

@@ -259,16 +259,26 @@ def _box_free(a: Formula, seen: set[int]) -> bool:
     return True
 
 
+# formula -> schemata, emptied when full, as `_TAUTOLOGIES`.  One attack
+# pass of the benchmark asks about 10,900 times for about 3,700 formulas.
+_AXIOMS: dict[Formula, frozenset[AxiomSchema]] = {}
+_AXIOM_CACHE_SIZE = 4096
+
+
 def match_axiom(a: Formula) -> frozenset[AxiomSchema]:
     """Every schema this formula instantiates.  Overlaps are possible.  A
     formula with a modal box instantiates none: the evidence language has
     no box, so no axiom instance contains one."""
-    if not _box_free(a, set()):
-        return frozenset()
-    out = _structural_schemata(a)
-    if is_tautology(a):
-        out.add(AxiomSchema.TAUT)
-    return frozenset(out)
+    out = _AXIOMS.get(a)
+    if out is None:
+        boxless = _box_free(a, set())
+        found = _structural_schemata(a) if boxless else set()
+        if boxless and is_tautology(a):
+            found.add(AxiomSchema.TAUT)
+        if len(_AXIOMS) >= _AXIOM_CACHE_SIZE:
+            _AXIOMS.clear()
+        out = _AXIOMS[a] = frozenset(found)
+    return out
 
 
 def is_axiom(a: Formula) -> bool:

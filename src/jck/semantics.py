@@ -646,16 +646,6 @@ def format_kripke_model(m: KripkeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_model(m: AFModel) -> str:
-    """The frame lines, then the evidence, mode and specification lines."""
-    lines = [f"evidence: (w{fact.world}, {print_term(fact.term)}, "
-             f"{print_formula(fact.formula)})" for fact in m.evidence_base]
-    lines.append(f"mode: {m.mode}")
-    if m.cs.kind == "totalC":
-        lines.append("cs: totalC")
-    return format_kripke_model(m) + "\n".join(lines) + "\n"
-
-
 def _world_id(token: str) -> int:
     if not token.startswith("w") or not token[1:].isdecimal():
         raise ParseError(f"bad world name {quoted(token)}; expected wN")
@@ -729,6 +719,8 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         key = key.strip()
         rest = rest.strip()
         if key == "h":
+            if h is not None:  # every line read so far was checked against h
+                raise ParseError("more than one h: line")
             h = integer(rest, "agent count")
             if h < 1:
                 raise ParseError("h must be at least 1")
@@ -803,7 +795,11 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             warnings.append(f"rel {i}: added {added} pairs "
                             "for reflexive-transitive closure")
     model = AFModel(h, worlds, frame, valuation, evidence, cs, mode)
-    report = _report(problems + _valuation_problems(model) + _evidence_problems(model))
+    # the parser has range-checked every evidence term and formula against
+    # the one h
+    report = _report(problems + _valuation_problems(model) + [
+        f"evidence at unknown world {fact.world}"
+        for fact in evidence if fact.world not in worlds])
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     return model, tuple(warnings)

@@ -32,10 +32,11 @@ assertion would.  `modal` parses it in place of `just`, and the one printer
 prints both languages.
 
 Nodes are frozen, slotted dataclasses that compute their structural hash
-once and keep it.  Equality is structural and cheap where it can be: the
-same object is equal at once, two nodes with cached hashes that differ are
-unequal at once, and otherwise the fields are compared as one tuple, whose
-compare skips children the two trees share.
+once and keep it: the hash of their class's fixed int tag and their fields.
+Equality is structural and cheap where it can be: the same object is equal
+at once, two nodes with cached hashes that differ are unequal at once, and
+otherwise the fields are compared as one tuple, whose compare skips children
+the two trees share.
 
 Text is read and written at the speed of the text, not of the tree.  The
 lexer is one regex pass over the text and classifies each distinct lexeme
@@ -53,6 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
+from itertools import count
 
 from .errors import InvalidInput, ParseError, ResourceError, SortError, quoted
 
@@ -71,20 +73,23 @@ class _Node:
 # a frozen dataclass refuses attribute assignment; the slot's own setter is
 # the cheapest way past it
 _set_hash = _Node._hash.__set__
+_TAGS = count()  # the next node class's tag
 
 # Hash and equality of every node class, written once here and specialized
 # by `_node` to the class's compare fields, the way dataclass writes its own
 # methods: one frame each, reading the fields directly (one shared method
 # reading them through a getter took about twice as long a call).  The hash
-# is the dataclass one's value, the hash of the tuple of compare fields, so
-# sets and dicts keep their iteration order.  A Sum and an App of the same
-# fields share that hash; nodes of two classes are unequal at once, sparing
-# the reflected call.
+# is that of the class's tag, an int numbering the node classes in
+# definition order (a str's hash would change from process to process),
+# followed by the compare fields: a Sum and an App of the same fields, or a
+# Head and a Tail of the same child, hash apart, so sets and dicts of mixed
+# nodes walk no collision chains.  Nodes of two classes are unequal at once,
+# sparing the reflected call.
 _METHODS = """
 def __hash__(self):
     h = self._hash
     if h is None:
-        h = hash(({mine}))
+        h = hash(({tag}, {mine}))
         _set_hash(self, h)
     return h
 
@@ -103,11 +108,12 @@ def __eq__(self, other):
 
 
 def _node(cls):
-    """`cls` as a frozen, slotted node dataclass with `_METHODS`."""
+    """`cls` as a frozen, slotted node dataclass with `_METHODS` and a tag."""
     cls = dataclass(frozen=True, slots=True, eq=False)(cls)
     names = [f.name for f in fields(cls) if f.compare]
+    cls._tag = next(_TAGS)
     methods: dict = {}
-    exec(_METHODS.format(mine="".join(f"self.{n}, " for n in names),
+    exec(_METHODS.format(tag=cls._tag, mine="".join(f"self.{n}, " for n in names),
                          theirs="".join(f"other.{n}, " for n in names)),
          globals(), methods)
     for name, method in methods.items():
@@ -619,6 +625,27 @@ def _formula_text(a: Formula, memo: dict[int, str]) -> str:
 # with 250 frames left for its callers.  The canonical text of a tree within
 # the cap is within it.
 MAX_DEPTH = 250
+
+
+def check_depth(roots, what: str) -> None:
+    """Raise ResourceError if a tree among `roots` nests deeper than
+    `MAX_DEPTH`, counted as `Parser._term` and `Parser._formula` count: a
+    leaf is 0 deep, any other node one deeper than its deepest child term or
+    formula.  One explicit stack, with depths memoized by id, since a tree
+    built rather than parsed (a lifted proof) shares its subtrees."""
+    depth: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        x = stack[-1]
+        kids = x.items if x.__class__ is Tuple else [
+            v for v in map(x.__getattribute__, x.__match_args__) if isinstance(v, (Term, Formula))]
+        todo = [k for k in kids if id(k) not in depth]
+        stack += todo
+        if not todo:
+            stack.pop()
+            depth[id(x)] = d = max([depth[id(k)] + 1 for k in kids], default=0)
+            if d > MAX_DEPTH:
+                raise ResourceError(f"{what} nests deeper than {MAX_DEPTH} levels")
 
 _TOKEN_RE = re.compile(
     r"""

@@ -1,7 +1,8 @@
 """Shared fixture builders for the test suite."""
 
 from jck.deduction import Axiom, AxiomSchema, Builder, Derivation, Step
-from jck.syntax import And, Imp, Just, Or, Prop, Tail, Var, C, E
+from jck.semantics import AFModel, format_kripke_model
+from jck.syntax import And, Imp, Just, Or, Prop, Tail, Var, C, E, print_formula, print_term
 from jck.synthesis import e_application, necessitate
 
 
@@ -25,3 +26,14 @@ def build_induction2_input(alloc, h=2):
                 b.include(app_d)]
     b.by_taut(premises, Imp(bb, Just(app_term, E, ab)))
     return a, bb, app_term, b.build()
+
+
+def format_model(m: AFModel) -> str:
+    """The text form of an evidence model, which `parse_model_file` reads:
+    the frame lines, then the evidence, mode and specification lines."""
+    lines = [f"evidence: (w{fact.world}, {print_term(fact.term)}, "
+             f"{print_formula(fact.formula)})" for fact in m.evidence_base]
+    lines.append(f"mode: {m.mode}")
+    if m.cs.kind == "totalC":
+        lines.append("cs: totalC")
+    return format_kripke_model(m) + "\n".join(lines) + "\n"

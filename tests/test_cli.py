@@ -1,6 +1,7 @@
 """Command-line front end.  Exit codes: 0 accept/true/clean, 1 logical
 rejection, 2 malformed input or missing file."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jck
-from conftest import build_induction2_input
+from conftest import build_induction2_input, format_model
 from jck.cli import main
 from jck.deduction import (
     Axiom, AxiomSchema, Derivation, Step, check_derivation, print_derivation,
@@ -19,10 +20,12 @@ from jck.modal import (
     attack_kripke_model, forgetful, format_kripke_model, parse_kripke_file,
 )
 from jck.semantics import (
-    attack_four_world_model, attack_singleton_model, format_model, satisfies,
+    attack_four_world_model, attack_singleton_model, satisfies,
 )
 from jck.synthesis import ConstantAllocator, c_reflexivity
-from jck.syntax import C, Just, Prop, Var, parse_formula, print_formula
+from jck.syntax import (
+    MAX_DEPTH, C, Just, Parser, Prop, Var, parse_formula, print_formula,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 REFL_TEXT = print_derivation(c_reflexivity(Var(1, C), Prop(1)))
@@ -363,6 +366,28 @@ def test_validate(attack_afm, attack_krm, single_afm, tmp_path, capsys):
     assert main(["validate", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("h: 2\nworlds: w0\nevidence: (w0, c1@3, P1)\n", "agent index 3 outside 1..2"),
+    ("h: 2\nworlds: w0\nevidence: (w0, c1@1, [x1@3]@3 P1)\n", "agent index 3 outside 1..2"),
+    ("h: 2\nworlds: w0\nevidence: (w0, pi_3(x1@E), P1)\n", "agent index 3 outside 1..2"),
+    ("h: 2\nworlds: w0\nevidence: (w0, !3(x1@3), P1)\n", "agent index 3 outside 1..2"),
+    ("h: 2\nworlds: w0\nevidence: (w0, <x1@1>, P1)\n",
+     "tuple arity 1 does not match agent count 2"),
+    # evidence is read against the h in force, so no later h: line may
+    # change it
+    ("h: 2\nworlds: w0\nevidence: (w0, c1@2, P1)\nh: 1\n", "more than one h: line"),
+    ("h: 2\nworlds: w0\nevidence: (w0, <x1@1, x1@2>, P1)\nh: 1\n", "more than one h: line"),
+    ("h: 1\nh: 1\nworlds: w0\n", "more than one h: line"),
+], ids=["const", "assertion", "proj", "bang", "tuple", "late-h", "late-h-tuple", "same-h"])
+def test_out_of_range_evidence_exits_2(tmp_path, capsys, text, message):
+    # the parser range-checks evidence against h; the loader adds no check
+    path = tmp_path / "range.afm"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", ["modes: 3", "csv: 3"])
 def test_validate_kripke_reads_keys_not_prefixes(tmp_path, capsys, line):
     # only a `mode` or `cs` key is ignored; a key that merely starts with one
@@ -500,7 +525,7 @@ def test_demo_attack(capsys):
     assert "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2], ids=["depth0", "depth1", "depth2"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3], ids=["depth0", "depth1", "depth2", "depth3"])
 def test_demo_attack_matches_golden(depth, capsys):
     assert main(["demo-attack", "--depth", str(depth)]) == 0
     golden = (GOLDEN / f"demo_attack_depth{depth}.txt").read_text()
@@ -537,3 +562,55 @@ def test_deep_nesting_exits_2_without_traceback(kind, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "nesting deeper than" in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _mp_chain(path, steps: int) -> str:
+    """A derivation of P1 -> P1 by `steps` modus ponens steps in a row."""
+    lines = ["1. P1 -> P1 ; axiom Taut"]
+    for k in range(1, 2 * steps, 2):
+        lines += [f"{k + 1}. (P1 -> P1) -> P1 -> P1 ; axiom Taut",
+                  f"{k + 2}. P1 -> P1 ; mp {k + 1} {k}"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_lifting_a_long_chain_exits_2_without_traceback(tmp_path):
+    # the lifted conclusion nests about one level per step; printing it
+    # recursed past the interpreter's limit
+    proc = run_jck("lift", _mp_chain(tmp_path / "chain.drv", 1000), "--target", "C")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the result nests deeper than 250 levels\n"
+
+
+@pytest.mark.parametrize("target, digest", [
+    ("1", "9467ee5f1445a70a6e07e3c5c8a366764a74048b8cb2a3895b5a7c2248bd8b95"),
+    ("C", "0a44cf6cca758f229378c798b0c5407fe682769b52d8ab157d38b209076150ec"),
+])
+def test_lifted_chain_within_the_cap_prints_and_reads_back(tmp_path, capsys, target, digest):
+    assert main(["lift", _mp_chain(tmp_path / "chain.drv", 100), "--target", target]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _check_lifted(tmp_path, capsys, out)
+
+
+def test_lifted_chain_at_the_cap_reads_back_and_one_step_more_is_refused(tmp_path, capsys):
+    # lifted to C, 247 steps nest exactly MAX_DEPTH levels as the parser
+    # counts them, and 248 steps one level more
+    assert main(["lift", _mp_chain(tmp_path / "chain.drv", 247), "--target", "C"]) == 0
+    out = capsys.readouterr().out
+    formulas = [line.split(". ", 1)[1].rsplit(" ; ", 1)[0]
+                for line in out.splitlines() if re.match(r"\d+\. ", line)]
+    assert max(Parser(f, 1)._formula(0)[1] for f in formulas) == MAX_DEPTH
+    _check_lifted(tmp_path, capsys, out)
+    assert main(["lift", _mp_chain(tmp_path / "chain.drv", 248), "--target", "C"]) == 2
+    assert capsys.readouterr() == ("", "error: the result nests deeper than 250 levels\n")
+
+
+def _check_lifted(tmp_path, capsys, out: str) -> None:
+    """`jck check` accepts the derivation that `lift` printed as `out`."""
+    lifted = tmp_path / "lifted.drv"
+    lifted.write_text("".join(line for line in out.splitlines(keepends=True)
+                              if not line.startswith(("term:", "constant "))))
+    assert main(["check", str(lifted)]) == 0
+    assert capsys.readouterr().out.startswith("accepted\n")

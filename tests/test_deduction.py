@@ -239,6 +239,48 @@ def test_formulas_with_a_modal_box_instantiate_no_schema():
     assert match_axiom(Imp(Prop(1), Prop(1))) == {AxiomSchema.TAUT}
 
 
+def _schemata_uncached(a):
+    """`match_axiom` without its memo or the tautology memo."""
+    if not deduction._box_free(a, set()):
+        return frozenset()
+    out = deduction._structural_schemata(a)
+    if deduction._is_tautology(a):
+        out.add(AxiomSchema.TAUT)
+    return frozenset(out)
+
+
+def test_axiom_memo_empties_when_full_and_keeps_verdicts(monkeypatch):
+    monkeypatch.setattr(deduction, "_AXIOM_CACHE_SIZE", 16)
+    deduction._AXIOMS.clear()
+    rng = random.Random(11)
+    formulas = []
+    for k in range(120):
+        schema = list(AxiomSchema)[k % len(AxiomSchema)]
+        formulas.append(random_axiom_instance(rng, schema, 2, depth=rng.randint(0, 1)))
+        formulas.append(random_formula(rng, 2, rng.randint(0, 3)))
+    formulas.append(Imp(Box(agent(1), Prop(1)), Box(agent(1), Prop(1))))
+    emptied = 0
+    for a in formulas + formulas[::-1] + rng.sample(formulas, 60):
+        before = len(deduction._AXIOMS)
+        assert match_axiom(a) == _schemata_uncached(a), print_formula(a)
+        assert len(deduction._AXIOMS) <= 16
+        emptied += len(deduction._AXIOMS) < before
+    assert emptied > 0
+    deduction._AXIOMS.clear()
+
+
+def test_axiom_memo_never_caches_a_resource_error():
+    deduction._AXIOMS.clear()
+    parts = [Prop(i) for i in range(1, deduction.MAX_ATOMS + 2)]
+    wide = Imp(conj(parts), Prop(1))
+    for _ in range(3):
+        with pytest.raises(ResourceError):
+            match_axiom(wide)
+        with pytest.raises(ResourceError):
+            is_axiom(wide)
+    assert wide not in deduction._AXIOMS
+
+
 def test_random_formulas_rarely_axioms():
     # sanity: the matcher does not accept everything
     rng = random.Random(6)

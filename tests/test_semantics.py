@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import format_model
 from jck import modal, semantics
 from jck.acceptance import naive_saturate
 from jck.deduction import ConstantSpecification
@@ -12,7 +13,7 @@ from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
 from jck.gen import random_formula, random_term
 from jck.semantics import (
     AFModel, EvidenceFact, KripkeModel, SaturationUniverse, attack_four_world_model,
-    attack_singleton_model, build_universe, evidence_holds, format_model, holds,
+    attack_singleton_model, build_universe, evidence_holds, holds,
     parse_cs_table, parse_model_file, random_model, reach_C,
     reflexive_transitive_closure, satisfies, saturate, transitive_closure,
     valid_in_model, validate_model,

@@ -8,6 +8,7 @@ import re
 import pytest
 
 from jck import deduction, syntax
+from jck.acceptance import attack_term_families
 from jck.errors import InvalidInput, ParseError, ResourceError, SortError
 from jck.gen import random_derivation, random_formula, random_sort, random_term
 from jck.modal import parse_modal_formula
@@ -327,12 +328,37 @@ def _random_tree(seed):
     return random_formula(rng, h, rng.randint(0, 4))
 
 
-def test_hash_is_the_tuple_hash_of_the_compare_fields():
+def test_hash_is_the_tagged_tuple_hash_of_the_compare_fields():
     for seed in range(150):
         for node in _nodes(_random_tree(seed)):
             fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node) if f.compare)
-            assert hash(node) == hash(fields)
-            assert hash(node) == hash(fields)  # cached
+            tag = type(node)._tag
+            assert type(tag) is int
+            first = hash(node)
+            assert first == hash((tag, *fields))
+            assert hash(node) == first  # cached
+
+
+def test_node_classes_have_distinct_tags():
+    classes = [Sort, Const, Var, Bang, Sum, App, Tuple, Proj, Head, Tail, Ind,
+               Prop, Neg, And, Or, Imp, Just, Box]
+    assert len({cls._tag for cls in classes}) == len(classes)
+
+
+def test_classes_with_the_same_fields_hash_apart():
+    x, y = Var(1, C), Const(2, C)
+    assert hash(Sum(x, y, C)) != hash(App(x, y, C))
+    assert hash(Head(x)) != hash(Tail(x))
+    assert hash(And(Prop(1), Prop(2))) != hash(Or(Prop(1), Prop(2)))
+
+
+def test_attack_candidate_families_hash_all_distinct():
+    # with the fields' hash alone these families had 252 and 181 distinct
+    # hashes, so every lookup among them walked a collision chain
+    fam2, fam_c = attack_term_families(3)
+    assert (len(fam2), len(fam_c)) == (3263, 2185)
+    assert len({hash(t) for t in fam2}) == len(fam2)
+    assert len({hash(t) for t in fam_c}) == len(fam_c)
 
 
 def test_equality_is_structural():
@@ -437,6 +463,12 @@ def test_nesting_at_the_cap_round_trips_and_one_more_level_is_refused(construct)
     if kind != "modal":
         assert deduction.is_tautology(Imp(a, a))
     holds(attack_kripke_model(), 0, a)
+    # `check_depth` counts as the parser does (parentheses build no node)
+    syntax.check_depth([x], "x")
+    deeper = Sum(x, x, x.sort) if kind == "term" else Neg(x)
+    if construct != "(":
+        with pytest.raises(ResourceError, match=f"^x nests deeper than {MAX_DEPTH} levels$"):
+            syntax.check_depth([Prop(1), deeper], "x")
     kind, text = _nested(construct, MAX_DEPTH + 1)
     with pytest.raises(ResourceError, match=f"nesting deeper than {MAX_DEPTH} levels"):
         _PARSERS[kind](text, 2)
