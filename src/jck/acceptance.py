@@ -206,14 +206,8 @@ def check_synthesis_contracts(seed: int = 0) -> CriterionResult:
         target = targets[k % 3] if targets[k % 3] != agent(1) else agent(rng.randint(1, h))
         ctx = LiftingContext.from_derivation(d)
         term, lifted = lift(d, target, ctx, ConstantAllocator(), h=h)
-        counts["lift"] = counts.get("lift", 0) + 1
+        run("lift", k, lifted, Just(term, target, d.conclusion))
         label = f"lift[{k}]"
-        report = check_derivation(lifted, total, fragment="full")
-        if not report:
-            _collect(failures, label, f"kernel: {report.status} at step {report.step}")
-        want = Just(term, target, d.conclusion)
-        if lifted.conclusion != want:
-            _collect(failures, label, "conclusion differs from the stated shape")
         n_boxed = len(ctx.boxed)
         front = lifted.hypotheses[:n_boxed]
         back = lifted.hypotheses[n_boxed:]
@@ -270,30 +264,20 @@ def check_synthesis_contracts(seed: int = 0) -> CriterionResult:
             d = Derivation((random_formula(rng, h, 1),), d.steps)
         hyp = d.hypotheses[rng.randrange(len(d.hypotheses))]
         out = deduction_theorem(d, hyp, total)
-        counts["deduction_theorem"] = counts.get("deduction_theorem", 0) + 1
-        label = f"deduction_theorem[{k}]"
-        report = check_derivation(out, total)
-        if not report:
-            _collect(failures, label, f"kernel: {report.status} at step {report.step}")
-        if out.conclusion != Imp(hyp, d.conclusion):
-            _collect(failures, label, "conclusion differs from the stated shape")
+        run("deduction_theorem", k, out, Imp(hyp, d.conclusion))
         if out.hypotheses != tuple(f for f in d.hypotheses if f != hyp):
-            _collect(failures, label, "hypothesis list not reduced correctly")
+            _collect(failures, f"deduction_theorem[{k}]", "hypothesis list not reduced correctly")
 
     for k in range(50):
         h = rng.randint(1, 3)
         d = random_derivation(rng, h, n_extra=rng.randint(1, 4))
         x = translate_derivation_x(d, total)
-        counts["translate_derivation_x"] = counts.get("translate_derivation_x", 0) + 1
-        label = f"translate_derivation_x[{k}]"
-        report = check_derivation(x.derivation, x.cs, fragment="agent")
-        if not report:
-            _collect(failures, label, f"kernel: {report.status} at step {report.step}")
-        if x.derivation.conclusion != conservative_projection(d.conclusion):
-            _collect(failures, label, "conclusion is not the projected image")
+        run("translate_derivation_x", k, x.derivation, conservative_projection(d.conclusion),
+            x.cs, "agent")
         if x.derivation.hypotheses != tuple(conservative_projection(f)
                                             for f in d.hypotheses):
-            _collect(failures, label, "hypotheses are not the projected images")
+            _collect(failures, f"translate_derivation_x[{k}]",
+                     "hypotheses are not the projected images")
 
     elapsed = time.monotonic() - started
     low = [op for op, n in counts.items() if n < 50]

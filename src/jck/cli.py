@@ -14,7 +14,7 @@ import sys
 
 from .errors import JckError, ParseError, quoted
 from .syntax import (
-    Parser, Sort, check_depth, integer, parse_formula, parse_term,
+    Parser, Sort, check_size, integer, parse_formula, parse_term,
     print_formula, print_term,
 )
 from .deduction import (
@@ -42,10 +42,7 @@ def _read_text(path: str) -> str:
 
 
 def _parse_sort(text: str, h: int) -> Sort:
-    p = Parser(text, h)
-    sort = p.parse_sort_token()
-    p.expect_end()
-    return sort
+    return Parser(text, h).entire(Parser.parse_sort_token)
 
 
 def _parse_world(text: str) -> int:
@@ -117,8 +114,8 @@ def _internalize(args, build) -> int:
         return _report_check(report)
     alloc = ConstantAllocator()
     term, lines, out = build(d, alloc)
-    check_depth([term, *alloc.memo, *out.hypotheses, *(s.formula for s in out.steps)],
-                "the result")
+    check_size([term, *alloc.memo, *out.hypotheses, *(s.formula for s in out.steps)],
+               "the result")
     print(f"term: {print_term(term)}")
     for line in lines:
         print(line)
@@ -439,10 +436,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except JckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (JckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

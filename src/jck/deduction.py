@@ -16,9 +16,8 @@ from enum import Enum
 from .errors import InvalidInput, ParseError, ResourceError, quoted
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
-    Proj, Prop, Sort, Sum, Tail, Term, Tuple, agent, bound_problems, conjuncts,
-    integer, parse_formula, parse_term, print_formula, print_formulas,
-    print_term, subterms,
+    Proj, Prop, Reader, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
+    conjuncts, integer, print_formula, print_formulas, print_term, walk,
 )
 
 
@@ -43,21 +42,15 @@ AGENT_FRAGMENT_SCHEMATA = frozenset({
 })
 
 
-def is_agent_fragment_term(t: Term) -> bool:
-    """True when `t` mentions no E- or C-sorted machinery at all."""
-    return all(u.sort.is_agent for u in subterms(t))
-
-
-def is_agent_fragment_formula(a: Formula) -> bool:
-    if isinstance(a, Prop):
-        return True
-    if isinstance(a, Neg):
-        return is_agent_fragment_formula(a.body)
-    if isinstance(a, (And, Or, Imp)):
-        return is_agent_fragment_formula(a.left) and is_agent_fragment_formula(a.right)
-    if isinstance(a, Just):
-        return a.sort.is_agent and is_agent_fragment_term(a.term) and is_agent_fragment_formula(a.body)
-    return False
+def is_agent_fragment(nodes: list[Term | Formula]) -> bool:
+    """True when every node of `nodes`, as `walk` lists them, belongs to the
+    single-agent language: no modal box, and no E- or C-sorted term or
+    assertion."""
+    for x in nodes:
+        cls = x.__class__
+        if cls is Box or ((cls is Just or isinstance(x, Term)) and not x.sort.is_agent):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +231,9 @@ def _structural_schemata(a: Formula) -> set[AxiomSchema]:
     return out
 
 
-def _box_free(a: Formula, seen: set[int]) -> bool:
-    """No modal `Box` anywhere in `a`.  `seen` holds the ids of formulas
-    already walked, which the caller keeps alive; a walk that finds a box
-    leaves it unusable."""
-    stack = [a]
-    while stack:
-        f = stack.pop()
-        if id(f) in seen:
-            continue
-        seen.add(id(f))
-        cls = f.__class__
-        if cls is Box:
-            return False
-        if cls is Neg or cls is Just:
-            stack.append(f.body)
-        elif cls is And or cls is Or or cls is Imp:
-            stack.append(f.left)
-            stack.append(f.right)
-    return True
+def _box_free(nodes: list[Term | Formula]) -> bool:
+    """No modal `Box` among `nodes`, as `walk` lists them."""
+    return not any([x.__class__ is Box for x in nodes])
 
 
 # formula -> schemata, emptied when full, as `_TAUTOLOGIES`.  One attack
@@ -271,7 +248,7 @@ def match_axiom(a: Formula) -> frozenset[AxiomSchema]:
     no box, so no axiom instance contains one."""
     out = _AXIOMS.get(a)
     if out is None:
-        boxless = _box_free(a, set())
+        boxless = _box_free(walk([a], terms=False))
         found = _structural_schemata(a) if boxless else set()
         if boxless and is_tautology(a):
             found.add(AxiomSchema.TAUT)
@@ -472,20 +449,22 @@ def check_derivation(d: Derivation, cs: ConstantSpecification,
     def fail(k, status, message):
         return CheckReport(False, k, status, message)
 
-    box_free: set[int] = set()
+    # ids of the nodes of every step screened so far; each screen below
+    # judges each node alone, and all of them passed every node in the set
+    screened: set[int] = set()
     for k, step in enumerate(d.steps, start=1):
         f = step.formula
         rule = step.rule
         # a modus-ponens conclusion is a subformula of an earlier, screened
-        # step, and each screen below passes to subformulas
+        # step
         if not isinstance(rule, MP):
-            if not _box_free(f, box_free):
+            nodes = walk([f], screened)
+            if not _box_free(nodes):
                 return fail(k, "IllFormed", f"step formula has a modal box: {print_formula(f)}")
-            if h is not None:
-                problems = bound_problems(f, h)
-                if problems:
-                    return fail(k, "IllFormed", problems[0])
-            if fragment == "agent" and not is_agent_fragment_formula(f):
+            problems = [] if h is None else bound_problems(nodes, h)
+            if problems:
+                return fail(k, "IllFormed", problems[0])
+            if fragment == "agent" and not is_agent_fragment(nodes):
                 return fail(k, "NotInFragment", f"step formula leaves the single-agent fragment: {print_formula(f)}")
         if isinstance(rule, Hyp):
             if not 1 <= rule.index <= len(d.hypotheses):
@@ -585,7 +564,12 @@ _SCHEMA_BY_ID = {s.value: s for s in AxiomSchema}
 
 
 def parse_derivation(text: str, h: int) -> Derivation:
-    """Read the derivation file format: `hyp:` lines first, then numbered steps."""
+    """Read the derivation file format: `hyp:` lines first, then numbered
+    steps.  One `Reader` reads every formula and constant of the file, so
+    equal subformulas on different lines are one object, and a formula whose
+    text an earlier line already held (a restated consequent) is not parsed
+    again; the reader's tables and memo end with the call."""
+    reader = Reader(h)
     hypotheses: list[Formula] = []
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -595,7 +579,7 @@ def parse_derivation(text: str, h: int) -> Derivation:
         if line.startswith("hyp:"):
             if steps:
                 raise ParseError(f"line {lineno}: hypotheses must precede all steps")
-            hypotheses.append(parse_formula(line[len("hyp:"):].strip(), h))
+            hypotheses.append(reader.formula(line[len("hyp:"):].strip()))
             continue
         m = _STEP_RE.match(line)
         if m is None:
@@ -607,7 +591,7 @@ def parse_derivation(text: str, h: int) -> Derivation:
         if ";" not in body:
             raise ParseError(f"line {lineno}: missing `; <rule>`")
         formula_text, rule_text = body.split(";", 1)
-        formula = parse_formula(formula_text.strip(), h)
+        formula = reader.formula(formula_text.strip())
         parts = rule_text.strip().split()
         if not parts:
             raise ParseError(f"line {lineno}: empty rule")
@@ -623,7 +607,7 @@ def parse_derivation(text: str, h: int) -> Derivation:
             rule = MP(integer(parts[1], f"line {lineno}: step index"),
                       integer(parts[2], f"line {lineno}: step index"))
         elif name == "axnec" and len(parts) == 2:
-            const = parse_term(parts[1], h)
+            const = reader.term(parts[1])
             if not isinstance(const, Const):
                 raise ParseError(f"line {lineno}: axnec needs a constant, got {quoted(parts[1])}")
             rule = AxNec(const)

@@ -25,12 +25,12 @@ from functools import partial
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, Builder,
     ConstantSpecification, Derivation, Hyp, MP, check_derivation,
-    is_agent_fragment_formula, is_agent_fragment_term, match_axiom,
+    is_agent_fragment, match_axiom,
 )
 from .errors import InvalidInput, quoted
 from .syntax import (
     And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, agent, conjuncts,
-    print_formula,
+    print_formula, walk,
 )
 from .semantics import (  # noqa: F401  (re-exported frame API)
     KripkeModel, attack_kripke_model, format_kripke_model, holds,
@@ -54,10 +54,7 @@ class _ModalParser(Parser):
 
 
 def parse_modal_formula(text: str, h: int) -> Formula:
-    p = _ModalParser(text, h)
-    a = p.parse_formula()
-    p.expect_end()
-    return a
+    return _ModalParser(text, h).entire(Parser.parse_formula)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +87,7 @@ def realizes(r: Formula, a: Formula) -> bool:
 
 def _projected(j: Just, body: Formula) -> Formula:
     # a single group- or common-sorted subterm disqualifies the whole box
-    return Just(j.term, j.sort, body) if is_agent_fragment_term(j.term) else body
+    return Just(j.term, j.sort, body) if is_agent_fragment(walk([j.term])) else body
 
 
 def conservative_projection(a: Formula) -> Formula:
@@ -123,8 +120,8 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, b: Builder) -> int:
     if schema == AxiomSchema.APP:
         boxed_imp = a.left
         boxed_minor = a.right.left
-        t_kept = is_agent_fragment_term(boxed_imp.term)
-        s_kept = is_agent_fragment_term(boxed_minor.term)
+        t_kept = is_agent_fragment(walk([boxed_imp.term]))
+        s_kept = is_agent_fragment(walk([boxed_minor.term]))
         if t_kept and s_kept:
             return b.axiom(AxiomSchema.APP, image)
         if t_kept:
@@ -134,13 +131,13 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, b: Builder) -> int:
             minor = conservative_projection(boxed_minor)
             return b.by_taut([b.axiom(AxiomSchema.REFL, Imp(minor, minor.body))], image)
     elif schema in (AxiomSchema.SUML, AxiomSchema.SUMR):
-        sum_kept = is_agent_fragment_term(a.right.term) if isinstance(a.right, Just) else False
+        sum_kept = is_agent_fragment(walk([a.right.term])) if isinstance(a.right, Just) else False
         if sum_kept:
             return b.axiom(schema, image)
-        if is_agent_fragment_term(a.left.term):
+        if is_agent_fragment(walk([a.left.term])):
             return b.axiom(AxiomSchema.REFL, image)
     elif schema in (AxiomSchema.REFL, AxiomSchema.INSP):
-        if is_agent_fragment_term(a.left.term):
+        if is_agent_fragment(walk([a.left.term])):
             return b.axiom(schema, image)
     elif schema == AxiomSchema.TUPLING:
         # flatten before projecting: a projected conjunct may itself be an And
@@ -176,7 +173,7 @@ def translate_checked_x(d: Derivation, cs: ConstantSpecification) -> XTranslatio
             if c.sort.is_agent:
                 image = conservative_projection(body)
                 members.append((c.index, c.sort, image))
-                if not (is_agent_fragment_formula(image)
+                if not (is_agent_fragment(walk([image]))
                         and any(s in AGENT_FRAGMENT_SCHEMATA for s in match_axiom(image))):
                     flagged.append((c.index, c.sort, image))
     cs_x = ConstantSpecification.extensional(members, validate=False)

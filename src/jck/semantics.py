@@ -31,7 +31,7 @@ from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
     Parser, Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
     integer, parse_formula, parse_term, print_formula, print_term, subformulas,
-    subterms,
+    subterms, walk,
 )
 
 Pair = tuple[int, int]
@@ -177,7 +177,7 @@ def _evidence_problems(m: AFModel) -> list[str]:
     for fact in m.evidence_base:
         if fact.world not in m.worlds:
             problems.append(f"evidence at unknown world {fact.world}")
-        for issue in bound_problems(fact.term, m.h) + bound_problems(fact.formula, m.h):
+        for issue in bound_problems(walk([fact.term, fact.formula]), m.h):
             problems.append(f"evidence ({fact.world}, {print_term(fact.term)}, "
                             f"{print_formula(fact.formula)}): {issue}")
     return problems

@@ -43,10 +43,13 @@ lexer is one regex pass over the text and classifies each distinct lexeme
 once, in a bounded module cache.  The parser is precedence climbing: one
 loop over an explicit stack for terms and one for formulas, so nesting costs
 no interpreter frame; input nested deeper than `MAX_DEPTH` raises
-ResourceError, since every later walk of a tree recurses per level.  The
-printers keep one memo per call, by identity, of the text of every term and
-formula printed, so a subformula shared across a lifted proof is printed
-once.
+ResourceError, since every later walk of a tree recurses per level.  A
+`Reader` reads one file's texts with one node table, so equal subtrees on
+different lines are one object, and a memo, so a text read again (a restated
+consequent) is not parsed again.  The printers keep one memo per call, by
+identity, of the text of every term and formula printed, so a subformula
+shared across a lifted proof is printed once.  `walk` visits each object of
+a set of trees once, by identity, on an explicit stack.
 """
 
 from __future__ import annotations
@@ -84,8 +87,12 @@ _TAGS = count()  # the next node class's tag
 # followed by the compare fields: a Sum and an App of the same fields, or a
 # Head and a Tail of the same child, hash apart, so sets and dicts of mixed
 # nodes walk no collision chains.  Nodes of two classes are unequal at once,
-# sparing the reflected call.
+# sparing the reflected call.  `_children` gives the node's child terms and
+# formulas, in field order, for the walks that visit every node.
 _METHODS = """
+def _children(self):
+    return {kids}
+
 def __hash__(self):
     h = self._hash
     if h is None:
@@ -111,10 +118,12 @@ def _node(cls):
     """`cls` as a frozen, slotted node dataclass with `_METHODS` and a tag."""
     cls = dataclass(frozen=True, slots=True, eq=False)(cls)
     names = [f.name for f in fields(cls) if f.compare]
+    kids = "".join(f"self.{f.name}, " for f in fields(cls) if f.type in ("Term", "Formula"))
     cls._tag = next(_TAGS)
     methods: dict = {}
     exec(_METHODS.format(tag=cls._tag, mine="".join(f"self.{n}, " for n in names),
-                         theirs="".join(f"other.{n}, " for n in names)),
+                         theirs="".join(f"other.{n}, " for n in names),
+                         kids="self.items" if "items" in names else f"({kids})"),
          globals(), methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -437,42 +446,33 @@ def conjuncts(a: Formula) -> list[Formula]:
 # traversal helpers
 
 
+def walk(roots, seen: set[int] | None = None, terms: bool = True) -> list[Term | Formula]:
+    """Every term and formula in the trees of `roots` whose id is not in
+    `seen`, each object once, with its id added to `seen`; with `terms`
+    false, the walk does not enter the terms of justified assertions.  One
+    explicit stack, so depth costs no frame.  One set passed to several
+    walks visits an object shared between them once; its owner keeps the
+    walked trees alive meanwhile, so no id is reused."""
+    seen = set() if seen is None else seen
+    out = []
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            out.append(x)
+            stack += x._children() if terms or x.__class__ is not Just else (x.body,)
+    return out
+
+
 def subterms(t: Term) -> frozenset[Term]:
     """All subterms of `t`, including `t` itself."""
-    out: set[Term] = set()
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        if isinstance(cur, (Bang, Proj, Head, Tail)):
-            stack.append(cur.t)
-        elif isinstance(cur, (Sum, App, Ind)):
-            stack.append(cur.t)
-            stack.append(cur.s)
-        elif isinstance(cur, Tuple):
-            stack.extend(cur.items)
-    return frozenset(out)
+    return frozenset(walk([t]))
 
 
 def subformulas(a: Formula) -> frozenset[Formula]:
     """All subformulas of `a`, including `a`; does not descend into terms."""
-    out: set[Formula] = set()
-    stack = [a]
-    while stack:
-        cur = stack.pop()
-        if cur in out:
-            continue
-        out.add(cur)
-        if isinstance(cur, Neg):
-            stack.append(cur.body)
-        elif isinstance(cur, (And, Or, Imp)):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, (Just, Box)):
-            stack.append(cur.body)
-    return frozenset(out)
+    return frozenset(walk([a], terms=False))
 
 
 def formula_terms(a: Formula) -> frozenset[Term]:
@@ -480,38 +480,27 @@ def formula_terms(a: Formula) -> frozenset[Term]:
     return frozenset(f.term for f in subformulas(a) if isinstance(f, Just))
 
 
-def _assertion_subterms(formulas: frozenset[Formula]) -> frozenset[Term]:
-    """Every subterm of the terms of the justified assertions among
-    `formulas`, which `subformulas` has already walked."""
-    terms = frozenset(f.term for f in formulas if isinstance(f, Just))
-    return frozenset().union(*[subterms(t) for t in terms])
-
-
 def variables_in(x: Term | Formula) -> frozenset[Var]:
-    terms = subterms(x) if isinstance(x, Term) else _assertion_subterms(subformulas(x))
-    return frozenset(t for t in terms if isinstance(t, Var))
+    return frozenset(v for v in walk([x]) if v.__class__ is Var)
 
 
-def bound_problems(x: Term | Formula, h: int) -> list[str]:
-    """Agent-bound and tuple-arity violations of `x` against agent count `h`."""
+def bound_problems(nodes: list[Term | Formula], h: int) -> list[str]:
+    """Agent-bound and tuple-arity violations against agent count `h` among
+    `nodes`, as `walk` lists them: each node is judged alone, not its
+    children."""
     problems = []
-    if isinstance(x, Term):
-        terms = subterms(x)
-        formulas: frozenset[Formula] = frozenset()
-    else:
-        formulas = subformulas(x)
-        terms = _assertion_subterms(formulas)
-    for t in terms:
-        s = t.sort
+    for x in nodes:
+        if isinstance(x, Formula):
+            if x.__class__ is Just and x.sort.is_agent and x.sort.index > h:
+                problems.append(f"assertion sort {x.sort} > h={h}")
+            continue
+        s = x.sort
         if s.is_agent and s.index > h:
-            problems.append(f"term {print_term(t)} uses agent {s.index} > h={h}")
-        if isinstance(t, Tuple) and len(t.items) != h:
-            problems.append(f"tuple {print_term(t)} has arity {len(t.items)}, expected {h}")
-        if isinstance(t, Proj) and t.agent > h:
-            problems.append(f"projection index {t.agent} > h={h}")
-    for f in formulas:
-        if isinstance(f, Just) and f.sort.is_agent and f.sort.index > h:
-            problems.append(f"assertion sort {f.sort} > h={h}")
+            problems.append(f"term {print_term(x)} uses agent {s.index} > h={h}")
+        if x.__class__ is Tuple and len(x.items) != h:
+            problems.append(f"tuple {print_term(x)} has arity {len(x.items)}, expected {h}")
+        if x.__class__ is Proj and x.agent > h:
+            problems.append(f"projection index {x.agent} > h={h}")
     return problems
 
 
@@ -627,25 +616,40 @@ def _formula_text(a: Formula, memo: dict[int, str]) -> str:
 MAX_DEPTH = 250
 
 
-def check_depth(roots, what: str) -> None:
+# The most characters `check_size` lets a set of trees print as.
+MAX_PRINTED = 64 << 20
+
+
+def check_size(roots, what: str) -> None:
     """Raise ResourceError if a tree among `roots` nests deeper than
-    `MAX_DEPTH`, counted as `Parser._term` and `Parser._formula` count: a
-    leaf is 0 deep, any other node one deeper than its deepest child term or
-    formula.  One explicit stack, with depths memoized by id, since a tree
-    built rather than parsed (a lifted proof) shares its subtrees."""
+    `MAX_DEPTH`, counted as `Parser._term` and `Parser._formula` count (a
+    leaf is 0 deep, any other node one deeper than its deepest child), or if
+    printing each of `roots` once would write more than `MAX_PRINTED`
+    characters.  The count is exact: a node's own characters, parentheses
+    around its children included, are the printer's text of it with each
+    child printed as nothing.  One explicit stack, with depths and lengths
+    memoized by id, since a tree built rather than parsed (a lifted proof)
+    shares its subtrees."""
     depth: dict[int, int] = {}
+    size: dict[int, int] = {}
     stack = list(roots)
     while stack:
         x = stack[-1]
-        kids = x.items if x.__class__ is Tuple else [
-            v for v in map(x.__getattribute__, x.__match_args__) if isinstance(v, (Term, Formula))]
+        kids = x._children()
         todo = [k for k in kids if id(k) not in depth]
         stack += todo
         if not todo:
             stack.pop()
+            blank = dict.fromkeys(map(id, kids), "")
+            own = _term_text(x, blank) if isinstance(x, Term) else _formula_text(x, blank)
+            size[id(x)] = len(own) + sum([size[id(k)] for k in kids])
             depth[id(x)] = d = max([depth[id(k)] + 1 for k in kids], default=0)
             if d > MAX_DEPTH:
                 raise ResourceError(f"{what} nests deeper than {MAX_DEPTH} levels")
+    total = sum([size[id(x)] for x in roots])
+    if total > MAX_PRINTED:
+        raise ResourceError(f"{what} would print {total} characters, over the cap of {MAX_PRINTED}")
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -777,22 +781,33 @@ _NO_OP = (0, 1)
 _BINARY = {1: Imp, 2: Or, 3: And}
 
 
+def _as_is(node, _):
+    return node
+
+
 class Parser:
     """Precedence climbing over the token list of one text, for agent count
     `h` (Pratt, POPL 1973): `_term` and `_formula` are each one loop over an
     explicit stack of pending operators and open brackets, so nesting costs
     no interpreter frame.  The modal parser subclasses it and overrides
-    `parse_prefix` only."""
+    `parse_prefix` only.
 
-    def __init__(self, text: str, h: int):
+    Every atom goes through `leaves`, by lexeme, so one text builds each
+    atom once.  Given `nodes`, as a `Reader` gives its file's table, the
+    leaves are kept there, and every node goes through it too: it maps each
+    node to the one object equal to it."""
+
+    def __init__(self, text: str, h: int, nodes: dict | None = None):
         if not isinstance(h, int) or h < 1:
             raise InvalidInput(f"agent count h must be a positive int, got {h!r}")
         self.h = h
         self.tokens = _tokenize(text)
         self.i = 0
-        # lexeme -> its term or proposition node, so that one text builds
-        # each atom once
-        self.leaves: dict[str, Term | Formula] = {}
+        self.leaves: dict = {} if nodes is None else nodes
+        self.intern = _as_is if nodes is None else nodes.setdefault
+        # where the text after each `->` outside parentheses starts, in what
+        # the last `_formula` read: the right spine's texts, left to right
+        self.arrows: list[int] = []
 
     # -- the cursor, for callers that read tokens around a term or formula
 
@@ -807,6 +822,12 @@ class Parser:
         tok = self.tokens[self.i]
         if tok[0] != "EOF":
             raise ParseError(f"unexpected trailing input {quoted(tok[1])}", tok[2])
+
+    def entire(self, read):
+        """What `read(self)` reads, which must end the text."""
+        x = read(self)
+        self.expect_end()
+        return x
 
     # -- shared pieces
 
@@ -867,6 +888,7 @@ class Parser:
         """The term from token `i` on: (term, its depth, index after it)."""
         tokens = self.tokens
         leaves = self.leaves
+        intern = self.intern
         stack: list = [_BOTTOM]
         parens = 0
         while True:
@@ -875,7 +897,8 @@ class Parser:
             if kind == "VAR" or kind == "CONST" or kind == "NCONST":
                 t = leaves.get(text)
                 if t is None:
-                    t = leaves[text] = self._atom(kind, pos, payload)
+                    t = self._atom(kind, pos, payload)
+                    t = leaves[text] = intern(t, t)
             elif kind == "(":
                 parens += 1
                 if parens > MAX_DEPTH:
@@ -909,6 +932,7 @@ class Parser:
                     stack.pop()
                     left = top[1]
                     t = (App if top[0] == 2 else Sum)(left, t, left.sort)
+                    t = intern(t, t)
                     d = (top[2] if top[2] > d else d) + 1
                     if d > MAX_DEPTH:
                         raise _too_deep(tokens[i][2])
@@ -933,6 +957,7 @@ class Parser:
                     if len(items) != self.h:
                         raise ParseError(f"tuple arity {len(items)} does not match agent count {self.h}", top[4])
                     t, d = Tuple(tuple(items)), top[3]
+                    t = intern(t, t)
                 elif kind != tag:
                     raise _expected(tag, tokens[i])
                 elif top is _OPEN:
@@ -946,6 +971,7 @@ class Parser:
                     break
                 else:
                     t = top[2](t)
+                    t = intern(t, t)
                     if top[3] > d:
                         d = top[3]
                 stack.pop()
@@ -961,6 +987,8 @@ class Parser:
         it)."""
         tokens = self.tokens
         leaves = self.leaves
+        intern = self.intern
+        self.arrows = arrows = []
         stack: list = [_BOTTOM]
         parens = 0
         while True:
@@ -968,7 +996,8 @@ class Parser:
             if kind == "PROP":
                 a = leaves.get(text)
                 if a is None:
-                    a = leaves[text] = Prop(payload)
+                    a = Prop(payload)
+                    a = leaves[text] = intern(a, a)
             elif kind == "~":
                 stack.append(_NEGATION)
                 i += 1
@@ -985,7 +1014,8 @@ class Parser:
                 if a is None:
                     if text in _RESERVED_NAMES or not _NAME_RE.match(text):
                         raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
-                    a = leaves[text] = Prop(text)
+                    a = Prop(text)
+                    a = leaves[text] = intern(a, a)
             else:
                 prefix = self.parse_prefix(i)
                 if prefix is None:
@@ -1001,6 +1031,7 @@ class Parser:
                 while top[0] < 0:  # prefix operators bind tightest
                     stack.pop()
                     a = top[1](a)
+                    a = intern(a, a)
                     d = (top[2] if top[2] > d else d) + 1
                     if d > MAX_DEPTH:
                         raise _too_deep(tokens[i][2])
@@ -1010,11 +1041,14 @@ class Parser:
                 while top[0] >= floor:
                     stack.pop()
                     a = _BINARY[top[0]](top[1], a)
+                    a = intern(a, a)
                     d = (top[2] if top[2] > d else d) + 1
                     if d > MAX_DEPTH:
                         raise _too_deep(tokens[i][2])
                     top = stack[-1]
                 if prec:
+                    if prec == 1 and not parens:
+                        arrows.append(tokens[i + 1][2])
                     stack.append((prec, a, d))
                     i += 1
                     break
@@ -1027,15 +1061,40 @@ class Parser:
                 i += 1
 
 
+class Reader:
+    """Reads the texts of one file, for agent count `h`, with one node table:
+    equal subtrees anywhere in the file are one object.  `formula` keeps a
+    memo of each text it read, and of the text after each `->` outside
+    parentheses in it, the exact text of that implication's right side (`->`
+    binds loosest, to the right); parsing is a pure function of (text, h),
+    so a text read again, such as the consequent a modus ponens step
+    restates, is looked up.  Two readers share no node."""
+
+    def __init__(self, h: int):
+        self.h = h
+        # node -> the one node equal to it, and lexeme -> its atom
+        self.nodes: dict = {}
+        self.texts: dict[str, Formula] = {}
+
+    def formula(self, text: str) -> Formula:
+        """`parse_formula(text, h)`; a failing text stores nothing."""
+        a = self.texts.get(text)
+        if a is None:
+            p = Parser(text, self.h, self.nodes)
+            self.texts[text] = right = a = p.entire(Parser.parse_formula)
+            for pos in p.arrows:
+                right = right.right
+                self.texts[text[pos:]] = right
+        return a
+
+    def term(self, text: str) -> Term:
+        """`parse_term(text, h)`, through the node table."""
+        return Parser(text, self.h, self.nodes).entire(Parser.parse_term)
+
+
 def parse_term(text: str, h: int) -> Term:
-    p = Parser(text, h)
-    t = p.parse_term()
-    p.expect_end()
-    return t
+    return Parser(text, h).entire(Parser.parse_term)
 
 
 def parse_formula(text: str, h: int) -> Formula:
-    p = Parser(text, h)
-    a = p.parse_formula()
-    p.expect_end()
-    return a
+    return Parser(text, h).entire(Parser.parse_formula)

@@ -17,7 +17,7 @@ from .deduction import (
 from .errors import InvalidInput
 from .syntax import (
     And, App, C, Const, E, Formula, Head, Imp, Ind, Just, Proj, Sort, Sum,
-    Tail, Term, Tuple, Var, agent, conj, print_formula, variables_in,
+    Tail, Term, Tuple, Var, agent, conj, print_formula, walk,
 )
 
 
@@ -211,11 +211,9 @@ class LiftingContext:
 
 
 def _fresh_variables(d: Derivation, sort: Sort, count: int) -> list[Var]:
-    used = set()
-    for f in list(d.hypotheses) + [s.formula for s in d.steps]:
-        for v in variables_in(f):
-            if v.sort == sort:
-                used.add(v.index)
+    # one walk of the whole derivation visits each shared node once
+    used = {v.index for v in walk([*d.hypotheses, *(s.formula for s in d.steps)])
+            if v.__class__ is Var and v.sort == sort}
     out = []
     k = 1
     while len(out) < count:

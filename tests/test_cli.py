@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -605,6 +606,29 @@ def test_lifted_chain_at_the_cap_reads_back_and_one_step_more_is_refused(tmp_pat
     _check_lifted(tmp_path, capsys, out)
     assert main(["lift", _mp_chain(tmp_path / "chain.drv", 248), "--target", "C"]) == 2
     assert capsys.readouterr() == ("", "error: the result nests deeper than 250 levels\n")
+
+
+@pytest.mark.parametrize("steps, error", [
+    (16, "the result would print 427802964 characters, over the cap of 67108864"),
+    (100, "the result nests deeper than 250 levels"),
+])
+def test_lifting_a_chain_to_E_past_a_cap_exits_2_before_printing(tmp_path, steps, error):
+    # lifted to E, the printed proof doubles with each step although the
+    # proof shares its subterms: 12 steps print 26.7 MB, and 16 steps ran
+    # out of memory printing
+    started = time.monotonic()
+    proc = run_jck("lift", _mp_chain(tmp_path / "chain.drv", steps), "--target", "E")
+    assert time.monotonic() - started < 30
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
+def test_lifting_a_short_chain_to_E_prints_as_before(tmp_path, capsys):
+    assert main(["lift", _mp_chain(tmp_path / "chain.drv", 5), "--target", "E"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 201310
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "5fc8ec36249035f9b7627adc99cc5d145f8cc186bb6df9e3b27c68cf03ffdc5b")
+    _check_lifted(tmp_path, capsys, out)
 
 
 def _check_lifted(tmp_path, capsys, out: str) -> None:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -12,12 +13,11 @@ from jck import deduction
 from jck.deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
     Derivation, Hyp, MP, Step, check_derivation, cs_contains,
-    deduction_theorem, is_agent_fragment_formula, is_agent_fragment_term,
-    is_axiom, is_tautology, match_axiom, parse_derivation, print_derivation,
+    deduction_theorem, is_agent_fragment, is_axiom, is_tautology, match_axiom, parse_derivation, print_derivation,
 )
 from jck.syntax import (
     C, E, And, App, Bang, Box, Const, Head, Imp, Ind, Just, Neg, Or, Proj,
-    Prop, Sum, Tail, Tuple, Var, agent, conj, print_formula,
+    Prop, Sum, Tail, Tuple, Var, agent, conj, print_formula, walk,
 )
 
 TC = ConstantSpecification.total_c()
@@ -241,7 +241,7 @@ def test_formulas_with_a_modal_box_instantiate_no_schema():
 
 def _schemata_uncached(a):
     """`match_axiom` without its memo or the tautology memo."""
-    if not deduction._box_free(a, set()):
+    if not deduction._box_free(walk([a])):
         return frozenset()
     out = deduction._structural_schemata(a)
     if deduction._is_tautology(a):
@@ -293,12 +293,16 @@ def test_random_formulas_rarely_axioms():
 
 
 def test_agent_fragment_membership():
-    assert is_agent_fragment_term(Sum(Var(1, agent(1)), Bang(Var(2, agent(1)), 1), agent(1)))
-    assert not is_agent_fragment_term(Proj(1, Var(1, E)))
-    assert is_agent_fragment_formula(Just(Var(1, agent(2)), agent(2), Prop(1)))
-    assert not is_agent_fragment_formula(Just(Var(1, C), C, Prop(1)))
-    assert not is_agent_fragment_formula(
-        Just(Var(1, agent(1)), agent(1), Just(Var(1, C), C, Prop(1))))
+    def inside(x):
+        return is_agent_fragment(walk([x]))
+    assert inside(Sum(Var(1, agent(1)), Bang(Var(2, agent(1)), 1), agent(1)))
+    assert not inside(Proj(1, Var(1, E)))
+    assert inside(Just(Var(1, agent(2)), agent(2), Prop(1)))
+    assert not inside(Just(Var(1, C), C, Prop(1)))
+    assert not inside(Just(Var(1, agent(1)), agent(1), Just(Var(1, C), C, Prop(1))))
+    # an agent-sorted assertion whose term reaches E inside
+    assert not inside(Just(Proj(1, Var(1, E)), agent(1), Prop(1)))
+    assert not inside(Imp(Prop(1), Box(agent(1), Prop(1))))
     assert AGENT_FRAGMENT_SCHEMATA == {
         AxiomSchema.TAUT, AxiomSchema.APP, AxiomSchema.SUML, AxiomSchema.SUMR,
         AxiomSchema.REFL, AxiomSchema.INSP}
@@ -413,6 +417,38 @@ def test_check_agent_bound():
     assert check_derivation(d, cs, h=3).ok
     report = check_derivation(d, cs, h=2)
     assert (report.step, report.status) == (1, "IllFormed")
+
+
+def test_check_screens_box_then_bounds_then_fragment():
+    box = Box(agent(1), Prop(1))
+    far = Just(Var(1, agent(3)), agent(3), Prop(1))  # agent 3 > h = 2
+    common = Just(Var(1, C), C, Prop(1))  # outside the single-agent fragment
+
+    def first_failure(*formulas):
+        d = _drv(*(Step(Imp(f, f), Axiom(AxiomSchema.TAUT)) for f in formulas))
+        r = check_derivation(d, TC, h=2, fragment="agent")
+        return r.step, r.status, r.message
+
+    for f in (And(common, And(far, box)), And(box, common), And(far, box)):
+        step, status, message = first_failure(f)
+        assert (step, status) == (1, "IllFormed") and "modal box" in message
+    for f in (And(common, far), And(far, common)):
+        step, status, message = first_failure(f)
+        assert (step, status) == (1, "IllFormed") and message.endswith("> h=2")
+    assert first_failure(common)[:2] == (1, "NotInFragment")
+    # a later step sharing nodes screened already is screened on its new ones
+    assert first_failure(Prop(1), And(Prop(1), common))[:2] == (2, "NotInFragment")
+    assert first_failure(Prop(1), Imp(Prop(1), far))[:2] == (2, "IllFormed")
+    assert first_failure(Prop(1), Or(Prop(1), box))[:2] == (2, "IllFormed")
+
+
+def test_check_screens_formulas_of_any_depth():
+    a = Prop(1)
+    for _ in range(3 * sys.getrecursionlimit()):
+        a = Neg(Just(Bang(Var(1, agent(1)), 1), agent(1), a))
+    d = _drv(Step(a, Hyp(1)), hyps=(a,))
+    assert check_derivation(d, TC, h=1, fragment="agent").ok
+    assert is_agent_fragment(walk([a])) and not is_agent_fragment(walk([Neg(Just(Var(1, E), E, a))]))
 
 
 def test_random_derivations_check():

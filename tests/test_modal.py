@@ -8,7 +8,7 @@ import pytest
 
 from jck.deduction import (
     AxNec, Axiom, AxiomSchema, ConstantSpecification, Derivation, Hyp, MP,
-    Step, check_derivation, is_agent_fragment_formula, match_axiom,
+    Step, check_derivation, is_agent_fragment, match_axiom,
     parse_derivation,
 )
 from jck.errors import InvalidInput, ParseError, UnknownWorld
@@ -27,7 +27,7 @@ from jck import semantics
 from jck.semantics import attack_four_world_model, reach_by_component
 from jck.syntax import (
     C, E, Box, Const, Imp, Just, Neg, Prop, Var, agent, parse_formula,
-    print_formula,
+    print_formula, walk,
 )
 
 TC = ConstantSpecification.total_c()
@@ -142,7 +142,7 @@ def test_projection_is_idempotent():
         a = random_formula(rng, 3, rng.randint(0, 4))
         once = conservative_projection(a)
         assert conservative_projection(once) == once
-        assert is_agent_fragment_formula(once)
+        assert is_agent_fragment(walk([once]))
 
 
 # ---------------------------------------------------------------------------

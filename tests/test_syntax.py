@@ -10,15 +10,17 @@ import pytest
 from jck import deduction, syntax
 from jck.acceptance import attack_term_families
 from jck.errors import InvalidInput, ParseError, ResourceError, SortError
-from jck.gen import random_derivation, random_formula, random_sort, random_term
+from jck.gen import (
+    random_derivation, random_formula, random_sort, random_term, random_theorem,
+)
 from jck.modal import parse_modal_formula
 from jck.semantics import attack_kripke_model, holds
-from jck.synthesis import ConstantAllocator, LiftingContext, lift
+from jck.synthesis import ConstantAllocator, LiftingContext, lift, necessitate
 from jck.syntax import (
     C, E, MAX_DEPTH, And, App, Bang, Const, Head, Imp, Ind, Just, Neg, Or, Proj, Prop,
     Sum, Tail, Tuple, Var, agent, bound_problems, conj,
     Box, Formula, Sort, Term, formula_terms, parse_formula, parse_term, print_formula,
-    print_formulas, print_term, subformulas, subterms, variables_in,
+    print_formulas, print_term, subformulas, subterms, variables_in, walk,
 )
 
 _PARSERS = {"formula": parse_formula, "term": parse_term, "modal": parse_modal_formula}
@@ -193,7 +195,7 @@ _LONG = "7" * 5000
 
 
 # every message and offset as the recursive-descent parser wrote them
-@pytest.mark.parametrize("kind, text, message", [
+PARSE_ERRORS = [
     ("formula", "P1 $ P2", "cannot read '$' (at offset 3)"),
     ("term", "x1@1 + ?", "cannot read '?' (at offset 7)"),
     ("formula", "é", "cannot read 'é' (at offset 0)"),
@@ -250,7 +252,10 @@ _LONG = "7" * 5000
     ("term", "x1@1 * ", "expected a term, found 'end of input' (at offset 7)"),
     ("term", "P1", "expected a term, found 'P1' (at offset 0)"),
     ("term", "12", "expected a term, found '12' (at offset 0)"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, text, message", PARSE_ERRORS)
 def test_parse_error_messages_are_pinned(kind, text, message):
     with pytest.raises(ParseError) as info:
         _PARSERS[kind](text, 2)
@@ -282,10 +287,14 @@ def test_conj_left_associates():
 
 def test_bound_problems():
     a = Just(Var(1, agent(3)), agent(3), Prop(1))
-    assert bound_problems(a, 2)
-    assert not bound_problems(a, 3)
+    assert bound_problems(walk([a]), 2) == [
+        "assertion sort 3 > h=2", "term x1@3 uses agent 3 > h=2"]
+    assert not bound_problems(walk([a]), 3)
     # tuples must have exactly h slots
-    assert bound_problems(Tuple((Var(1, agent(1)),)), 2)
+    assert bound_problems(walk([Tuple((Var(1, agent(1)),))]), 2) == [
+        "tuple <x1@1> has arity 1, expected 2"]
+    # each node is judged alone: the walk supplies the children
+    assert not bound_problems([a.body], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +472,29 @@ def test_nesting_at_the_cap_round_trips_and_one_more_level_is_refused(construct)
     if kind != "modal":
         assert deduction.is_tautology(Imp(a, a))
     holds(attack_kripke_model(), 0, a)
-    # `check_depth` counts as the parser does (parentheses build no node)
-    syntax.check_depth([x], "x")
+    # `check_size` counts as the parser does (parentheses build no node)
+    syntax.check_size([x], "x")
     deeper = Sum(x, x, x.sort) if kind == "term" else Neg(x)
     if construct != "(":
         with pytest.raises(ResourceError, match=f"^x nests deeper than {MAX_DEPTH} levels$"):
-            syntax.check_depth([Prop(1), deeper], "x")
+            syntax.check_size([Prop(1), deeper], "x")
     kind, text = _nested(construct, MAX_DEPTH + 1)
     with pytest.raises(ResourceError, match=f"nesting deeper than {MAX_DEPTH} levels"):
         _PARSERS[kind](text, 2)
+
+
+def test_check_size_counts_the_printed_characters_exactly(monkeypatch):
+    rng = random.Random(21)
+    for k in range(40):
+        h = k % 3 + 1
+        term, proof = necessitate(random_theorem(rng, h), (agent(1), E, C)[k % 3], h=h)
+        formulas = [*proof.hypotheses, *(s.formula for s in proof.steps)]
+        # each root counts once per occurrence, shared subtrees too
+        roots = [term, random_term(rng, random_sort(rng, h), h, 3), *formulas,
+                 formulas[-1], parse_modal_formula("#1 (P1 -> #C ~(P2 | P3 & P1))", 2)]
+        total = sum(len(print_term(x) if isinstance(x, Term) else print_formula(x)) for x in roots)
+        monkeypatch.setattr(syntax, "MAX_PRINTED", total)
+        syntax.check_size(roots, "x")
+        monkeypatch.setattr(syntax, "MAX_PRINTED", total - 1)
+        with pytest.raises(ResourceError, match=f"^x would print {total} characters, over the cap of {total - 1}$"):
+            syntax.check_size(roots, "x")
