@@ -3,8 +3,8 @@ probing.
 
 A modal formula is an ordinary `syntax` formula whose boxes are
 `syntax.Box(sort, body)`, written `#1 A`, `#E A`, `#C A`; it shares the atoms,
-connectives and printer of the evidence language.  It is evaluated on the
-frame class of `semantics`, `KripkeModel`, by the one evaluator
+connectives, parser and printer of the evidence language.  It is evaluated
+on the frame class of `semantics`, `KripkeModel`, by the one evaluator
 `semantics.holds`, with no evidence facts.  The frame class, its validator,
 text format, seeded generator and the attack fixture are re-exported here.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, Builder,
@@ -46,11 +45,7 @@ class _ModalParser(Parser):
     """The formula grammar with `#i`, `#E` and `#C` boxes in place of
     evidence boxes."""
 
-    def parse_prefix(self, i: int):
-        if self.tokens[i][0] != "#":
-            return None  # `[` too: it opens no modal formula
-        self.i = i + 1
-        return partial(Box, self.parse_sort_token()), 0, self.i
+    modal = True
 
 
 def parse_modal_formula(text: str, h: int) -> Formula:

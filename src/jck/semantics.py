@@ -785,10 +785,9 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             graph.setdefault(w, []).append(v)
         frame[i] = reach = reach_by_component(graph)
         if not worlds.issuperset(reach):
-            # the error names every closed pair that touches an unknown
-            # world, in the closed pair set's order
-            closed = reflexive_transitive_closure(given, worlds)
-            problems += _unknown_pair_problems(i, closed, worlds)
+            # the error names each written pair that touches an unknown
+            # world, sorted
+            problems += _unknown_pair_problems(i, sorted(given), worlds)
         # the closure contains the given pairs
         added = sum(map(len, reach.values())) - len(given)
         if added:

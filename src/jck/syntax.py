@@ -28,8 +28,9 @@ propositions so scenario fixtures can use speaking names like `m1@2` or `del`.
 
 The modal language is the same tree with every evidence term erased: a
 `Box(sort, body)`, written `'#' <sort> unary`, stands where a justified
-assertion would.  `modal` parses it in place of `just`, and the one printer
-prints both languages.
+assertion would.  The parser reads it in place of `just` when its `modal`
+attribute is set, as `modal`'s parser sets it, and the one printer prints
+both languages.
 
 Nodes are frozen, slotted dataclasses that compute their structural hash
 once and keep it: the hash of their class's fixed int tag and their fields.
@@ -41,15 +42,17 @@ the two trees share.
 Text is read and written at the speed of the text, not of the tree.  The
 lexer is one regex pass over the text and classifies each distinct lexeme
 once, in a bounded module cache.  The parser is precedence climbing: one
-loop over an explicit stack for terms and one for formulas, so nesting costs
-no interpreter frame; input nested deeper than `MAX_DEPTH` raises
-ResourceError, since every later walk of a tree recurses per level.  A
-`Reader` reads one file's texts with one node table, so equal subtrees on
-different lines are one object, and a memo, so a text read again (a restated
-consequent) is not parsed again.  The printers keep one memo per call, by
-identity, of the text of every term and formula printed, so a subformula
-shared across a lifted proof is printed once.  `walk` visits each object of
-a set of trees once, by identity, on an explicit stack.
+loop over an explicit stack reads terms and formulas alike, so nesting costs
+no interpreter frame, and one table, `_INFIX`, gives the precedence and
+associativity of every infix operator to it and to the printer.  Input
+nested deeper than `MAX_DEPTH` raises ResourceError, since every later walk
+of a tree recurses per level.  A `Reader` reads one file's texts with one
+node table, so equal subtrees on different lines are one object, and a memo,
+so a text read again (a restated consequent) is not parsed again.  The
+printers keep one memo per call, by identity, of the text of every term and
+formula printed, so a subformula shared across a lifted proof is printed
+once.  `walk` visits each object of a set of trees once, by identity, on an
+explicit stack.
 """
 
 from __future__ import annotations
@@ -519,87 +522,80 @@ def bound_problems(nodes: list[Term | Formula], h: int) -> list[str]:
 # inside the printed objects for the whole call, so no id is reused
 # meanwhile.
 
-# precedence levels: 1 any, 2 summand, 3 factor / closed
+# Every infix operator of both languages: token -> (class, precedence,
+# associates to the right).  Parser and printer both read it: an operand is
+# parenthesized iff it is infix and binds looser than its position needs.
+# A prefix operator (`~`, `[t]@s`, `#s`) binds tighter than all of them.
+_INFIX = {"+": (Sum, 1, False), "*": (App, 2, False),
+          "->": (Imp, 1, True), "|": (Or, 2, False), "&": (And, 3, False)}
+_PREFIX = 4
+# infix class -> (its operator as printed, its precedence, the precedence
+# its left operand needs, the one its right operand needs)
+_SYMBOLS = {cls: (f" {op} ", p, p + right, p + 1 - right) for op, (cls, p, right) in _INFIX.items()}
+
+
 def print_term(t: Term) -> str:
-    return _pt(t, 1, {})
+    return _wrap(t, 0, {})
 
 
-def _pt(t: Term, need: int, memo: dict[int, str]) -> str:
-    out = memo.get(id(t))
-    if out is None:
-        out = memo[id(t)] = _term_text(t, memo)
-    if (need > 1 and isinstance(t, Sum)) or (need > 2 and isinstance(t, App)):
-        return f"({out})"
-    return out
-
-
-def _term_text(t: Term, memo: dict[int, str]) -> str:
-    """`t` at the loosest level; the user adds parentheses."""
-    if isinstance(t, Const):
-        head = f"c{t.index}" if isinstance(t.index, int) else t.index
-        return f"{head}@{t.sort}"
-    if isinstance(t, Var):
-        return f"x{t.index}@{t.sort}"
-    if isinstance(t, Bang):
-        return f"!{t.agent}({_pt(t.t, 1, memo)})"
-    if isinstance(t, Proj):
-        return f"pi_{t.agent}({_pt(t.t, 1, memo)})"
-    if isinstance(t, Head):
-        return f"head({_pt(t.t, 1, memo)})"
-    if isinstance(t, Tail):
-        return f"tail({_pt(t.t, 1, memo)})"
-    if isinstance(t, Ind):
-        return f"ind({_pt(t.t, 1, memo)}, {_pt(t.s, 1, memo)})"
-    if isinstance(t, Tuple):
-        return "<" + ", ".join([_pt(i, 1, memo) for i in t.items]) + ">"
-    if isinstance(t, Sum):
-        return f"{_pt(t.t, 1, memo)} + {_pt(t.s, 2, memo)}"
-    if isinstance(t, App):
-        return f"{_pt(t.t, 2, memo)} * {_pt(t.s, 3, memo)}"
-    raise InvalidInput(f"not a term: {t!r}")
-
-
-# precedence levels: 1 any, 2 implication operand, 3 disjunct, 4 unary
 def print_formula(a: Formula) -> str:
-    return _pf(a, 1, {})
+    return _wrap(a, 0, {})
 
 
 def print_formulas(formulas: list[Formula]) -> list[str]:
     """`print_formula` of each, sharing one memo across the list."""
     memo: dict[int, str] = {}
-    return [_pf(a, 1, memo) for a in formulas]
+    return [_wrap(a, 0, memo) for a in formulas]
 
 
-def _pf(a: Formula, need: int, memo: dict[int, str]) -> str:
-    out = memo.get(id(a))
+def _wrap(x: Term | Formula, need: int, memo: dict[int, str]) -> str:
+    """`x` in a position that needs precedence `need`: 0 when closed,
+    `_PREFIX` for a prefix operator's body."""
+    out = memo.get(id(x))
     if out is None:
-        out = memo[id(a)] = _formula_text(a, memo)
-    if need > 1:
-        cls = a.__class__
-        if cls is Imp or (need > 2 and cls is Or) or (need > 3 and cls is And):
+        out = memo[id(x)] = _text(x, memo)
+    if need:
+        infix = _SYMBOLS.get(x.__class__)
+        if infix is not None and infix[1] < need:
             return f"({out})"
     return out
 
 
-def _formula_text(a: Formula, memo: dict[int, str]) -> str:
-    """`a` at the loosest level; the user adds parentheses."""
+def _text(x: Term | Formula, memo: dict[int, str]) -> str:
+    """`x` at the loosest level; the user adds parentheses."""
     # exact class tests, most frequent first
-    cls = a.__class__
+    cls = x.__class__
     if cls is Prop:
-        return f"P{a.index}" if isinstance(a.index, int) else a.index
+        return f"P{x.index}" if isinstance(x.index, int) else x.index
     if cls is Just:
-        return f"[{_pt(a.term, 1, memo)}]@{a.sort} {_pf(a.body, 4, memo)}"
-    if cls is Imp:
-        return f"{_pf(a.left, 2, memo)} -> {_pf(a.right, 1, memo)}"
-    if cls is And:
-        return f"{_pf(a.left, 3, memo)} & {_pf(a.right, 4, memo)}"
-    if cls is Or:
-        return f"{_pf(a.left, 2, memo)} | {_pf(a.right, 3, memo)}"
+        return f"[{_wrap(x.term, 0, memo)}]@{x.sort} {_wrap(x.body, _PREFIX, memo)}"
+    if cls is Const:
+        head = f"c{x.index}" if isinstance(x.index, int) else x.index
+        return f"{head}@{x.sort}"
+    infix = _SYMBOLS.get(cls)
+    if infix is not None:
+        op, _, left, right = infix
+        a, b = x._children()
+        return f"{_wrap(a, left, memo)}{op}{_wrap(b, right, memo)}"
+    if cls is Var:
+        return f"x{x.index}@{x.sort}"
     if cls is Neg:
-        return f"~{_pf(a.body, 4, memo)}"
+        return f"~{_wrap(x.body, _PREFIX, memo)}"
     if cls is Box:
-        return f"#{a.sort} {_pf(a.body, 4, memo)}"
-    raise InvalidInput(f"not a formula: {a!r}")
+        return f"#{x.sort} {_wrap(x.body, _PREFIX, memo)}"
+    if cls is Ind:
+        return f"ind({_wrap(x.t, 0, memo)}, {_wrap(x.s, 0, memo)})"
+    if cls is Proj:
+        return f"pi_{x.agent}({_wrap(x.t, 0, memo)})"
+    if cls is Head:
+        return f"head({_wrap(x.t, 0, memo)})"
+    if cls is Tail:
+        return f"tail({_wrap(x.t, 0, memo)})"
+    if cls is Tuple:
+        return "<" + ", ".join([_wrap(i, 0, memo) for i in x.items]) + ">"
+    if cls is Bang:
+        return f"!{x.agent}({_wrap(x.t, 0, memo)})"
+    raise InvalidInput(f"not a term or formula: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +618,13 @@ MAX_PRINTED = 64 << 20
 
 def check_size(roots, what: str) -> None:
     """Raise ResourceError if a tree among `roots` nests deeper than
-    `MAX_DEPTH`, counted as `Parser._term` and `Parser._formula` count (a
-    leaf is 0 deep, any other node one deeper than its deepest child), or if
-    printing each of `roots` once would write more than `MAX_PRINTED`
-    characters.  The count is exact: a node's own characters, parentheses
-    around its children included, are the printer's text of it with each
-    child printed as nothing.  One explicit stack, with depths and lengths
-    memoized by id, since a tree built rather than parsed (a lifted proof)
-    shares its subtrees."""
+    `MAX_DEPTH`, counted as `Parser._read` counts (a leaf is 0 deep, any
+    other node one deeper than its deepest child), or if printing each of
+    `roots` once would write more than `MAX_PRINTED` characters.  The count
+    is exact: a node's own characters, parentheses around its children
+    included, are `_text` of it with each child printed as nothing.  One
+    explicit stack, with depths and lengths memoized by id, since a tree
+    built rather than parsed (a lifted proof) shares its subtrees."""
     depth: dict[int, int] = {}
     size: dict[int, int] = {}
     stack = list(roots)
@@ -641,8 +636,7 @@ def check_size(roots, what: str) -> None:
         if not todo:
             stack.pop()
             blank = dict.fromkeys(map(id, kids), "")
-            own = _term_text(x, blank) if isinstance(x, Term) else _formula_text(x, blank)
-            size[id(x)] = len(own) + sum([size[id(k)] for k in kids])
+            size[id(x)] = len(_text(x, blank)) + sum([size[id(k)] for k in kids])
             depth[id(x)] = d = max([depth[id(k)] + 1 for k in kids], default=0)
             if d > MAX_DEPTH:
                 raise ResourceError(f"{what} nests deeper than {MAX_DEPTH} levels")
@@ -698,11 +692,19 @@ def integer(text: str, what: str, position: int | None = None) -> int:
 
 
 def _number(m: re.Match, group: str) -> int | str:
-    """The group's digits as an int; a sort group spelled E or C stays text."""
+    """The group's digits as an int; a name, or a sort spelled E or C,
+    stays text."""
     digits = m.group(group)
     if not digits.isdecimal():
         return digits
     return integer(digits, "number", m.start(group))
+
+
+# token kind -> the group of `_TOKEN_RE` that holds its payload, or the
+# groups of its (index, sort) pair; a symbol's kind is its text
+_PAYLOAD = {"VAR": ("vidx", "vsort"), "CONST": ("cidx", "csort"),
+            "NCONST": ("nname", "nsort"), "PROP": "pidx", "PI": "piidx",
+            "BANG": "bidx", "INT": "INT"}
 
 
 def _classify(text: str, pos: int) -> tuple[str, object]:
@@ -712,25 +714,15 @@ def _classify(text: str, pos: int) -> tuple[str, object]:
     if m is None:
         raise ParseError(f"cannot read {text[pos]!r}", pos)
     kind = m.lastgroup
-    payload: object = None
-    if kind == "VAR":
-        payload = (_number(m, "vidx"), _number(m, "vsort"))
-    elif kind == "CONST":
-        payload = (_number(m, "cidx"), _number(m, "csort"))
-    elif kind == "NCONST":
-        payload = (m.group("nname"), _number(m, "nsort"))
-    elif kind == "PROP":
-        payload = _number(m, "pidx")
-    elif kind == "PI":
-        payload = _number(m, "piidx")
-    elif kind == "BANG":
-        payload = _number(m, "bidx")
-    elif kind == "INT":
-        payload = _number(m, "INT")
-    elif kind == "SYM":
-        kind = m.group("SYM")
-    elif kind == "ARROW":
-        kind = "->"
+    groups = _PAYLOAD.get(kind)
+    if groups is None:
+        payload = None
+    elif isinstance(groups, str):
+        payload = _number(m, groups)
+    else:
+        payload = tuple([_number(m, g) for g in groups])
+    if kind == "SYM" or kind == "ARROW":
+        kind = m.group()
     if len(_LEXEMES) >= _LEXEME_CACHE_SIZE:
         _LEXEMES.clear()
     entry = _LEXEMES[m.group()] = (kind, payload)
@@ -762,23 +754,26 @@ def _too_deep(pos: int) -> ResourceError:
     return ResourceError(f"nesting deeper than {MAX_DEPTH} levels (at offset {pos})")
 
 
-# Entries of the parsers' stacks.  A pending binary operator is
-# (precedence >= 1, left operand, its depth); a pending prefix operator is
-# (-1, constructor of the node given its body, depth of what it holds besides
-# the body); an open bracket is (0, the token that closes it, constructor of
-# the node given the bracketed term, depth of what it holds besides), or a
-# tuple's list [0, "<", items so far, their depth, offset].  _BOTTOM ends
-# every stack.
+# Entries of the parser's stack.  A pending binary operator is (precedence,
+# left operand, its depth, class); a pending prefix operator is (_PREFIX,
+# constructor of the node given its body, depth of what it holds besides the
+# body); an open bracket is (0, the token that closes it, constructor of the
+# node given the bracketed term, depth of what it holds besides), a tuple's
+# list [0, "<", items so far, their depth, offset], or an evidence box's term
+# (0, "]", open parentheses of the formula around it).  _BOTTOM ends every
+# stack.
 _BOTTOM = (0, None)
 _OPEN = (0, ")", None, 0)
-_NEGATION = (-1, Neg, 0)
+_NEGATION = (_PREFIX, Neg, 0)
 _TERM_FUNCTIONS = {"head": Head, "tail": Tail, "ind": Ind}
-# token kind -> (precedence, lowest precedence that it reduces); any other
-# token ends the operand and reduces every pending binary operator
-_TERM_OPS = {"+": (1, 1), "*": (2, 2)}
-_FORMULA_OPS = {"&": (3, 3), "|": (2, 2), "->": (1, 2)}  # `->` to the right
-_NO_OP = (0, 1)
-_BINARY = {1: Imp, 2: Or, 3: And}
+# `_INFIX` per language, terms (True) or formulas: token kind -> (precedence,
+# lowest precedence that it reduces, class), so that a left-associative
+# operator reduces its own precedence and a right-associative one only what
+# binds tighter; any other token ends the operand and reduces every pending
+# binary operator
+_OPS = {term: {op: (p, p + right, cls) for op, (cls, p, right) in _INFIX.items()
+               if issubclass(cls, Term) == term} for term in (True, False)}
+_NO_OP = (0, 1, None)
 
 
 def _as_is(node, _):
@@ -787,15 +782,17 @@ def _as_is(node, _):
 
 class Parser:
     """Precedence climbing over the token list of one text, for agent count
-    `h` (Pratt, POPL 1973): `_term` and `_formula` are each one loop over an
-    explicit stack of pending operators and open brackets, so nesting costs
-    no interpreter frame.  The modal parser subclasses it and overrides
-    `parse_prefix` only.
+    `h` (Pratt, POPL 1973): `_read` is one loop over an explicit stack of
+    pending operators and open brackets, for terms and formulas alike, so
+    nesting costs no interpreter frame.  The modal parser sets `modal`, which
+    reads `#s` boxes in place of evidence boxes.
 
     Every atom goes through `leaves`, by lexeme, so one text builds each
     atom once.  Given `nodes`, as a `Reader` gives its file's table, the
     leaves are kept there, and every node goes through it too: it maps each
     node to the one object equal to it."""
+
+    modal = False
 
     def __init__(self, text: str, h: int, nodes: dict | None = None):
         if not isinstance(h, int) or h < 1:
@@ -806,7 +803,7 @@ class Parser:
         self.leaves: dict = {} if nodes is None else nodes
         self.intern = _as_is if nodes is None else nodes.setdefault
         # where the text after each `->` outside parentheses starts, in what
-        # the last `_formula` read: the right spine's texts, left to right
+        # the last `_read` read: the right spine's texts, left to right
         self.arrows: list[int] = []
 
     # -- the cursor, for callers that read tokens around a term or formula
@@ -853,30 +850,12 @@ class Parser:
         raise ParseError(f"expected a sort, found {quoted(text or 'end of input')}", pos)
 
     def parse_term(self) -> Term:
-        t, _, self.i = self._term(self.i)
+        t, _, self.i = self._read(self.i, True)
         return t
 
     def parse_formula(self) -> Formula:
-        a, _, self.i = self._formula(self.i)
+        a, _, self.i = self._read(self.i, False)
         return a
-
-    def parse_prefix(self, i: int):
-        """The prefix operator other than `~` that starts at token `i`, as
-        (constructor of its node given the body, depth of what it holds
-        besides the body, index of the body's first token), or None when
-        token `i` starts none.  Here it is the evidence box `[t]@s`."""
-        tokens = self.tokens
-        if tokens[i][0] != "[":
-            return None
-        term, depth, i = self._term(i + 1)
-        for kind in ("]", "@"):
-            if tokens[i][0] != kind:
-                raise _expected(kind, tokens[i])
-            i += 1
-        self.i = i
-        return partial(Just, term, self.parse_sort_token()), depth, self.i
-
-    # -- terms
 
     def _atom(self, kind: str, pos: int, payload) -> Term:
         index, sort = payload
@@ -884,68 +863,108 @@ class Parser:
             raise ParseError(f"{quoted(index)} is reserved", pos)
         return (Var if kind == "VAR" else Const)(index, self._sort(sort, pos))
 
-    def _term(self, i: int) -> tuple[Term, int, int]:
-        """The term from token `i` on: (term, its depth, index after it)."""
+    # -- the one loop
+
+    def _read(self, i: int, term: bool) -> tuple[Term | Formula, int, int]:
+        """The term, or with `term` false the formula, from token `i` on:
+        (it, its depth, index after it).  An evidence box's `[` switches to
+        terms up to its `]`; the term and the formula around it each count
+        their own open parentheses."""
         tokens = self.tokens
         leaves = self.leaves
         intern = self.intern
+        ops = _OPS[term]
+        box = "#" if self.modal else "["
+        self.arrows = arrows = []
         stack: list = [_BOTTOM]
         parens = 0
         while True:
             kind, text, pos, payload = tokens[i]
             i += 1
-            if kind == "VAR" or kind == "CONST" or kind == "NCONST":
-                t = leaves.get(text)
-                if t is None:
-                    t = self._atom(kind, pos, payload)
-                    t = leaves[text] = intern(t, t)
-            elif kind == "(":
+            if kind == "(":
                 parens += 1
                 if parens > MAX_DEPTH:
                     raise _too_deep(pos)
                 stack.append(_OPEN)
                 continue
-            elif kind == "<":
-                stack.append([0, "<", [], 0, pos])
+            if term:
+                if kind == "VAR" or kind == "CONST" or kind == "NCONST":
+                    x = leaves.get(text)
+                    if x is None:
+                        x = self._atom(kind, pos, payload)
+                        x = leaves[text] = intern(x, x)
+                elif kind == "<":
+                    stack.append([0, "<", [], 0, pos])
+                    continue
+                else:
+                    if kind == "BANG":
+                        make = partial(Bang, agent=self.agent_index(payload, pos))
+                    elif kind == "PI":
+                        make = partial(Proj, self.agent_index(payload, pos))
+                    elif kind == "IDENT" and text in _TERM_FUNCTIONS:
+                        make = _TERM_FUNCTIONS[text]
+                    else:
+                        raise ParseError(f"expected a term, found {quoted(text or 'end of input')}", pos)
+                    if tokens[i][0] != "(":
+                        raise _expected("(", tokens[i])
+                    i += 1
+                    stack.append((0, "," if make is Ind else ")", make, 0))
+                    continue
+            elif kind == "PROP" or kind == "IDENT":
+                x = leaves.get(text)
+                if x is None:
+                    if kind == "IDENT" and (text in _RESERVED_NAMES or not _NAME_RE.match(text)):
+                        raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
+                    x = Prop(text if kind == "IDENT" else payload)
+                    x = leaves[text] = intern(x, x)
+            elif kind == "~":
+                stack.append(_NEGATION)
+                continue
+            elif kind != box:
+                raise ParseError(f"expected a formula, found {quoted(text or 'end of input')}", pos)
+            elif self.modal:
+                self.i = i
+                stack.append((_PREFIX, partial(Box, self.parse_sort_token()), 0))
+                i = self.i
                 continue
             else:
-                if kind == "BANG":
-                    make = partial(Bang, agent=self.agent_index(payload, pos))
-                elif kind == "PI":
-                    make = partial(Proj, self.agent_index(payload, pos))
-                elif kind == "IDENT" and text in _TERM_FUNCTIONS:
-                    make = _TERM_FUNCTIONS[text]
-                else:
-                    raise ParseError(f"expected a term, found {quoted(text or 'end of input')}", pos)
-                if tokens[i][0] != "(":
-                    raise _expected("(", tokens[i])
-                i += 1
-                stack.append((0, "," if make is Ind else ")", make, 0))
+                stack.append((0, "]", parens))
+                term, ops, parens = True, _OPS[True], 0
                 continue
             d = 0
-            # t, of depth d, is an operand: reduce what it completes
+            # x, of depth d, is an operand: reduce what it completes
             while True:
-                kind = tokens[i][0]
-                prec, floor = _TERM_OPS.get(kind, _NO_OP)
                 top = stack[-1]
+                while top[0] == _PREFIX:  # prefix operators bind tightest
+                    stack.pop()
+                    x = top[1](x)
+                    x = intern(x, x)
+                    d = (top[2] if top[2] > d else d) + 1
+                    if d > MAX_DEPTH:
+                        raise _too_deep(tokens[i][2])
+                    top = stack[-1]
+                kind = tokens[i][0]
+                prec, floor, cls = ops.get(kind, _NO_OP)
                 while top[0] >= floor:
                     stack.pop()
                     left = top[1]
-                    t = (App if top[0] == 2 else Sum)(left, t, left.sort)
-                    t = intern(t, t)
+                    x = top[3](left, x, left.sort) if term else top[3](left, x)
+                    x = intern(x, x)
                     d = (top[2] if top[2] > d else d) + 1
                     if d > MAX_DEPTH:
                         raise _too_deep(tokens[i][2])
                     top = stack[-1]
                 if prec:
-                    stack.append((prec, t, d))
+                    if cls is Imp and not parens:
+                        arrows.append(tokens[i + 1][2])
+                    stack.append((prec, x, d, cls))
                     i += 1
                     break
                 tag = top[1]
                 if tag is None:
-                    return t, d, i
+                    return x, d, i
                 if tag == "<":
-                    top[2].append(t)
+                    top[2].append(x)
                     if d > top[3]:
                         top[3] = d
                     if kind == ",":
@@ -956,8 +975,8 @@ class Parser:
                     items = top[2]
                     if len(items) != self.h:
                         raise ParseError(f"tuple arity {len(items)} does not match agent count {self.h}", top[4])
-                    t, d = Tuple(tuple(items)), top[3]
-                    t = intern(t, t)
+                    x, d = Tuple(tuple(items)), top[3]
+                    x = intern(x, x)
                 elif kind != tag:
                     raise _expected(tag, tokens[i])
                 elif top is _OPEN:
@@ -966,98 +985,25 @@ class Parser:
                     i += 1
                     continue
                 elif tag == ",":  # ind's first operand
-                    stack[-1] = (0, ")", partial(Ind, t), d)
+                    stack[-1] = (0, ")", partial(Ind, x), d)
                     i += 1
                     break
+                elif tag == "]":  # the evidence box's term; `@ sort` follows
+                    self.i = i + 1
+                    self.expect("@")
+                    stack[-1] = (_PREFIX, partial(Just, x, self.parse_sort_token()), d)
+                    i = self.i
+                    term, ops, parens = False, _OPS[False], top[2]
+                    break
                 else:
-                    t = top[2](t)
-                    t = intern(t, t)
+                    x = top[2](x)
+                    x = intern(x, x)
                     if top[3] > d:
                         d = top[3]
                 stack.pop()
                 d += 1
                 if d > MAX_DEPTH:
                     raise _too_deep(tokens[i][2])
-                i += 1
-
-    # -- formulas
-
-    def _formula(self, i: int) -> tuple[Formula, int, int]:
-        """The formula from token `i` on: (formula, its depth, index after
-        it)."""
-        tokens = self.tokens
-        leaves = self.leaves
-        intern = self.intern
-        self.arrows = arrows = []
-        stack: list = [_BOTTOM]
-        parens = 0
-        while True:
-            kind, text, pos, payload = tokens[i]
-            if kind == "PROP":
-                a = leaves.get(text)
-                if a is None:
-                    a = Prop(payload)
-                    a = leaves[text] = intern(a, a)
-            elif kind == "~":
-                stack.append(_NEGATION)
-                i += 1
-                continue
-            elif kind == "(":
-                parens += 1
-                if parens > MAX_DEPTH:
-                    raise _too_deep(pos)
-                stack.append(_OPEN)
-                i += 1
-                continue
-            elif kind == "IDENT":
-                a = leaves.get(text)
-                if a is None:
-                    if text in _RESERVED_NAMES or not _NAME_RE.match(text):
-                        raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
-                    a = Prop(text)
-                    a = leaves[text] = intern(a, a)
-            else:
-                prefix = self.parse_prefix(i)
-                if prefix is None:
-                    raise ParseError(f"expected a formula, found {quoted(text or 'end of input')}", pos)
-                make, depth, i = prefix
-                stack.append((-1, make, depth))
-                continue
-            i += 1
-            d = 0
-            # a, of depth d, is an operand: reduce what it completes
-            while True:
-                top = stack[-1]
-                while top[0] < 0:  # prefix operators bind tightest
-                    stack.pop()
-                    a = top[1](a)
-                    a = intern(a, a)
-                    d = (top[2] if top[2] > d else d) + 1
-                    if d > MAX_DEPTH:
-                        raise _too_deep(tokens[i][2])
-                    top = stack[-1]
-                kind = tokens[i][0]
-                prec, floor = _FORMULA_OPS.get(kind, _NO_OP)
-                while top[0] >= floor:
-                    stack.pop()
-                    a = _BINARY[top[0]](top[1], a)
-                    a = intern(a, a)
-                    d = (top[2] if top[2] > d else d) + 1
-                    if d > MAX_DEPTH:
-                        raise _too_deep(tokens[i][2])
-                    top = stack[-1]
-                if prec:
-                    if prec == 1 and not parens:
-                        arrows.append(tokens[i + 1][2])
-                    stack.append((prec, a, d))
-                    i += 1
-                    break
-                if top is _BOTTOM:
-                    return a, d, i
-                if kind != ")":
-                    raise _expected(")", tokens[i])
-                parens -= 1
-                stack.pop()
                 i += 1
 
 

@@ -17,6 +17,7 @@ from jck.cli import main
 from jck.deduction import (
     Axiom, AxiomSchema, Derivation, Step, check_derivation, print_derivation,
 )
+from jck.errors import ResourceError
 from jck.modal import (
     attack_kripke_model, forgetful, format_kripke_model, parse_kripke_file,
 )
@@ -25,7 +26,7 @@ from jck.semantics import (
 )
 from jck.synthesis import ConstantAllocator, c_reflexivity
 from jck.syntax import (
-    MAX_DEPTH, C, Just, Parser, Prop, Var, parse_formula, print_formula,
+    MAX_DEPTH, C, Just, Neg, Prop, Var, check_size, parse_formula, print_formula,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -602,7 +603,12 @@ def test_lifted_chain_at_the_cap_reads_back_and_one_step_more_is_refused(tmp_pat
     out = capsys.readouterr().out
     formulas = [line.split(". ", 1)[1].rsplit(" ; ", 1)[0]
                 for line in out.splitlines() if re.match(r"\d+\. ", line)]
-    assert max(Parser(f, 1)._formula(0)[1] for f in formulas) == MAX_DEPTH
+    # `check_size` counts depth as the parser does: the deepest formula is at
+    # the cap, and one level more is over it
+    parsed = [parse_formula(f, 1) for f in formulas]
+    check_size(parsed, "the proof")
+    with pytest.raises(ResourceError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        check_size([Neg(a) for a in parsed], "the proof")
     _check_lifted(tmp_path, capsys, out)
     assert main(["lift", _mp_chain(tmp_path / "chain.drv", 248), "--target", "C"]) == 2
     assert capsys.readouterr() == ("", "error: the result nests deeper than 250 levels\n")

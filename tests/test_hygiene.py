@@ -1,8 +1,10 @@
 """Source hygiene, read with `ast` alone: every function the benchmark's
-tracer names still exists, and no jck module imports a name it never uses."""
+tracer names still exists, no jck module imports a name it never uses, and
+every module-level definition is used."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,41 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _unread_definitions() -> list[str]:
+    """Module-level functions, classes and assigned names of `src/jck` that
+    no jck module reads and the benchmark's tracer does not name; dunders
+    are exempt.  A name counts as read where a jck module loads it, takes it
+    as an attribute or imports it, or where a string other than a docstring
+    spells it (source text a module compiles)."""
+    read = {name for _, _, name in _traced_targets()}
+    defined = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, node.lineno, n.id) for target in targets
+                            for n in ast.walk(target) if isinstance(n, ast.Name)]
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                read.update(re.findall(r"\w+", node.value))
+    return [f"{module}:{line}: {name}" for module, line, name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_no_unread_module_level_definitions():
+    assert _unread_definitions() == []

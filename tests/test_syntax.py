@@ -132,6 +132,44 @@ def test_formula_precedence_strings():
 # parsing
 
 
+def _bracketings(ops, x, y, z, to_the_right=("->",)):
+    """`x a y b z` bracketed both ways, for every ordered pair a, b of
+    `ops` (loosest first), with parentheses only where the grammar needs
+    them: around a looser operand, and around a right operand of the same
+    operator that groups to the left or a left one that groups to the
+    right."""
+    out = []
+    for a, b in itertools.product(ops, repeat=2):
+        same = a == b
+        looser_left = ops.index(a) < ops.index(b) or (same and a in to_the_right)
+        looser_right = ops.index(b) < ops.index(a) or (same and a not in to_the_right)
+        left, right = f"{x} {a} {y}", f"{y} {b} {z}"
+        out.append(f"({left}) {b} {z}" if looser_left else f"{left} {b} {z}")
+        out.append(f"{x} {a} ({right})" if looser_right else f"{x} {a} {right}")
+    return out
+
+
+_TERM_BRACKETINGS = _bracketings(["+", "*"], "x1@1", "c1@1", "x2@1")
+_FORMULA_BRACKETINGS = _bracketings(["->", "|", "&"], "P1", "P2", "del")
+
+
+def _assert_parentheses_needed(text, parse):
+    """Dropping any pair of parentheses from `text` changes what `parse`
+    reads, or makes it fail."""
+    x = parse(text, 2)
+    opened = []
+    for k, ch in enumerate(text):
+        if ch == "(":
+            opened.append(k)
+        elif ch == ")":
+            start = opened.pop()
+            dropped = text[:start] + text[start + 1:k] + text[k + 1:]
+            try:
+                assert parse(dropped, 2) != x, dropped
+            except (ParseError, SortError):
+                pass
+
+
 @pytest.mark.parametrize("text", [
     "x1@2 + c1@2 * x2@2",
     "(x1@2 + x2@2) * x3@2",
@@ -140,9 +178,12 @@ def test_formula_precedence_strings():
     "!1(x1@1)",
     "pi_2(head(x1@C))",
     "m1@2",
+    *_TERM_BRACKETINGS,
+    *(f"!1({t})" for t in _TERM_BRACKETINGS),
 ])
 def test_parse_term_round_trip(text):
     assert print_term(parse_term(text, 2)) == text
+    _assert_parentheses_needed(text, parse_term)
 
 
 @pytest.mark.parametrize("text", [
@@ -152,9 +193,14 @@ def test_parse_term_round_trip(text):
     "[m2@1]@1 [m1@2]@2 del",
     "P1 & P2 & P3",
     "P1 & (P2 & P3)",
+    *_FORMULA_BRACKETINGS,
+    *(f"{prefix}({a})" for prefix in ("~", "[x1@1]@1 ", "#1 ") for a in _FORMULA_BRACKETINGS),
+    *(f"[{t}]@1 P1" for t in _TERM_BRACKETINGS),
 ])
 def test_parse_formula_round_trip(text):
-    assert print_formula(parse_formula(text, 2)) == text
+    parse = parse_modal_formula if "#" in text else parse_formula
+    assert print_formula(parse(text, 2)) == text
+    _assert_parentheses_needed(text, parse)
 
 
 def test_parse_rejects_out_of_range_agent():
@@ -453,17 +499,30 @@ def _nested(construct, n):
         "&": ("formula", " & ".join(["P1"] * (n + 1))),
         "->": ("formula", " -> ".join(["P1"] * (n + 1))),
         "*(": ("term", "x1@1 * (" * (n - 1) + "x1@1 * x1@1" + ")" * (n - 1)),
+        # the term inside an evidence box counts its own parentheses: n
+        # around the box and MAX_DEPTH in its term, or the other way round
+        "([(": ("formula", _boxed_in_parens(n, MAX_DEPTH)),
+        "[((": ("formula", _boxed_in_parens(MAX_DEPTH, n)),
     }[construct]
 
 
-@pytest.mark.parametrize("construct", ["~", "(", "!1(", "[x1@1]@1", "#1", "&", "->", "*("])
+def _boxed_in_parens(outer, inner):
+    return "(" * outer + "[" + "(" * inner + "x1@1" + ")" * inner + "]@1 P1" + ")" * outer
+
+
+# constructs whose parentheses build no node
+_PARENS = ("(", "([(", "[((")
+
+
+@pytest.mark.parametrize("construct", ["~", "(", "!1(", "[x1@1]@1", "#1", "&", "->", "*(",
+                                       "([(", "[(("])
 def test_nesting_at_the_cap_round_trips_and_one_more_level_is_refused(construct):
     kind, text = _nested(construct, MAX_DEPTH)
     parse = _PARSERS[kind]
     x = parse(text, 2)
     printed = print_term(x) if kind == "term" else print_formula(x)
     assert parse(printed, 2) == x
-    if construct != "(":
+    if construct not in _PARENS:
         assert printed == text
     # every later walk of the tree recurses per level, and fits
     again = parse(text, 2)
@@ -475,12 +534,15 @@ def test_nesting_at_the_cap_round_trips_and_one_more_level_is_refused(construct)
     # `check_size` counts as the parser does (parentheses build no node)
     syntax.check_size([x], "x")
     deeper = Sum(x, x, x.sort) if kind == "term" else Neg(x)
-    if construct != "(":
+    if construct not in _PARENS:
         with pytest.raises(ResourceError, match=f"^x nests deeper than {MAX_DEPTH} levels$"):
             syntax.check_size([Prop(1), deeper], "x")
     kind, text = _nested(construct, MAX_DEPTH + 1)
-    with pytest.raises(ResourceError, match=f"nesting deeper than {MAX_DEPTH} levels"):
+    with pytest.raises(ResourceError, match=f"nesting deeper than {MAX_DEPTH} levels") as info:
         _PARSERS[kind](text, 2)
+    if construct in _PARENS:  # refused at the parenthesis one too many
+        offset = text.index("(" * (MAX_DEPTH + 1)) + MAX_DEPTH
+        assert str(info.value) == f"nesting deeper than {MAX_DEPTH} levels (at offset {offset})"
 
 
 def test_check_size_counts_the_printed_characters_exactly(monkeypatch):
