@@ -60,6 +60,17 @@ def _load_cs(spec: str, h: int) -> ConstantSpecification:
     return parse_cs_table(_read_text(spec), h)
 
 
+def _load_model(args):
+    """The model file `args.model` and its warnings, read as a relational
+    model under `--kripke`; a `cs: file PATH` line names its table relative
+    to the model file's directory, or by an absolute path."""
+    text = _read_text(args.model)
+    if args.kripke:
+        return parse_kripke_file(text)
+    here = os.path.dirname(args.model)
+    return parse_model_file(text, lambda table: _read_text(os.path.join(here, table)))
+
+
 def _load_derivation(path: str, h: int):
     return parse_derivation(_read_text(path), h)
 
@@ -162,13 +173,11 @@ def cmd_induct2(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    text = _read_text(args.model)
+    m, warnings = _load_model(args)
     if args.kripke:
-        m, warnings = parse_kripke_file(text)
         a = parse_modal_formula(args.formula, m.h)
         value = kripke_satisfies(m, _parse_world(args.world), a)
     else:
-        m, warnings = parse_model_file(text)
         a = parse_formula(args.formula, m.h)
         value = satisfies(m, _parse_world(args.world), a, depth_budget=args.depth)
     for w in warnings:
@@ -180,8 +189,7 @@ def cmd_eval(args) -> int:
 def cmd_validate(args) -> int:
     """Loading is the validation: both loaders raise `InvalidInput` (exit 2)
     on every problem they find, so a model that loads is well formed."""
-    text = _read_text(args.model)
-    _, warnings = (parse_kripke_file if args.kripke else parse_model_file)(text)
+    _, warnings = _load_model(args)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print("ok")

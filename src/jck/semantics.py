@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 
 from .deduction import ConstantSpecification, match_axiom
 from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quoted
@@ -320,74 +321,44 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
             if c in terms:
                 add_formula(a)
 
-    for _ in range(depth_budget):
-        tails = [t for t in terms if isinstance(t, Tail)]
+    # the universe only grows, so checking its size before each round and
+    # once after the last refuses exactly the inputs whose final size is over
+    tails = [t for t in terms if isinstance(t, Tail)]
+    for rnd in count():
+        if len(terms) + len(formulas) > max_size:
+            raise ResourceError(
+                f"saturation universe exceeded {max_size} entries; "
+                "lower the depth budget or shrink the query")
+        if rnd >= depth_budget:
+            break
         fresh = []
         for tail in tails:
             for a in formulas:
                 boxed = Just(tail.t, C, a)
                 if boxed not in formulas:
                     fresh.append(boxed)
-        formulas.update(fresh)
-        if len(terms) + len(formulas) > max_size:
-            raise ResourceError(
-                f"saturation universe exceeded {max_size} entries; "
-                "lower the depth budget or shrink the query")
         if not fresh:
             break
-    if len(terms) + len(formulas) > max_size:
-        raise ResourceError(
-            f"saturation universe exceeded {max_size} entries; "
-            "lower the depth budget or shrink the query")
+        formulas.update(fresh)
     return SaturationUniverse(frozenset(terms), frozenset(formulas))
 
 
 def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
     """Least fixpoint of the nine closure rules inside `universe`.
 
-    Returns a frozenset of (world, term, formula) triples.  Indexed worklist:
-    each rule fires from the arrival of a premise fact, so work is linear in
-    fired-rule instances rather than in universe size per pass.
+    Returns a frozenset of (world, term, formula) triples.  One index,
+    `parents`, maps each term of the universe to the terms that have it as a
+    child; a worklist fact spreads along its sort's relation, then walks its
+    term's parents once and fires the rule of each parent's class, so work
+    is linear in fired-rule instances rather than in universe size per pass.
     """
     tu = universe.terms
     fu = universe.formulas
 
-    # structural indexes over the term universe
-    sums_by_child: dict[Term, list[Sum]] = {}
-    apps_by_left: dict[Term, list[App]] = {}
-    apps_by_right: dict[Term, list[App]] = {}
-    bangs_by_child: dict[Term, list[Bang]] = {}
-    tuples_by_slot: dict[tuple[Term, int], list[Tuple]] = {}
-    projs_by_child: dict[Term, list[Proj]] = {}
-    heads_by_child: dict[Term, list[Head]] = {}
-    tails_by_child: dict[Term, list[Tail]] = {}
-    inds_by_e: dict[Term, list[Ind]] = {}
-    inds_by_pair: dict[tuple[Term, Term], Ind] = {}
-    constants: list[Const] = []
-    for t in tu:
-        if isinstance(t, Sum):
-            sums_by_child.setdefault(t.t, []).append(t)
-            if t.s != t.t:
-                sums_by_child.setdefault(t.s, []).append(t)
-        elif isinstance(t, App):
-            apps_by_left.setdefault(t.t, []).append(t)
-            apps_by_right.setdefault(t.s, []).append(t)
-        elif isinstance(t, Bang):
-            bangs_by_child.setdefault(t.t, []).append(t)
-        elif isinstance(t, Tuple):
-            for i, item in enumerate(t.items, start=1):
-                tuples_by_slot.setdefault((item, i), []).append(t)
-        elif isinstance(t, Proj):
-            projs_by_child.setdefault(t.t, []).append(t)
-        elif isinstance(t, Head):
-            heads_by_child.setdefault(t.t, []).append(t)
-        elif isinstance(t, Tail):
-            tails_by_child.setdefault(t.t, []).append(t)
-        elif isinstance(t, Ind):
-            inds_by_e.setdefault(t.s, []).append(t)
-            inds_by_pair[(t.t, t.s)] = t
-        elif isinstance(t, Const):
-            constants.append(t)
+    parents: dict[Term, list[Term]] = {}
+    for u in tu:
+        for k in dict.fromkeys(u._children()):  # `t + t` is one parent of t
+            parents.setdefault(k, []).append(u)
 
     succ_star: dict[Sort, dict[int, list[int]]] = {}
     for i in range(1, m.h + 1):
@@ -422,8 +393,8 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
             emit(fact.world, fact.term, fact.formula)
     if m.cs.kind == "totalC":
         axioms = [a for a in fu if match_axiom(a)]
-        for c in constants:
-            if c.sort == C:
+        for c in tu:
+            if isinstance(c, Const) and c.sort == C:
                 for a in axioms:
                     for w in m.worlds:
                         emit(w, c, a)
@@ -433,74 +404,42 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
                 for w in m.worlds:
                     emit(w, c, a)
 
+    # a parent's class fixes its children's sorts, so no rule below tests
+    # the sort of `t` again
     while queue:
         w, t, a, spread = queue.pop()
         sort = t.sort
-        is_agent = sort.is_agent
-        is_common = sort == C
 
         # monotonicity along the star-sort relations; an agent relation need
         # not be transitive, so agent facts keep spreading from each arrival
-        if spread and (is_agent or is_common):
+        if spread and sort != E:
             for v in succ_star[sort].get(w, ()):
-                emit(v, t, a, is_agent)
+                emit(v, t, a, sort.is_agent)
 
-        # application, both premise roles
-        if isinstance(a, Imp):
-            for u in apps_by_left.get(t, ()):
-                if a.right in fu and holds(w, u.s, a.left):
+        for u in parents.get(t, ()):
+            cls = u.__class__
+            if cls is Sum or cls is Proj or cls is Head:
+                emit(w, u, a)
+            elif cls is App:
+                if u.t == t and isinstance(a, Imp) and a.right in fu \
+                        and holds(w, u.s, a.left):
                     emit(w, u, a.right)
-        for u in apps_by_right.get(t, ()):
-            for f in list(by_world_term.get((w, u.t), ())):
-                if isinstance(f, Imp) and f.left == a and f.right in fu:
-                    emit(w, u, f.right)
-
-        # sum
-        for u in sums_by_child.get(t, ()):
-            emit(w, u, a)
-
-        # inspection; the boxed conclusion is built only for a term with a
-        # bang in the universe
-        if is_agent:
-            bangs = bangs_by_child.get(t)
-            if bangs:
+                if u.s == t:
+                    for f in by_world_term.get((w, u.t), ()):
+                        if isinstance(f, Imp) and f.left == a and f.right in fu:
+                            emit(w, u, f.right)
+            elif cls is Bang or cls is Tail:
                 boxed = Just(t, sort, a)
                 if boxed in fu:
-                    for u in bangs:
-                        emit(w, u, boxed)
-
-        # tupling
-        if is_agent:
-            for u in tuples_by_slot.get((t, sort.index), ()):
+                    emit(w, u, boxed)
+            elif cls is Tuple:
                 if all(holds(w, item, a) for item in u.items):
                     emit(w, u, a)
-
-        # projection
-        if sort == E:
-            for u in projs_by_child.get(t, ()):
-                emit(w, u, a)
-
-        # co-closure, head and tail conclusions
-        if is_common:
-            for u in heads_by_child.get(t, ()):
-                emit(w, u, a)
-            tails = tails_by_child.get(t)
-            if tails:
-                boxed = Just(t, C, a)
-                if boxed in fu:
-                    for u in tails:
-                        emit(w, u, boxed)
-
-        # induction, from either premise
-        if sort == E:
-            for u in inds_by_e.get(t, ()):
-                if holds(w, u.t, Imp(a, Just(t, E, a))):
+            elif cls is Ind:
+                if u.s == t and holds(w, u.t, Imp(a, Just(t, E, a))):
                     emit(w, u, a)
-        if is_common and isinstance(a, Imp):
-            body = a.right
-            if isinstance(body, Just) and body.sort == E and body.body == a.left:
-                u = inds_by_pair.get((t, body.term))
-                if u is not None and a.left in fu and holds(w, body.term, a.left):
+                if u.t == t and isinstance(a, Imp) and a.left in fu \
+                        and a.right == Just(u.s, E, a.left) and holds(w, u.s, a.left):
                     emit(w, u, a.left)
 
     return frozenset(known)
@@ -660,11 +599,13 @@ def _world_ids(text: str) -> list[int]:
 def _world_pairs(text: str) -> list[Pair]:
     """The pairs written on a `rel` line, in order."""
     pairs = []
-    for chunk in text.replace(" ", "").split(")"):
+    chunks = text.replace(" ", "").split(")")
+    for k, chunk in enumerate(chunks, start=1):
         chunk = chunk.strip(",")
         if not chunk:
             continue
-        if not chunk.startswith("("):
+        # a pair is closed when a ")" follows it, so the last chunk is open
+        if not chunk.startswith("(") or k == len(chunks):
             raise ParseError(f"bad relation pair {quoted(chunk)}")
         a, _, b = chunk[1:].partition(",")
         pairs.append((_world_id(a), _world_id(b)))

@@ -271,6 +271,36 @@ def test_eval_warning_goes_to_stderr(tmp_path, capsys):
     assert "warning:" in captured.err
 
 
+SPEC_MODEL = "h: 1\nworlds: w0\nval P1: w0\nmode: base\ncs: {}\n"
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("file extras.cs", 0),  # next to the model file
+    ("file {dir}/extras.cs", 0),  # absolute
+    ("totalC", 1),  # c1@1 is not a common constant
+])
+def test_eval_reads_the_specification_file_beside_the_model(tmp_path, monkeypatch, capsys,
+                                                            spec, code):
+    (tmp_path / "extras.cs").write_text("c1@1 := P1 -> P1\n")
+    model = tmp_path / "spec.afm"
+    model.write_text(SPEC_MODEL.format(spec.format(dir=tmp_path)))
+    monkeypatch.chdir(tmp_path.parent)  # not the model's directory
+    assert main(["eval", str(model), "[c1@1]@1 (P1 -> P1)", "--world", "w0"]) == code
+    assert capsys.readouterr().out.strip() == ("true" if code == 0 else "false")
+    assert main(["validate", str(model)]) == 0
+
+
+def test_missing_specification_file_exits_2_with_one_line(tmp_path):
+    model = tmp_path / "spec.afm"
+    model.write_text(SPEC_MODEL.format("file nope.cs"))
+    for argv in (("eval", str(model), "P1", "--world", "w0"), ("validate", str(model))):
+        proc = run_jck(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "nope.cs" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def run_jck(*argv) -> subprocess.CompletedProcess:
     """Run the command line in a child interpreter, as a shell would."""
     src = str(Path(jck.__file__).resolve().parent.parent)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import format_model
 from jck import modal, semantics
-from jck.acceptance import naive_saturate
+from jck.acceptance import attack_term_families, naive_saturate
 from jck.deduction import ConstantSpecification
 from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
 from jck.gen import random_formula, random_term
@@ -541,6 +541,56 @@ def test_saturation_matches_naive_oracle_with_common_facts():
         assert saturate(m, u) == naive_saturate(m, u)
 
 
+def test_attack_sweep_saturations_match_naive_oracle():
+    # every universe the singleton section of the attack scenario saturates
+    m = attack_singleton_model()
+    family = attack_term_families(3)[1]
+    assert len(family) == 2185
+    for t in family:
+        u = build_universe(m, Just(t, C, DEL), 3)
+        assert saturate(m, u) == naive_saturate(m, u), t
+
+
+# Binary rules whose premises each reach world 1 by one step from another
+# world: the fact seeded last is popped first, so each order of the base
+# makes a different premise arrive last at world 1, where alone both hold.
+# Each case is (universe items, base as (world, term, formula), conclusion).
+_T, _S, _X = Var(1, C), Var(2, C), Var(3, C)
+_IMP = Imp(Prop(1), Prop(2))
+_STEP = Imp(Prop(1), Just(Head(_X), E, Prop(1)))
+ARRIVAL_CASES = {
+    "app": ((App(_T, _S, C), _IMP), [(0, _T, _IMP), (2, _S, Prop(1))],
+            (App(_T, _S, C), Prop(2))),
+    "app_of_one_term": ((App(_T, _T, C), _IMP), [(0, _T, _IMP), (2, _T, Prop(1))],
+                        (App(_T, _T, C), Prop(2))),
+    # P1 -> P2 arrives last in order, and must fire as both premises at once
+    "app_of_one_term_both_roles": ((App(_T, _T, C), Imp(_IMP, Prop(3))),
+                                   [(0, _T, _IMP), (2, _T, Prop(1)), (2, _T, Imp(_IMP, Prop(3)))],
+                                   (App(_T, _T, C), Prop(3))),
+    "sum_of_one_term": ((Sum(_T, _T, C), Prop(1)), [(0, _T, Prop(1))],
+                        (Sum(_T, _T, C), Prop(1))),
+    # the E premise of `ind` arrives by the head rule after its C fact does
+    "ind": ((Ind(_S, Head(_X)), _STEP), [(0, _S, _STEP), (2, _X, Prop(1))],
+            (Ind(_S, Head(_X)), Prop(1))),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+@pytest.mark.parametrize("case", ARRIVAL_CASES)
+def test_binary_rules_fire_whichever_premise_arrives_last(case, reverse):
+    items, base, (u, a) = ARRIVAL_CASES[case]
+    base = [EvidenceFact(w, t, f) for w, t, f in base]
+    # worlds 0 and 2 each see world 1 and nothing else
+    m = tiny(worlds=(0, 1, 2), rels={1: {(0, 1), (2, 1)}},
+             base=tuple(reversed(base)) if reverse else tuple(base))
+    universe = universe_of(*items)
+    facts = saturate(m, universe)
+    assert facts == naive_saturate(m, universe)
+    assert (1, u, a) in facts
+    if len(base) > 1:  # one premise holds at world 0, the other at world 2
+        assert (0, u, a) not in facts and (2, u, a) not in facts
+
+
 def test_agent_monotonicity_chains_on_a_relation_that_is_not_transitive():
     # 0 -> 1 -> 2 for agent 1, with no pair (0,2): the fact at 0 reaches 2
     # only by spreading again from 1; the C fact reaches 2 through the closure
@@ -791,6 +841,7 @@ def test_model_file_named_atoms_and_tuples():
 
 @pytest.mark.parametrize("text,exc", [
     ("worlds: w0\nh: 1\nrel 1: (w0,w0)\n", None),  # order is free except rel
+    ("h: 1\nworlds: w0 w1\nrel 1: (w0,w1),,(w1,w0),\n", None),  # loose commas
     ("rel 1: (w0,w0)\nh: 1\nworlds: w0\n", ParseError),
     ("h: 1\nworlds: w0\nrel 2: (w0,w0)\n", ParseError),
     ("h: 0\nworlds: w0\n", ParseError),
@@ -813,6 +864,8 @@ def test_model_file_errors(text, exc):
 @pytest.mark.parametrize("line,message", [
     ("worlds: w0 w1x", "bad world name 'w1x'; expected wN"),
     ("rel 1: (w0,w1) x", "bad relation pair 'x'"),
+    ("rel 1: (w0,w1", "bad relation pair '(w0,w1'"),
+    ("rel 1: (w0,w1) (w1,w0", "bad relation pair '(w1,w0'"),
     ("rel 1: (w0,w1) (w0;w1)", "bad world name 'w0;w1'; expected wN"),
     ("rel 1: (w0,w1) (w1,w0,w1)", "bad world name 'w0,w1'; expected wN"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
