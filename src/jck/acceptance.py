@@ -31,9 +31,8 @@ from .synthesis import (
     internalize_induction_1, internalize_induction_2, lift, necessitate,
 )
 from .gen import (
-    enumerate_terms, random_agent_fragment_formula, random_axiom,
-    random_axiom_instance, random_derivation, random_formula, random_sort,
-    random_term, random_theorem,
+    enumerate_terms, random_axiom, random_axiom_instance, random_derivation,
+    random_formula, random_sort, random_term, random_theorem,
 )
 from .semantics import (
     AFModel, EvidenceFact, KripkeModel, SaturationUniverse,
@@ -602,7 +601,7 @@ def check_translation_contracts(seed: int = 0) -> CriterionResult:
 
     for k in range(100):
         h = rng.randint(1, 3)
-        a = random_agent_fragment_formula(rng, h, rng.randint(0, 3))
+        a = random_formula(rng, h, rng.randint(0, 3), fragment=True)
         if conservative_projection(a) != a:
             _collect(failures, f"identity[{k}]", print_formula(a))
 

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from .deduction import Axiom, AxiomSchema, Builder, Derivation, Step
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceError
 from .syntax import (
     agent, And, App, Bang, C, conj, Const, E, Formula, Head, Imp, Ind, Just,
     Neg, Or, Prop, Proj, Sort, Sum, Tail, Term, Tuple, Var,
@@ -25,23 +25,28 @@ def random_sort(rng: random.Random, h: int, star: bool = False) -> Sort:
     return rng.choice(pool)
 
 
-def random_term(rng: random.Random, sort: Sort, h: int, depth: int) -> Term:
-    """Uniform-ish term at `sort`, operator nesting bounded by `depth`."""
+def random_term(rng: random.Random, sort: Sort, h: int, depth: int,
+                fragment: bool = False) -> Term:
+    """Uniform-ish term at `sort`, operator nesting bounded by `depth`.
+
+    With `fragment`, an agent-sort term uses only the single-agent
+    operations `!i`, `+` and `*`.
+    """
     if depth <= 0:
         if rng.random() < 0.5:
             return Const(rng.randint(1, 4), sort)
         return Var(rng.randint(1, 4), sort)
     if sort.is_agent:
-        choice = rng.randrange(6)
+        choice = rng.randrange(5 if fragment else 6)
         if choice == 0:
-            return Bang(random_term(rng, sort, h, depth - 1), sort.index)
+            return Bang(random_term(rng, sort, h, depth - 1, fragment), sort.index)
         if choice == 1:
-            return Sum(random_term(rng, sort, h, depth - 1),
-                       random_term(rng, sort, h, depth - 1), sort)
+            return Sum(random_term(rng, sort, h, depth - 1, fragment),
+                       random_term(rng, sort, h, depth - 1, fragment), sort)
         if choice == 2:
-            return App(random_term(rng, sort, h, depth - 1),
-                       random_term(rng, sort, h, depth - 1), sort)
-        if choice == 3:
+            return App(random_term(rng, sort, h, depth - 1, fragment),
+                       random_term(rng, sort, h, depth - 1, fragment), sort)
+        if choice == 3 and not fragment:
             return Proj(sort.index, random_term(rng, E, h, depth - 1))
         return random_term(rng, sort, h, 0)
     if sort == E:
@@ -68,63 +73,29 @@ def random_term(rng: random.Random, sort: Sort, h: int, depth: int) -> Term:
     return random_term(rng, sort, h, 0)
 
 
-def random_formula(rng: random.Random, h: int, depth: int) -> Formula:
+def random_formula(rng: random.Random, h: int, depth: int,
+                   fragment: bool = False) -> Formula:
+    """Random formula, nesting bounded by `depth`.  With `fragment`, it stays
+    in the single-agent fragment: every box is at an agent sort, over a
+    fragment term."""
     if depth <= 0:
         return Prop(rng.randint(1, 4))
     choice = rng.randrange(6)
     if choice == 0:
-        return Neg(random_formula(rng, h, depth - 1))
+        return Neg(random_formula(rng, h, depth - 1, fragment))
     if choice == 1:
-        return And(random_formula(rng, h, depth - 1), random_formula(rng, h, depth - 1))
+        return And(random_formula(rng, h, depth - 1, fragment),
+                   random_formula(rng, h, depth - 1, fragment))
     if choice == 2:
-        return Or(random_formula(rng, h, depth - 1), random_formula(rng, h, depth - 1))
+        return Or(random_formula(rng, h, depth - 1, fragment),
+                  random_formula(rng, h, depth - 1, fragment))
     if choice == 3:
-        return Imp(random_formula(rng, h, depth - 1), random_formula(rng, h, depth - 1))
+        return Imp(random_formula(rng, h, depth - 1, fragment),
+                   random_formula(rng, h, depth - 1, fragment))
     if choice == 4:
-        sort = random_sort(rng, h)
-        return Just(random_term(rng, sort, h, depth - 1), sort,
-                    random_formula(rng, h, depth - 1))
-    return Prop(rng.randint(1, 4))
-
-
-def random_agent_fragment_term(rng: random.Random, i: int, depth: int) -> Term:
-    """Term at agent sort i using only the single-agent operations."""
-    s = agent(i)
-    if depth <= 0:
-        if rng.random() < 0.5:
-            return Const(rng.randint(1, 4), s)
-        return Var(rng.randint(1, 4), s)
-    choice = rng.randrange(5)
-    if choice == 0:
-        return Bang(random_agent_fragment_term(rng, i, depth - 1), i)
-    if choice == 1:
-        return Sum(random_agent_fragment_term(rng, i, depth - 1),
-                   random_agent_fragment_term(rng, i, depth - 1), s)
-    if choice == 2:
-        return App(random_agent_fragment_term(rng, i, depth - 1),
-                   random_agent_fragment_term(rng, i, depth - 1), s)
-    return random_agent_fragment_term(rng, i, 0)
-
-
-def random_agent_fragment_formula(rng: random.Random, h: int, depth: int) -> Formula:
-    if depth <= 0:
-        return Prop(rng.randint(1, 4))
-    choice = rng.randrange(6)
-    if choice == 0:
-        return Neg(random_agent_fragment_formula(rng, h, depth - 1))
-    if choice == 1:
-        return And(random_agent_fragment_formula(rng, h, depth - 1),
-                   random_agent_fragment_formula(rng, h, depth - 1))
-    if choice == 2:
-        return Or(random_agent_fragment_formula(rng, h, depth - 1),
-                  random_agent_fragment_formula(rng, h, depth - 1))
-    if choice == 3:
-        return Imp(random_agent_fragment_formula(rng, h, depth - 1),
-                   random_agent_fragment_formula(rng, h, depth - 1))
-    if choice == 4:
-        i = rng.randint(1, h)
-        return Just(random_agent_fragment_term(rng, i, depth - 1), agent(i),
-                    random_agent_fragment_formula(rng, h, depth - 1))
+        sort = agent(rng.randint(1, h)) if fragment else random_sort(rng, h)
+        return Just(random_term(rng, sort, h, depth - 1, fragment), sort,
+                    random_formula(rng, h, depth - 1, fragment))
     return Prop(rng.randint(1, 4))
 
 
@@ -276,7 +247,7 @@ MAX_TERMS = 200000
 def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> list[Term]:
     """All terms of `sort` built from `leaves` with nesting <= max_depth.
 
-    Exhaustive by construction; raises InvalidInput past `MAX_TERMS` terms
+    Exhaustive by construction; raises ResourceError past `MAX_TERMS` terms
     total.
     """
     by_sort: dict[Sort, list[Term]] = {}
@@ -295,7 +266,7 @@ def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> l
             new.setdefault(t.sort, []).append(t)
             total += 1
             if total > MAX_TERMS:
-                raise InvalidInput(f"term enumeration exceeded {MAX_TERMS} terms")
+                raise ResourceError(f"term enumeration exceeded {MAX_TERMS} terms")
 
         for i in range(1, h + 1):
             s = agent(i)

@@ -659,6 +659,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
+        words = key.split()
         if key == "h":
             if h is not None:  # every line read so far was checked against h
                 raise ParseError("more than one h: line")
@@ -669,18 +670,18 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
                 raise ResourceError(f"h: {h} exceeds the cap of {MAX_AGENTS} agents")
         elif key == "worlds":
             worlds.update(_world_ids(rest))
-        elif key.startswith("rel"):
-            i = integer(key[3:].strip(), "agent index")
+        elif len(words) == 2 and words[0] == "rel":
+            i = integer(words[1], "agent index")
             if not 1 <= i <= need_h():
                 raise ParseError(f"agent index {i} outside 1..{h}")
             relations.setdefault(i, set()).update(_world_pairs(rest))
-        elif key.startswith("val"):
-            name = key[3:].strip()
+        elif len(words) == 2 and words[0] == "val":
+            name = words[1]
             if name.startswith("P") and name[1:].isdecimal():
                 prop_key = integer(name[1:], "proposition index")
             else:
                 prop_key = name
-            valuation[prop_key] = set(_world_ids(rest))
+            valuation.setdefault(prop_key, set()).update(_world_ids(rest))
         elif key == "evidence":
             p = Parser(rest, need_h())
             p.expect("(")
@@ -699,7 +700,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         elif key == "cs":
             if rest == "totalC":
                 cs = ConstantSpecification.total_c()
-            elif rest.startswith("file"):
+            elif rest[:4] == "file" and rest[4:5].isspace():
                 path = rest[4:].strip()
                 if cs_loader is None:
                     raise InvalidInput("model references a specification file "

@@ -776,10 +776,6 @@ _OPS = {term: {op: (p, p + right, cls) for op, (cls, p, right) in _INFIX.items()
 _NO_OP = (0, 1, None)
 
 
-def _as_is(node, _):
-    return node
-
-
 class Parser:
     """Precedence climbing over the token list of one text, for agent count
     `h` (Pratt, POPL 1973): `_read` is one loop over an explicit stack of
@@ -787,10 +783,10 @@ class Parser:
     nesting costs no interpreter frame.  The modal parser sets `modal`, which
     reads `#s` boxes in place of evidence boxes.
 
-    Every atom goes through `leaves`, by lexeme, so one text builds each
-    atom once.  Given `nodes`, as a `Reader` gives its file's table, the
-    leaves are kept there, and every node goes through it too: it maps each
-    node to the one object equal to it."""
+    Every atom and every node goes through one table, `nodes`: atoms by
+    lexeme, nodes by themselves, so it maps each node to the one object
+    equal to it.  A `Reader` passes its file's table; any other parse has a
+    table of its own."""
 
     modal = False
 
@@ -800,8 +796,8 @@ class Parser:
         self.h = h
         self.tokens = _tokenize(text)
         self.i = 0
-        self.leaves: dict = {} if nodes is None else nodes
-        self.intern = _as_is if nodes is None else nodes.setdefault
+        self.nodes: dict = {} if nodes is None else nodes
+        self.intern = self.nodes.setdefault
         # where the text after each `->` outside parentheses starts, in what
         # the last `_read` read: the right spine's texts, left to right
         self.arrows: list[int] = []
@@ -871,7 +867,7 @@ class Parser:
         terms up to its `]`; the term and the formula around it each count
         their own open parentheses."""
         tokens = self.tokens
-        leaves = self.leaves
+        leaves = self.nodes
         intern = self.intern
         ops = _OPS[term]
         box = "#" if self.modal else "["

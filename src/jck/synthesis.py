@@ -253,24 +253,26 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
         Just(y, target, ck) for y, ck in zip(fresh, ctx.plain))
     b = Builder(out_hyps)
 
+    def from_common(step_idx: int, u: Term, body: Formula) -> tuple[Term, int]:
+        """Turn a step proving [u]@C body into evidence for body at `target`."""
+        if target == C:
+            return u, step_idx
+        if target.is_agent:
+            term, conv = i_conversion(u, target.index, body)
+            return term, b.mp(b.include(conv), step_idx)
+        term = Head(u)
+        ax = b.axiom(AxiomSchema.COCLOSHEAD, Imp(Just(u, C, body), Just(term, E, body)))
+        return term, b.mp(ax, step_idx)
+
     def lift_c_boxed(step_idx: int, boxed: Just) -> tuple[Term, int]:
         """Turn a step proving [u]@C B into evidence for that very formula."""
-        u = boxed.term
-        if target == C:
-            term, insp = c_inspection(u, boxed.body, alloc)
-            k = b.include(insp)
-            return term, b.mp(k, step_idx)
-        if target.is_agent:
-            insp_term, insp = c_inspection(u, boxed.body, alloc)
-            k = b.include(insp)
-            at_c = b.mp(k, step_idx)
-            term, conv = i_conversion(insp_term, target.index, boxed)
-            k2 = b.include(conv)
-            return term, b.mp(k2, at_c)
-        # target E: the co-closure tail axiom directly boxes the formula
-        term = Tail(u)
-        ax = b.axiom(AxiomSchema.COCLOSTAIL, Imp(boxed, Just(term, E, boxed)))
-        return term, b.mp(ax, step_idx)
+        if target == E:
+            # the co-closure tail axiom directly boxes the formula
+            term = Tail(boxed.term)
+            ax = b.axiom(AxiomSchema.COCLOSTAIL, Imp(boxed, Just(term, E, boxed)))
+            return term, b.mp(ax, step_idx)
+        insp_term, insp = c_inspection(boxed.term, boxed.body, alloc)
+        return from_common(b.mp(b.include(insp), step_idx), insp_term, boxed)
 
     mapped: dict[int, tuple[Term, int]] = {}
     for k, step in enumerate(d.steps, start=1):
@@ -290,18 +292,7 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
                 mapped[k] = (y, out_idx)
         elif isinstance(rule, Axiom):
             c = alloc.constant_for(f)
-            base = b.axnec(c, f)
-            cf = Just(c, C, f)
-            if target == C:
-                mapped[k] = (c, base)
-            elif target.is_agent:
-                term, conv = i_conversion(c, target.index, f)
-                k2 = b.include(conv)
-                mapped[k] = (term, b.mp(k2, base))
-            else:
-                term = Head(c)
-                ax = b.axiom(AxiomSchema.COCLOSHEAD, Imp(cf, Just(term, E, f)))
-                mapped[k] = (term, b.mp(ax, base))
+            mapped[k] = from_common(b.axnec(c, f), c, f)
         elif isinstance(rule, AxNec):
             # f is [c]@C B for a specification member; box it like a fixed hypothesis
             if not (isinstance(f, Just) and f.sort == C):

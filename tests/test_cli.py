@@ -290,6 +290,16 @@ def test_eval_reads_the_specification_file_beside_the_model(tmp_path, monkeypatc
     assert main(["validate", str(model)]) == 0
 
 
+def test_specification_keyword_is_not_a_prefix(tmp_path, capsys):
+    # `cs: filetable.cs` names no table, though `table.cs` is there
+    (tmp_path / "table.cs").write_text("c1@C := P1 -> P1\n")
+    model = tmp_path / "spec.afm"
+    model.write_text(SPEC_MODEL.format("filetable.cs"))
+    assert main(["eval", str(model), "P1", "--world", "w0"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown specification 'filetable.cs'" in err and err.count("\n") == 1
+
+
 def test_missing_specification_file_exits_2_with_one_line(tmp_path):
     model = tmp_path / "spec.afm"
     model.write_text(SPEC_MODEL.format("file nope.cs"))
@@ -420,10 +430,11 @@ def test_out_of_range_evidence_exits_2(tmp_path, capsys, text, message):
     assert message in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["modes: 3", "csv: 3"])
+@pytest.mark.parametrize("line", ["modes: 3", "csv: 3", "valuation P1: w0", "rel1: (w0,w0)"])
 def test_validate_kripke_reads_keys_not_prefixes(tmp_path, capsys, line):
-    # only a `mode` or `cs` key is ignored; a key that merely starts with one
-    # is as unknown as it is to the evidence-model loader
+    # only a `mode` or `cs` key is ignored, and `rel` and `val` are words
+    # before an index or name; a key that merely starts with one is as
+    # unknown as it is to the evidence-model loader
     path = tmp_path / "frame.krm"
     path.write_text(f"h: 1\nworlds: w0\n{line}\n")
     for argv in (["validate", str(path)], ["validate", str(path), "--kripke"]):
@@ -562,6 +573,12 @@ def test_demo_attack_matches_golden(depth, capsys):
     assert main(["demo-attack", "--depth", str(depth)]) == 0
     golden = (GOLDEN / f"demo_attack_depth{depth}.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_demo_attack_past_the_term_cap_exits_2_with_one_line():
+    proc = run_jck("demo-attack", "--depth", "4")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: term enumeration exceeded 200000 terms\n"
 
 
 def test_selftest(capsys):

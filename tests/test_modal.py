@@ -13,8 +13,7 @@ from jck.deduction import (
 )
 from jck.errors import InvalidInput, ParseError, UnknownWorld
 from jck.gen import (
-    random_agent_fragment_formula, random_axiom, random_derivation,
-    random_formula, random_theorem,
+    random_axiom, random_derivation, random_formula, random_theorem,
 )
 from jck.modal import (
     KripkeModel, attack_kripke_model, conservative_projection, forgetful,
@@ -119,7 +118,7 @@ def test_realizes_random(seed=41):
 def test_projection_identity_on_agent_fragment():
     rng = random.Random(3)
     for _ in range(120):
-        g = random_agent_fragment_formula(rng, 3, rng.randint(0, 3))
+        g = random_formula(rng, 3, rng.randint(0, 3), fragment=True)
         assert conservative_projection(g) == g
 
 

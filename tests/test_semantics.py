@@ -852,6 +852,10 @@ def test_model_file_named_atoms_and_tuples():
     ("worlds: w0\n", ParseError),
     ("h: 1\nworlds: w0\nevidence: (w3, c1@1, P1)\n", InvalidInput),
     ("h: 1\nworlds: w0\ncs: file extras.cs\n", InvalidInput),
+    ("h: 1\nworlds: w0\ncs: file\textras.cs\n", InvalidInput),
+    # `file`, then whitespace, then a path; nothing else names a table
+    ("h: 1\nworlds: w0\ncs: filetable.cs\n", ParseError),
+    ("h: 1\nworlds: w0\ncs: file\n", ParseError),
 ])
 def test_model_file_errors(text, exc):
     if exc is None:
@@ -870,6 +874,11 @@ def test_model_file_errors(text, exc):
     ("rel 1: (w0,w1) (w1,w0,w1)", "bad world name 'w0,w1'; expected wN"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
     ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
+    # a key is a keyword, then one agent index or name: not a prefix of one
+    ("valuation P1: w0", "unknown model line 'valuation P1: w0'"),
+    ("rel1: (w0,w1)", "unknown model line 'rel1: (w0,w1)'"),
+    ("rel 1 2: (w0,w1)", "unknown model line 'rel 1 2: (w0,w1)'"),
+    ("val: w0", "unknown model line 'val: w0'"),
     # long lines that go wrong only at their last token
     pytest.param("worlds: " + "w0 " * 20000 + "w1x",
                  "bad world name 'w1x'; expected wN", id="long_worlds"),
@@ -882,6 +891,14 @@ def test_model_file_line_errors_name_the_token(line, message):
     with pytest.raises(ParseError) as caught:
         parse_model_file(f"h: 1\nworlds: w0 w1\n{line}\n")
     assert str(caught.value) == message
+
+
+def test_model_file_repeated_lines_accumulate():
+    m, _ = parse_model_file("h: 1\nworlds: w0\nworlds: w1\nrel 1: (w0,w1)\n"
+                            "rel 1: (w1,w0)\nval P1: w0\nval P1: w1\n")
+    assert m.worlds == frozenset({0, 1})
+    assert m.relations[1] == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    assert m.valuation[1] == frozenset({0, 1})
 
 
 def test_model_file_specification_loader():
@@ -951,6 +968,13 @@ def test_enumerated_families_match_independent_count():
     assert fam2 == {t for t in everything if t.sort == agent(2)}
     assert fam_c == {t for t in everything if t.sort == C}
     assert len(fam2) == 3263 and len(fam_c) == 2185
+
+
+def test_term_enumeration_cap_is_a_resource_cap():
+    from jck.gen import MAX_TERMS
+
+    with pytest.raises(ResourceError, match=f"exceeded {MAX_TERMS} terms"):
+        attack_term_families(max_depth=4)
 
 
 def test_random_model_is_seed_deterministic():
