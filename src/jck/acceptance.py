@@ -26,7 +26,7 @@ from .deduction import (
 )
 from .errors import ResourceError
 from .synthesis import (
-    ConstantAllocator, LiftingContext, c_inspection, c_reflexivity, c_shift,
+    ConstantAllocator, c_inspection, c_reflexivity, c_shift,
     e_application, e_reflexivity, e_sum, i_conversion,
     internalize_induction_1, internalize_induction_2, lift, necessitate,
 )
@@ -81,26 +81,6 @@ def _imp_intro(d: Derivation, premise: Formula) -> Derivation:
     return b.build()
 
 
-def _boxed_hyps_first(d: Derivation) -> Derivation:
-    """Permute hypotheses into the declared lifting order, remapping Hyp steps.
-
-    Group-boxed hypotheses stay fixed under lifting and must precede the rest;
-    a random derivation may interleave them.
-    """
-    def is_boxed(f: Formula) -> bool:
-        return isinstance(f, Just) and f.sort == C
-
-    order = sorted(range(len(d.hypotheses)),
-                   key=lambda i: (not is_boxed(d.hypotheses[i]), i))
-    if order == list(range(len(d.hypotheses))):
-        return d
-    remap = {old + 1: new + 1 for new, old in enumerate(order)}
-    steps = tuple(
-        Step(s.formula, Hyp(remap[s.rule.index]) if isinstance(s.rule, Hyp) else s.rule)
-        for s in d.steps)
-    return Derivation(tuple(d.hypotheses[i] for i in order), steps)
-
-
 def _conj_intro(d1: Derivation, d2: Derivation) -> Derivation:
     """From hypothesis-free proofs of A and B, a proof of `A & B`."""
     b = Builder()
@@ -125,7 +105,8 @@ def check_synthesis_contracts(seed: int = 0) -> CriterionResult:
             cs: ConstantSpecification = total, fragment: str = "full") -> None:
         counts[op] = counts.get(op, 0) + 1
         label = f"{op}[{k}]"
-        report = check_derivation(produced, cs, fragment=fragment)
+        # `h` is the agent count the enclosing loop drew for this input
+        report = check_derivation(produced, cs, h=h, fragment=fragment)
         if not report:
             _collect(failures, label, f"kernel: {report.status} at step {report.step}")
             return
@@ -190,7 +171,7 @@ def check_synthesis_contracts(seed: int = 0) -> CriterionResult:
             _collect(failures, "lift", f"only saw step kinds {sorted(seen_cases)}")
             break
         h = rng.randint(1, 3)
-        d = _boxed_hyps_first(random_derivation(rng, h, n_extra=rng.randint(1, 4)))
+        d = random_derivation(rng, h, n_extra=rng.randint(1, 4))
         for st in d.steps:
             if isinstance(st.rule, Hyp):
                 hyp = d.hypotheses[st.rule.index - 1]
@@ -203,20 +184,17 @@ def check_synthesis_contracts(seed: int = 0) -> CriterionResult:
             else:
                 seen_cases.add("mp")
         target = targets[k % 3] if targets[k % 3] != agent(1) else agent(rng.randint(1, h))
-        ctx = LiftingContext.from_derivation(d)
-        term, lifted = lift(d, target, ctx, ConstantAllocator(), h=h)
+        term, lifted = lift(d, target, None, ConstantAllocator(), h=h)
         run("lift", k, lifted, Just(term, target, d.conclusion))
-        label = f"lift[{k}]"
-        n_boxed = len(ctx.boxed)
-        front = lifted.hypotheses[:n_boxed]
-        back = lifted.hypotheses[n_boxed:]
-        if front != tuple(Just(s, C, bb) for s, bb in ctx.boxed):
-            _collect(failures, label, "boxed hypotheses were not kept fixed")
-        if len(back) != len(ctx.plain) or any(
-                not (isinstance(f, Just) and f.sort == target
-                     and isinstance(f.term, Var) and f.body == ck)
-                for f, ck in zip(back, ctx.plain)):
-            _collect(failures, label, "plain hypotheses not boxed under fresh variables")
+        if len(lifted.hypotheses) != len(d.hypotheses):
+            _collect(failures, f"lift[{k}]", "hypothesis count changed")
+        for f, g in zip(d.hypotheses, lifted.hypotheses):
+            if isinstance(f, Just) and f.sort == C:
+                if g != f:
+                    _collect(failures, f"lift[{k}]", "a boxed hypothesis left its place")
+            elif not (isinstance(g, Just) and g.sort == target
+                      and isinstance(g.term, Var) and g.body == f):
+                _collect(failures, f"lift[{k}]", "a plain hypothesis is not boxed under a variable")
         k += 1
 
     for k in range(50):

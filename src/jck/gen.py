@@ -236,7 +236,7 @@ def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:
     taut = rng.choice(_TAUT_TEMPLATES)(a, b)
     base = Derivation((), (Step(taut, Axiom(AxiomSchema.TAUT)),))
     target = random_sort(rng, h)
-    _, d = necessitate(base, target, alloc, h)
+    _, d = necessitate(base, target, alloc, h=h)
     return d
 
 

@@ -678,10 +678,9 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         elif len(words) == 2 and words[0] == "val":
             name = words[1]
             if name.startswith("P") and name[1:].isdecimal():
-                prop_key = integer(name[1:], "proposition index")
-            else:
-                prop_key = name
-            valuation.setdefault(prop_key, set()).update(_world_ids(rest))
+                name = integer(name[1:], "proposition index")
+            # the constructor applies the one rule for proposition names
+            valuation.setdefault(Prop(name).index, set()).update(_world_ids(rest))
         elif key == "evidence":
             p = Parser(rest, need_h())
             p.expect("(")

@@ -188,14 +188,20 @@ _RESERVED_NAMES = {"head", "tail", "ind"}
 _COLLIDING_RE = re.compile(r"(?:[xc]\d+|pi_\d+)\Z")
 
 
+def _is_atom_name(text: str) -> bool:
+    """The one rule for naming a proposition or constant."""
+    return (bool(_NAME_RE.match(text)) and text not in _RESERVED_NAMES
+            and not _COLLIDING_RE.match(text))
+
+
 def _check_atom_index(index) -> None:
     if isinstance(index, int):
         if index < 1:
             raise InvalidInput(f"atom index must be >= 1, got {index}")
         return
     if isinstance(index, str):
-        if not _NAME_RE.match(index) or index in _RESERVED_NAMES or _COLLIDING_RE.match(index):
-            raise InvalidInput(f"bad atom name {index!r}")
+        if not _is_atom_name(index):
+            raise InvalidInput(f"bad atom name {quoted(index)}")
         return
     raise InvalidInput(f"atom index must be int or str, got {type(index).__name__}")
 
@@ -855,7 +861,7 @@ class Parser:
 
     def _atom(self, kind: str, pos: int, payload) -> Term:
         index, sort = payload
-        if kind == "NCONST" and index in _RESERVED_NAMES:
+        if kind == "NCONST" and not _is_atom_name(index):
             raise ParseError(f"{quoted(index)} is reserved", pos)
         return (Var if kind == "VAR" else Const)(index, self._sort(sort, pos))
 
@@ -909,7 +915,7 @@ class Parser:
             elif kind == "PROP" or kind == "IDENT":
                 x = leaves.get(text)
                 if x is None:
-                    if kind == "IDENT" and (text in _RESERVED_NAMES or not _NAME_RE.match(text)):
+                    if kind == "IDENT" and not _is_atom_name(text):
                         raise ParseError(f"{quoted(text)} cannot name a proposition", pos)
                     x = Prop(text if kind == "IDENT" else payload)
                     x = leaves[text] = intern(x, x)

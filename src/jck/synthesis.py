@@ -184,11 +184,13 @@ def c_shift(t: Term, a: Formula, alloc: ConstantAllocator) -> tuple[Term, Deriva
 
 @dataclass
 class LiftingContext:
-    """Declared hypothesis shape for lifting.
+    """The hypothesis classes of a derivation under lifting.
 
-    `boxed` lists pairs (s_j, B_j) for hypotheses of the form [s_j]@C B_j that
-    stay fixed; `plain` lists hypotheses C_k that are replaced by boxed fresh
-    variables at the target sort.
+    `boxed` lists pairs (s_j, B_j) for hypotheses of the form [s_j]@C B_j,
+    which stay fixed; `plain` lists the other hypotheses, each of which is
+    boxed under a fresh variable at the target sort.  Each list keeps the
+    derivation's order.  `lift` only compares a context given to it with
+    `from_derivation`.
     """
 
     boxed: list[tuple[Term, Formula]]
@@ -206,9 +208,6 @@ class LiftingContext:
                 plain.append(f)
         return cls(boxed, plain)
 
-    def expected_hypotheses(self) -> tuple[Formula, ...]:
-        return tuple(Just(s, C, bb) for s, bb in self.boxed) + tuple(self.plain)
-
 
 def _fresh_variables(d: Derivation, sort: Sort, count: int) -> list[Var]:
     # one walk of the whole derivation visits each shared node once
@@ -224,34 +223,25 @@ def _fresh_variables(d: Derivation, sort: Sort, count: int) -> list[Var]:
 
 
 def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
-         alloc: ConstantAllocator | None = None, h: int | None = None) -> tuple[Term, Derivation]:
-    """Internalize a derivation as evidence at `target`.
+         alloc: ConstantAllocator | None = None, *, h: int) -> tuple[Term, Derivation]:
+    """Internalize a derivation as evidence at `target`, for `h` agents.
 
-    From D proving A under hypotheses [s_1]@C B_1, ..., [s_n]@C B_n,
-    C_1, ..., C_m, produce a term built over s_1..s_n and fresh variables
-    y_1..y_m, together with a derivation of [term]@target A from hypotheses
-    [s_1]@C B_1, ..., [s_n]@C B_n, [y_1]@target C_1, ..., [y_m]@target C_m.
-
-    `h` is the agent count, needed only when `target` is E (the derived
-    group-level application builds h-tuples); it defaults to the largest agent
-    index mentioned, or 1.
+    From D proving A under hypotheses H_1, ..., H_n in any order, produce a
+    term and a derivation of [term]@target A from the same hypotheses in the
+    same places, except that each H_k not of the form [s]@C B becomes
+    [y]@target H_k for a fresh variable y.  The term is built over the
+    fixed hypotheses' terms s and those variables.  A `ctx` given must equal
+    `LiftingContext.from_derivation(d)`.
     """
     if alloc is None:
         alloc = ConstantAllocator()
-    if ctx is None:
-        ctx = LiftingContext.from_derivation(d)
-    if d.hypotheses != ctx.expected_hypotheses():
+    if ctx is not None and ctx != LiftingContext.from_derivation(d):
         raise InvalidInput("derivation hypotheses do not match the declared lifting shape")
 
-    if h is None:
-        h = max([target.index if target.is_agent else 1]
-                + [f.sort.index for s in d.steps for f in [s.formula]
-                   if isinstance(f, Just) and f.sort.is_agent])
-
-    fresh = _fresh_variables(d, target, len(ctx.plain))
-    out_hyps = tuple(Just(s, C, bb) for s, bb in ctx.boxed) + tuple(
-        Just(y, target, ck) for y, ck in zip(fresh, ctx.plain))
-    b = Builder(out_hyps)
+    fixed = [isinstance(f, Just) and f.sort == C for f in d.hypotheses]
+    fresh = iter(_fresh_variables(d, target, fixed.count(False)))
+    b = Builder([f if kept else Just(next(fresh), target, f)
+                 for f, kept in zip(d.hypotheses, fixed)])
 
     def from_common(step_idx: int, u: Term, body: Formula) -> tuple[Term, int]:
         """Turn a step proving [u]@C body into evidence for body at `target`."""
@@ -279,17 +269,11 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
         f = step.formula
         rule = step.rule
         if isinstance(rule, Hyp):
-            idx = rule.index
-            if idx <= len(ctx.boxed):
-                # fixed hypothesis [s_j]@C B_j; f is that boxed formula
-                base = b.hyp(idx)
-                mapped[k] = lift_c_boxed(base, f)
+            out = b.hyp(rule.index)
+            if fixed[rule.index - 1]:
+                mapped[k] = lift_c_boxed(out, f)  # f is [s]@C B itself
             else:
-                # plain hypothesis C_k, replaced by a boxed fresh variable
-                j = idx - len(ctx.boxed)
-                y = fresh[j - 1]
-                out_idx = b.hyp(len(ctx.boxed) + j)
-                mapped[k] = (y, out_idx)
+                mapped[k] = (b.formula(out).term, out)  # [y]@target f
         elif isinstance(rule, Axiom):
             c = alloc.constant_for(f)
             mapped[k] = from_common(b.axnec(c, f), c, f)
@@ -322,11 +306,11 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
 
 
 def necessitate(d: Derivation, target: Sort, alloc: ConstantAllocator | None = None,
-                h: int | None = None) -> tuple[Term, Derivation]:
+                *, h: int) -> tuple[Term, Derivation]:
     """Internalize a hypothesis-free derivation; the returned term is ground."""
     if d.hypotheses:
         raise InvalidInput("necessitation needs a hypothesis-free derivation")
-    return lift(d, target, LiftingContext([], []), alloc, h)
+    return lift(d, target, None, alloc, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +319,7 @@ def necessitate(d: Derivation, target: Sort, alloc: ConstantAllocator | None = N
 
 def internalize_induction_1(a: Formula, s: Term, d: Derivation,
                             alloc: ConstantAllocator | None = None,
-                            h: int | None = None) -> tuple[Term, Derivation]:
+                            *, h: int) -> tuple[Term, Derivation]:
     """From a proof of `A -> [s]@E A`, produce t and a proof of `A -> [ind(t,s)]@C A`."""
     if alloc is None:
         alloc = ConstantAllocator()
@@ -344,7 +328,7 @@ def internalize_induction_1(a: Formula, s: Term, d: Derivation,
     want = Imp(a, Just(s, E, a))
     if d.conclusion != want:
         raise InvalidInput(f"derivation must conclude {print_formula(want)}")
-    t, boxed = necessitate(d, C, alloc, h)
+    t, boxed = necessitate(d, C, alloc, h=h)
     b = Builder()
     s1 = b.include(boxed)  # [t]@C (A -> [s]@E A)
     out = Just(Ind(t, s), C, a)
@@ -355,7 +339,7 @@ def internalize_induction_1(a: Formula, s: Term, d: Derivation,
 
 def internalize_induction_2(a: Formula, bb: Formula, s: Term, d: Derivation,
                             alloc: ConstantAllocator | None = None,
-                            h: int | None = None) -> tuple[Term, Const, Derivation]:
+                            *, h: int) -> tuple[Term, Const, Derivation]:
     """From a proof of `B -> [s]@E (A & B)`, produce t, c and a proof of
     `B -> [c * ind(t, s)]@C A`.
 
@@ -374,7 +358,7 @@ def internalize_induction_2(a: Formula, bb: Formula, s: Term, d: Derivation,
     pre = Builder()
     base = pre.include(d)
     pre.by_taut([base], Imp(ab, Just(s, E, ab)))
-    t, ind_step = internalize_induction_1(ab, s, pre.build(), alloc, h)
+    t, ind_step = internalize_induction_1(ab, s, pre.build(), alloc, h=h)
 
     c = alloc.constant_for(Imp(ab, a))
     term = App(c, Ind(t, s), C)

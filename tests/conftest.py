@@ -1,6 +1,6 @@
 """Shared fixture builders for the test suite."""
 
-from jck.deduction import Axiom, AxiomSchema, Builder, Derivation, Step
+from jck.deduction import Axiom, AxiomSchema, Builder, Derivation, Hyp, Step
 from jck.semantics import AFModel, format_kripke_model
 from jck.syntax import And, Imp, Just, Or, Prop, Tail, Var, C, E, print_formula, print_term
 from jck.synthesis import e_application, necessitate
@@ -26,6 +26,16 @@ def build_induction2_input(alloc, h=2):
                 b.include(app_d)]
     b.by_taut(premises, Imp(bb, Just(app_term, E, ab)))
     return a, bb, app_term, b.build()
+
+
+def hypotheses_reversed(d: Derivation) -> Derivation:
+    """`d` with its hypothesis list reversed and each `hyp` step renumbered,
+    so that a random derivation, whose C-boxed hypotheses come first, puts
+    its plain ones first."""
+    n = len(d.hypotheses)
+    return Derivation(d.hypotheses[::-1], tuple(
+        Step(s.formula, Hyp(n + 1 - s.rule.index)) if isinstance(s.rule, Hyp) else s
+        for s in d.steps))
 
 
 def format_model(m: AFModel) -> str:

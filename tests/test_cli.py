@@ -156,6 +156,26 @@ def test_lift_prints_term_and_derivation(hyps_drv, capsys):
     assert "; hyp 1" in out
 
 
+@pytest.mark.parametrize("target", ["1", "2", "E", "C"])
+def test_lift_takes_hypotheses_in_any_order(tmp_path, capsys, target):
+    drv = tmp_path / "plain_first.drv"
+    drv.write_text("hyp: P2\n"
+                   "hyp: [x1@C]@C P1\n"
+                   "1. P2 ; hyp 1\n"
+                   "2. [x1@C]@C P1 ; hyp 2\n"
+                   "3. P2 -> [x1@C]@C P1 -> P2 & [x1@C]@C P1 ; axiom Taut\n"
+                   "4. [x1@C]@C P1 -> P2 & [x1@C]@C P1 ; mp 3 1\n"
+                   "5. P2 & [x1@C]@C P1 ; mp 4 2\n")
+    assert main(["lift", str(drv), "--target", target]) == 0
+    out = capsys.readouterr().out
+    # the plain hypothesis is boxed in its place, the C-boxed one stays
+    hyps = [line for line in out.splitlines() if line.startswith("hyp: ")]
+    assert len(hyps) == 2
+    assert re.fullmatch(rf"hyp: \[x\d+@{target}\]@{target} P2", hyps[0])
+    assert hyps[1] == "hyp: [x1@C]@C P1"
+    _check_lifted(tmp_path, capsys, out)
+
+
 def test_lift_refuses_bad_input(bad_drv, capsys):
     assert main(["lift", bad_drv, "--target", "1"]) == 1
     assert "refusing" in capsys.readouterr().out
@@ -332,13 +352,17 @@ def run_jck(*argv) -> subprocess.CompletedProcess:
     ("validate", ".afm", f"h: 1\nworlds: w0\nfoo{'7' * 5000}: 1\n", ()),
     ("eval", ".afm", "h: 1\nworlds: w0\n", ("P1", "--world", f"x{'7' * 5000}")),
     ("validate", ".afm", f"h: -{'7' * 5000}\nworlds: w0\n", ()),
+    ("validate", ".afm", f"h: 1\nworlds: w0\nval x{'7' * 5000}: w0\n", ()),
+    ("parse", None, f"x{'7' * 5000}", ()),
 ], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y", "model_val_long",
         "drv_step_long", "model_h_long", "eval_world_long", "model_world_name_long",
-        "model_line_long", "eval_world_name_long", "model_h_signed_long"])
+        "model_line_long", "eval_world_name_long", "model_h_signed_long", "model_val_name_long",
+        "parse_name_long"])
 def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text, extra):
+    # a row without a file suffix passes its text as the argument itself
     path = tmp_path / f"bad{suffix}"
     path.write_text(text)
-    proc = run_jck(verb, str(path), *extra)
+    proc = run_jck(verb, str(path) if suffix else text, *extra)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -490,15 +514,23 @@ def test_translate_x_flags_members(tmp_path, capsys):
     ("1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 5 1\n", "at step 2: BadMP"),
     ("hyp: P1\n1. P1 ; hyp 3\n", "at step 1: BadHypIndex"),
     ("1. P1 -> P1 ; axiom Refl\n", "at step 1: NotAnAxiom"),
+    ("hyp: P1\n1. P2 ; hyp 1\n",
+     "at step 1: BadHypIndex (step formula differs from hypothesis 1)"),
+    ("1. " + " | ".join(f"P{i}" for i in range(1, 26)) + " | ~P1 ; axiom Taut\n",
+     "at step 1: NotAnAxiom (25 propositional atoms exceed the cap of 24)"),
+    ("1. P1 ; axnec c1@C\n",
+     "at step 1: NotInCS (step formula is not the boxed form of its constant)"),
 ])
 def test_translate_x_refuses_bad_input(tmp_path, capsys, text, rejection):
-    # each of these once escaped as KeyError, IndexError or AttributeError
+    # the first three once escaped as KeyError, IndexError or AttributeError;
+    # a row that gives the whole report pins its message too
     drv = tmp_path / "bad.drv"
     drv.write_text(text)
     assert main(["translate-x", str(drv)]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("input derivation does not check; refusing to translate\n")
-    assert f"rejected {rejection} (" in captured.out
+    report = captured.out.splitlines()[1]
+    assert report == f"rejected {rejection}" or report.startswith(f"rejected {rejection} (")
     assert "Traceback" not in captured.err
 
 

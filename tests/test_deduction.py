@@ -392,6 +392,10 @@ def test_check_fragment_restriction():
     d = _drv(Step(proj, Axiom(AxiomSchema.PROJ)))
     assert check_derivation(d, TC).ok
     assert check_derivation(d, TC, fragment="agent").status == "NotInFragment"
+    # a schema the fragment lacks is refused even on a formula inside it
+    r = check_derivation(_drv(Step(Imp(Prop(1), Prop(1)), Axiom(AxiomSchema.PROJ))), TC,
+                         fragment="agent")
+    assert (r.status, r.message) == ("NotAnAxiom", "schema Proj unavailable in the single-agent fragment")
     # hypothesis steps outside the fragment are barred when cited
     boxed = Just(Var(1, C), C, Prop(1))
     d2 = _drv(Step(boxed, Hyp(1)), hyps=(boxed,))
@@ -514,16 +518,20 @@ def test_derivation_file_round_trip():
 
 
 def test_derivation_file_errors():
-    with pytest.raises(ParseError):
-        parse_derivation("1. P1 ; axiom Bogus", 2)
-    with pytest.raises(ParseError):
-        parse_derivation("2. P1 ; hyp 1", 2)  # numbering starts at 1
-    with pytest.raises(ParseError):
-        parse_derivation("1. P1 ; mp 1", 2)  # mp needs two indexes
-    with pytest.raises(ParseError):
-        parse_derivation("# only a comment\n", 2)
-    with pytest.raises(ParseError):
-        parse_derivation("1. P1 ; hyp 1\nhyp: P1", 2)  # hyps come first
+    for text, message in [
+        ("1. P1 ; axiom Bogus", "line 1: unknown schema 'Bogus'"),
+        ("2. P1 ; hyp 1", "line 1: step number 2, expected 1"),
+        ("1. P1 ; mp 1", "line 1: cannot read rule 'mp 1'"),
+        ("# only a comment\n", "no steps found"),
+        ("1. P1 ; hyp 1\nhyp: P1", "line 2: hypotheses must precede all steps"),
+        ("foo", "line 1: expected `<k>. <formula> ; <rule>`"),
+        ("1. P1 -> P1", "line 1: missing `; <rule>`"),
+        ("1. P1 -> P1 ;", "line 1: empty rule"),
+        ("1. [x1@C]@C P1 ; axnec x1@C", "line 1: axnec needs a constant, got 'x1@C'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_derivation(text, 2)
+        assert str(info.value) == message
 
 
 def test_derivation_file_comments_and_blanks():

@@ -856,6 +856,10 @@ def test_model_file_named_atoms_and_tuples():
     # `file`, then whitespace, then a path; nothing else names a table
     ("h: 1\nworlds: w0\ncs: filetable.cs\n", ParseError),
     ("h: 1\nworlds: w0\ncs: file\n", ParseError),
+    # a `val` name follows the proposition grammar
+    ("h: 1\nworlds: w0\nval Pl: w0\n", InvalidInput),
+    ("h: 1\nworlds: w0\nval x1: w0\n", InvalidInput),
+    ("h: 1\nworlds: w0\nval P0: w0\n", InvalidInput),
 ])
 def test_model_file_errors(text, exc):
     if exc is None:

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from conftest import hypotheses_reversed
 from jck import deduction, syntax
 from jck.acceptance import attack_term_families
 from jck.errors import InvalidInput, ParseError, ResourceError, SortError
@@ -279,6 +280,9 @@ PARSE_ERRORS = [
     ("formula", "ind", "'ind' cannot name a proposition (at offset 0)"),
     ("formula", "tail -> P1", "'tail' cannot name a proposition (at offset 0)"),
     ("formula", "Foo", "'Foo' cannot name a proposition (at offset 0)"),
+    ("formula", "x1", "'x1' cannot name a proposition (at offset 0)"),
+    ("formula", "P1 & c2", "'c2' cannot name a proposition (at offset 5)"),
+    ("term", "pi_3@1", "'pi_3' is reserved (at offset 0)"),
     ("term", "<x1@1>", "tuple arity 1 does not match agent count 2 (at offset 0)"),
     ("term", "<x1@1, x1@2, x1@2>", "tuple arity 3 does not match agent count 2 (at offset 0)"),
     ("modal", "[x1@1]@1 P1", "expected a formula, found '[' (at offset 0)"),
@@ -461,18 +465,15 @@ def test_print_formulas_parenthesizes_a_shared_object_per_use():
 @pytest.mark.parametrize("target", ["agent", "E", "C"])
 def test_print_formulas_matches_print_formula_on_lifted_proofs(target):
     rng = random.Random(f"lifted:{target}")
-    done = 0
-    while done < 4:
+    for _ in range(4):
         h = rng.randint(1, 3)
         d = random_derivation(rng, h, n_extra=3)
-        ctx = LiftingContext.from_derivation(d)
-        if d.hypotheses != ctx.expected_hypotheses():
-            continue
         sort = {"agent": agent(rng.randint(1, h)), "E": E, "C": C}[target]
-        _, lifted = lift(d, sort, ctx, ConstantAllocator(), h=h)
-        formulas = list(lifted.hypotheses) + [s.formula for s in lifted.steps]
-        assert print_formulas(formulas) == [print_formula(a) for a in formulas]
-        done += 1
+        for order in (d, hypotheses_reversed(d)):
+            _, lifted = lift(order, sort, LiftingContext.from_derivation(order),
+                             ConstantAllocator(), h=h)
+            formulas = list(lifted.hypotheses) + [s.formula for s in lifted.steps]
+            assert print_formulas(formulas) == [print_formula(a) for a in formulas]
 
 
 def test_lexeme_cache_is_bounded():

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import build_induction2_input
+from conftest import build_induction2_input, hypotheses_reversed
 from jck.errors import InvalidInput, SortError
 from jck.deduction import (
     Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
-    Step, check_derivation,
+    Step, check_derivation, parse_derivation,
 )
 from jck.gen import random_derivation, random_theorem
 from jck.syntax import (
@@ -185,7 +185,23 @@ def test_lift_rejects_mismatched_context():
     d = _mixed_input()
     ctx = LiftingContext([], [Prop(9)])
     with pytest.raises(InvalidInput):
-        lift(d, C, ctx)
+        lift(d, C, ctx, h=2)
+
+
+def test_lift_takes_the_agent_count_and_never_guesses_it():
+    # no agent occurs in this derivation, so a count guessed from it was 1,
+    # and its lift to E built 1-tuples that a check for 2 agents refuses
+    d = parse_derivation("hyp: [x1@C]@C P1\n"
+                         "1. [x1@C]@C P1 ; hyp 1\n"
+                         "2. [x1@C]@C P1 -> P1 -> [x1@C]@C P1 ; axiom Taut\n"
+                         "3. P1 -> [x1@C]@C P1 ; mp 2 1\n", 2)
+    with pytest.raises(TypeError):
+        lift(d, E)
+    with pytest.raises(TypeError):
+        necessitate(Derivation((), d.steps[1:2]), E)
+    term, out = lift(d, E, h=2)
+    assert accepted(out, h=2)
+    assert len(term.items) == 2
 
 
 def test_lift_axnec_step():
@@ -205,7 +221,7 @@ def test_lift_axnec_step():
 
 def test_necessitate_requires_closed_input():
     with pytest.raises(InvalidInput):
-        necessitate(_mixed_input(), C)
+        necessitate(_mixed_input(), C, h=2)
 
 
 def test_necessitate_tautology_terms_are_ground():
@@ -286,14 +302,14 @@ def test_random_theorems_check():
 
 def test_random_derivations_lift_to_c():
     rng = random.Random(23)
-    done = 0
-    while done < 10:
+    for _ in range(10):
         h = rng.randint(1, 3)
         d = random_derivation(rng, h, n_extra=2)
-        ctx = LiftingContext.from_derivation(d)
-        if d.hypotheses != ctx.expected_hypotheses():
-            continue  # interleaved hypothesis order is exercised elsewhere
-        term, out = lift(d, C, ctx, ConstantAllocator(), h=h)
-        assert accepted(out, h=h)
-        assert out.conclusion == Just(term, C, d.conclusion)
-        done += 1
+        for order in (d, hypotheses_reversed(d)):
+            term, out = lift(order, C, LiftingContext.from_derivation(order),
+                             ConstantAllocator(), h=h)
+            assert accepted(out, h=h)
+            assert out.conclusion == Just(term, C, d.conclusion)
+            # each hypothesis keeps its place: [s]@C B as it is, another A as [y]@C A
+            for f, g in zip(order.hypotheses, out.hypotheses, strict=True):
+                assert g == f if isinstance(f, Just) and f.sort == C else g.body == f
