@@ -22,7 +22,7 @@ from .syntax import (
 )
 from .deduction import (
     Axiom, AxiomSchema, AxNec, Builder, ConstantSpecification, Derivation,
-    Hyp, Step, check_derivation, deduction_theorem, match_axiom,
+    Hyp, Step, check_derivation, deduction_theorem,
 )
 from .errors import ResourceError
 from .synthesis import (
@@ -320,18 +320,11 @@ def naive_saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
     for fact in m.evidence_base:
         if fact.world in m.worlds and fact.term in tu and fact.formula in fu:
             facts.add((fact.world, fact.term, fact.formula))
-    if m.cs.kind == "totalC":
-        for t in tu:
-            if isinstance(t, Const) and t.sort == C:
-                for a in fu:
-                    if match_axiom(a):
-                        for w in m.worlds:
-                            facts.add((w, t, a))
-    else:
-        for c, a in m.cs.pairs():
-            if c in tu and a in fu:
+    for t in tu:
+        for a in fu:
+            if m.cs.contains(t, a):
                 for w in m.worlds:
-                    facts.add((w, c, a))
+                    facts.add((w, t, a))
 
     rels = {agent(i): m.relations[i] for i in range(1, m.h + 1)}
     rels[C] = reach_C(m)  # evidence persists along reachability, not one step

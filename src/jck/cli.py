@@ -205,10 +205,9 @@ def cmd_translate_x(args) -> int:
         return _report_check(report)
     x = translate_checked_x(d, cs)
     print(print_derivation(x.derivation), end="")
-    if x.cs.kind == "extensional":
-        for index, sort, body in sorted(
-                x.cs.members, key=lambda m: (m[0], str(m[1]), print_formula(m[2]))):
-            print(f"cs member: c{index}@{sort} := {print_formula(body)}")
+    for index, sort, body in sorted(
+            x.cs.members, key=lambda m: (m[0], str(m[1]), print_formula(m[2]))):
+        print(f"cs member: c{index}@{sort} := {print_formula(body)}")
     for index, sort, image in x.flagged:
         print(f"flagged: c{index}@{sort} now justifies the non-axiom "
               f"{print_formula(image)}")
@@ -313,10 +312,9 @@ def _bounded_int(least: int, most: int | None = None):
     return convert
 
 
-def _add_common(sub, agents=True, cs=False) -> None:
-    if agents:
-        sub.add_argument("--agents", type=_bounded_int(1, MAX_AGENTS), default=2,
-                         metavar="H", help="number of agents (default 2)")
+def _add_common(sub, cs=False) -> None:
+    sub.add_argument("--agents", type=_bounded_int(1, MAX_AGENTS), default=2,
+                     metavar="H", help="number of agents (default 2)")
     if cs:
         sub.add_argument("--cs", default="totalC", metavar="SPEC",
                          help="constant specification: totalC or a table file")

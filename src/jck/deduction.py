@@ -16,7 +16,7 @@ from enum import Enum
 from .errors import InvalidInput, ParseError, ResourceError, quoted
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
-    Proj, Prop, Reader, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
+    Proj, Prop, Reader, Sort, Sum, Tail, Term, Tuple, bound_problems,
     conjuncts, integer, print_formula, print_formulas, print_term, walk,
 )
 
@@ -112,13 +112,18 @@ def _rows_true(a: Formula, slot: dict[int, int], values, full: int) -> int:
     return left & right if cls is And else left | right
 
 
+def check_atom_count(n: int) -> None:
+    """Raise ResourceError when a truth table over `n` atoms is over the cap."""
+    if n > MAX_ATOMS:
+        raise ResourceError(f"{n} propositional atoms exceed the cap of {MAX_ATOMS}")
+
+
 def _is_tautology(a: Formula) -> bool:
     atoms: dict[Formula, int] = {}
     slot: dict[int, int] = {}
     _number_atoms(a, atoms, slot)
     n = len(atoms)
-    if n > MAX_ATOMS:
-        raise ResourceError(f"{n} propositional atoms exceed the cap of {MAX_ATOMS}")
+    check_atom_count(n)
     if n <= _CHUNK_ATOMS:  # one chunk holds the whole table
         full = (1 << (1 << n)) - 1
         return _rows_true(a, slot, _ROWS[n], full) == full
@@ -161,10 +166,22 @@ def is_tautology(a: Formula) -> bool:
 # axiom schemata
 
 
+# the schemata of the unary evidence operators, and whether each one's
+# conclusion justifies the whole premise or only the premise's body
+_UNARY = {
+    Bang: (AxiomSchema.INSP, True),         # [t]@i A -> [!i(t)]@i [t]@i A
+    Proj: (AxiomSchema.PROJ, False),        # [t]@E A -> [pi_i(t)]@i A
+    Head: (AxiomSchema.COCLOSHEAD, False),  # [t]@C A -> [head(t)]@E A
+    Tail: (AxiomSchema.COCLOSTAIL, True),   # [t]@C A -> [tail(t)]@E [t]@C A
+}
+
+
 def _structural_schemata(a: Formula) -> set[AxiomSchema]:
     """Every structural schema `a` instantiates.  Each one but Refl is known
     by the evidence operator at the head of its conclusion's term, so one
-    dispatch on that operator picks the only candidates to check."""
+    dispatch on that operator picks the only candidates to check.  Sorts are
+    not tested again, except Refl's agent sort: the node constructors fix
+    every other sort once the terms below are equal."""
     out: set[AxiomSchema] = set()
     if not isinstance(a, Imp):
         return out
@@ -178,7 +195,6 @@ def _structural_schemata(a: Formula) -> set[AxiomSchema]:
         minor, concl = post.left, post.right
         if (boxed and isinstance(pre.body, Imp) and isinstance(minor, Just)
                 and isinstance(concl, Just) and isinstance(concl.term, App)
-                and pre.sort.is_star and minor.sort == pre.sort and concl.sort == pre.sort
                 and concl.term.t == pre.term and concl.term.s == minor.term
                 and pre.body.left == minor.body and pre.body.right == concl.body):
             out.add(AxiomSchema.APP)
@@ -193,8 +209,7 @@ def _structural_schemata(a: Formula) -> set[AxiomSchema]:
         parts = conjuncts(pre)
         if len(parts) == len(items) and all(
                 isinstance(part, Just) and part.term == item
-                and part.sort == agent(k) and part.body == post.body
-                for k, (part, item) in enumerate(zip(parts, items), start=1)):
+                and part.body == post.body for part, item in zip(parts, items)):
             out.add(AxiomSchema.TUPLING)
     elif op is Ind:
         # A & [t]@C (A -> [s]@E A) -> [ind(t,s)]@C A
@@ -205,29 +220,15 @@ def _structural_schemata(a: Formula) -> set[AxiomSchema]:
         pass  # each schema left has a justified premise
     elif op is Sum:
         # [t]@* A -> [t+s]@* A   /   [s]@* A -> [t+s]@* A
-        if pre.sort.is_star and pre.sort == post.sort and pre.body == post.body:
+        if pre.body == post.body:
             if term.t == pre.term:
                 out.add(AxiomSchema.SUML)
             if term.s == pre.term:
                 out.add(AxiomSchema.SUMR)
-    elif op is Bang:
-        # [t]@i A -> [!i(t)]@i [t]@i A
-        if (pre.sort.is_agent and term.t == pre.term
-                and post.sort == pre.sort and post.body == pre):
-            out.add(AxiomSchema.INSP)
-    elif op is Proj:
-        # [t]@E A -> [pi_i(t)]@i A
-        if (pre.sort == E and term.t == pre.term
-                and post.sort == agent(term.agent) and post.body == pre.body):
-            out.add(AxiomSchema.PROJ)
-    elif op is Head:
-        # [t]@C A -> [head(t)]@E A
-        if pre.sort == C and term.t == pre.term and post.body == pre.body:
-            out.add(AxiomSchema.COCLOSHEAD)
-    elif op is Tail:
-        # [t]@C A -> [tail(t)]@E [t]@C A
-        if pre.sort == C and term.t == pre.term and post.body == pre:
-            out.add(AxiomSchema.COCLOSTAIL)
+    elif op in _UNARY:
+        schema, boxes_premise = _UNARY[op]
+        if term.t == pre.term and post.body == (pre if boxes_premise else pre.body):
+            out.add(schema)
     return out
 
 
@@ -268,18 +269,16 @@ def is_axiom(a: Formula) -> bool:
 
 @dataclass(frozen=True)
 class ConstantSpecification:
-    """Which constants are declared to justify which axiom instances.
+    """Which constants are declared to justify which axiom instances: the
+    (constant index, sort, formula) `members` given outright, or, when
+    `members` is None, the total specification, in which every C-sorted
+    constant justifies every axiom instance."""
 
-    kind "extensional": a finite member set, given outright.
-    kind "totalC": every C-sorted constant justifies every axiom instance.
-    """
-
-    kind: str
-    members: frozenset[tuple[int | str, Sort, Formula]] = frozenset()
+    members: frozenset[tuple[int | str, Sort, Formula]] | None = None
 
     @classmethod
     def total_c(cls) -> "ConstantSpecification":
-        return cls("totalC")
+        return cls()
 
     @classmethod
     def extensional(cls, members, validate: bool = True) -> "ConstantSpecification":
@@ -288,25 +287,34 @@ class ConstantSpecification:
             for idx, sort, a in members:
                 if not is_axiom(a):
                     raise InvalidInput(f"not an axiom instance: {print_formula(a)}")
-        return cls("extensional", members)
+        return cls(members)
+
+    def contains(self, c: Term, a: Formula) -> bool:
+        """Whether the pair (c, a) is a member; only constants are."""
+        if not isinstance(c, Const):
+            return False
+        if self.members is None:
+            return c.sort == C and is_axiom(a)
+        return (c.index, c.sort, a) in self.members
 
     def pairs(self):
-        """Iterate (constant term, formula) members; totalC is not enumerable."""
-        if self.kind == "extensional":
-            for idx, sort, a in self.members:
-                yield Const(idx, sort), a
+        """Iterate the members given outright, as (constant, formula) pairs."""
+        for idx, sort, a in self.members or ():
+            yield Const(idx, sort), a
+
+    def within(self, terms, formulas):
+        """Iterate the (constant, formula) members with the constant among
+        `terms` and the formula among `formulas`."""
+        if self.members is None:
+            axioms = [a for a in formulas if is_axiom(a)]
+            for c in terms:
+                if isinstance(c, Const) and c.sort == C:
+                    for a in axioms:
+                        yield c, a
         else:
-            raise InvalidInput("the total specification cannot be enumerated")
-
-
-def cs_contains(cs: ConstantSpecification, c: Const, sort: Sort, a: Formula) -> bool:
-    if not isinstance(c, Const) or c.sort != sort:
-        return False
-    if cs.kind == "totalC":
-        return sort == C and is_axiom(a)
-    if cs.kind == "extensional":
-        return (c.index, sort, a) in cs.members
-    raise InvalidInput(f"unknown specification kind {cs.kind!r}")
+            for c, a in self.pairs():
+                if c in terms and a in formulas:
+                    yield c, a
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +390,6 @@ class Builder:
     def axiom(self, schema: AxiomSchema, formula: Formula) -> int:
         return self.emit(formula, Axiom(schema))
 
-    def taut(self, formula: Formula) -> int:
-        return self.emit(formula, Axiom(AxiomSchema.TAUT))
-
     def axnec(self, constant: Const, body: Formula) -> int:
         return self.emit(Just(constant, constant.sort, body), AxNec(constant))
 
@@ -415,7 +420,7 @@ class Builder:
         curried = target
         for k in reversed(premises):
             curried = Imp(self.formula(k), curried)
-        at = self.taut(curried)
+        at = self.axiom(AxiomSchema.TAUT, curried)
         for k in premises:
             at = self.mp(at, k)
         return at
@@ -490,9 +495,9 @@ def check_derivation(d: Derivation, cs: ConstantSpecification,
                 return fail(k, "BadMP", f"steps {rule.i} and {rule.j} do not yield this formula")
         elif isinstance(rule, AxNec):
             c = rule.constant
-            if not (isinstance(f, Just) and f.term == c and f.sort == c.sort):
+            if not (isinstance(f, Just) and f.term == c):
                 return fail(k, "NotInCS", "step formula is not the boxed form of its constant")
-            if not cs_contains(cs, c, c.sort, f.body):
+            if not cs.contains(c, f.body):
                 return fail(k, "NotInCS",
                             f"({print_term(c)}, {print_formula(f.body)}) not in the constant specification")
         else:
@@ -526,7 +531,7 @@ def deduction_theorem(d: Derivation, hypothesis: Formula, cs: ConstantSpecificat
         f = step.formula
         rule = step.rule
         if f == a:
-            mapped[k] = b.taut(Imp(a, a))
+            mapped[k] = b.axiom(AxiomSchema.TAUT, Imp(a, a))
         elif isinstance(rule, MP):
             mapped[k] = b.by_taut([mapped[rule.i], mapped[rule.j]], Imp(a, f))
         else:

@@ -141,7 +141,7 @@ def _expand_projected_axiom(schema: AxiomSchema, a: Formula, b: Builder) -> int:
             return b.by_taut([b.axiom(AxiomSchema.REFL, Imp(parts[0], image.right))], image)
     # every other case, among them taut, projection, both co-closure forms
     # and induction: the image is a propositional tautology
-    return b.taut(image)
+    return b.axiom(AxiomSchema.TAUT, image)
 
 
 def translate_derivation_x(d: Derivation, cs: ConstantSpecification) -> XTranslation:
@@ -163,14 +163,13 @@ def translate_checked_x(d: Derivation, cs: ConstantSpecification) -> XTranslatio
     an unchecked one it may fail with any error."""
     members = []
     flagged = []
-    if cs.kind == "extensional":
-        for c, body in cs.pairs():
-            if c.sort.is_agent:
-                image = conservative_projection(body)
-                members.append((c.index, c.sort, image))
-                if not (is_agent_fragment(walk([image]))
-                        and any(s in AGENT_FRAGMENT_SCHEMATA for s in match_axiom(image))):
-                    flagged.append((c.index, c.sort, image))
+    for c, body in cs.pairs():
+        if c.sort.is_agent:
+            image = conservative_projection(body)
+            members.append((c.index, c.sort, image))
+            if not (is_agent_fragment(walk([image]))
+                    and any(s in AGENT_FRAGMENT_SCHEMATA for s in match_axiom(image))):
+                flagged.append((c.index, c.sort, image))
     cs_x = ConstantSpecification.extensional(members, validate=False)
 
     b = Builder(tuple(conservative_projection(f) for f in d.hypotheses))

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from itertools import count
 
-from .deduction import ConstantSpecification, match_axiom
+from .deduction import ConstantSpecification
 from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quoted
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
@@ -316,10 +316,9 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
         terms.update(subterms(fact.term))
         add_formula(fact.formula)
 
-    if m.cs.kind != "totalC":
-        for c, a in m.cs.pairs():
-            if c in terms:
-                add_formula(a)
+    for c, a in m.cs.pairs():
+        if c in terms:
+            add_formula(a)
 
     # the universe only grows, so checking its size before each round and
     # once after the last refuses exactly the inputs whose final size is over
@@ -391,18 +390,9 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
     for fact in m.evidence_base:
         if fact.world in m.worlds and fact.term in tu and fact.formula in fu:
             emit(fact.world, fact.term, fact.formula)
-    if m.cs.kind == "totalC":
-        axioms = [a for a in fu if match_axiom(a)]
-        for c in tu:
-            if isinstance(c, Const) and c.sort == C:
-                for a in axioms:
-                    for w in m.worlds:
-                        emit(w, c, a)
-    else:
-        for c, a in m.cs.pairs():
-            if c in tu and a in fu:
-                for w in m.worlds:
-                    emit(w, c, a)
+    for c, a in m.cs.within(tu, fu):
+        for w in m.worlds:
+            emit(w, c, a)
 
     # a parent's class fixes its children's sorts, so no rule below tests
     # the sort of `t` again
@@ -788,6 +778,5 @@ def attack_singleton_model() -> AFModel:
             EvidenceFact(0, m1, delivered),
             EvidenceFact(0, m2, Just(m1, agent(2), delivered)),
         ),
-        cs=ConstantSpecification.total_c(),
         mode="base",
     )

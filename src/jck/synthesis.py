@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deduction import (
-    Axiom, AxiomSchema, AxNec, Builder, Derivation, Hyp, MP, is_axiom,
+    Axiom, AxiomSchema, AxNec, Builder, Derivation, Hyp, MP, check_atom_count,
+    is_axiom,
 )
 from .errors import InvalidInput
 from .syntax import (
@@ -65,6 +66,7 @@ def e_application(h: int, t: Term, s: Term, a: Formula, bb: Formula) -> tuple[Te
     Returns the term `<pi_1(t)*pi_1(s), ..., pi_h(t)*pi_h(s)>` and a proof of
     `[t]@E (A -> B) -> ([s]@E A -> [term]@E B)`.
     """
+    check_atom_count(3 * h + 3)  # the closing tautology's x, y, z, p_i, q_i, r_i
     term = Tuple(tuple(App(Proj(i, t), Proj(i, s), agent(i)) for i in range(1, h + 1)))
     x = Just(t, E, Imp(a, bb))
     y = Just(s, E, a)
@@ -91,6 +93,7 @@ def e_sum(h: int, t: Term, s: Term, a: Formula) -> tuple[Term, Derivation, Deriv
     Returns `<pi_1(t)+pi_1(s), ...>` with proofs of `[t]@E A -> [term]@E A`
     and `[s]@E A -> [term]@E A`.
     """
+    check_atom_count(2 * h + 2)  # each closing tautology's x, z, p_i, r_i
     term = Tuple(tuple(Sum(Proj(i, t), Proj(i, s), agent(i)) for i in range(1, h + 1)))
     z = Just(term, E, a)
 
@@ -231,7 +234,8 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
     same places, except that each H_k not of the form [s]@C B becomes
     [y]@target H_k for a fresh variable y.  The term is built over the
     fixed hypotheses' terms s and those variables.  A `ctx` given must equal
-    `LiftingContext.from_derivation(d)`.
+    `LiftingContext.from_derivation(d)`.  `d` is not run through the kernel,
+    but a `hyp` or `mp` step citing no fitting line raises InvalidInput.
     """
     if alloc is None:
         alloc = ConstantAllocator()
@@ -264,14 +268,20 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
         insp_term, insp = c_inspection(boxed.term, boxed.body, alloc)
         return from_common(b.mp(b.include(insp), step_idx), insp_term, boxed)
 
+    def rejected(k: int, message: str) -> InvalidInput:
+        # the kernel's wording, for a derivation it was not asked about
+        return InvalidInput(f"input derivation rejected at step {k}: {message}")
+
     mapped: dict[int, tuple[Term, int]] = {}
     for k, step in enumerate(d.steps, start=1):
         f = step.formula
         rule = step.rule
         if isinstance(rule, Hyp):
+            if not 1 <= rule.index <= len(d.hypotheses):
+                raise rejected(k, f"no hypothesis {rule.index}")
             out = b.hyp(rule.index)
             if fixed[rule.index - 1]:
-                mapped[k] = lift_c_boxed(out, f)  # f is [s]@C B itself
+                mapped[k] = lift_c_boxed(out, b.formula(out))  # [s]@C B itself
             else:
                 mapped[k] = (b.formula(out).term, out)  # [y]@target f
         elif isinstance(rule, Axiom):
@@ -284,9 +294,13 @@ def lift(d: Derivation, target: Sort, ctx: LiftingContext | None = None,
             base = b.axnec(rule.constant, f.body)
             mapped[k] = lift_c_boxed(base, f)
         elif isinstance(rule, MP):
+            if not (1 <= rule.i < k and 1 <= rule.j < k):
+                raise rejected(k, f"premise indices {rule.i}, {rule.j} must point at earlier steps")
+            major = d.steps[rule.i - 1].formula
+            if not isinstance(major, Imp):
+                raise rejected(k, f"steps {rule.i} and {rule.j} do not yield this formula")
             r_term, r_idx = mapped[rule.i]
             s_term, s_idx = mapped[rule.j]
-            major = d.steps[rule.i - 1].formula
             x, y = major.left, major.right
             if target == E:
                 term, application = e_application(h, r_term, s_term, x, y)

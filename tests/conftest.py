@@ -1,6 +1,8 @@
 """Shared fixture builders for the test suite."""
 
-from jck.deduction import Axiom, AxiomSchema, Builder, Derivation, Hyp, Step
+from jck.deduction import (
+    Axiom, AxiomSchema, Builder, ConstantSpecification, Derivation, Hyp, Step,
+)
 from jck.semantics import AFModel, format_kripke_model
 from jck.syntax import And, Imp, Just, Or, Prop, Tail, Var, C, E, print_formula, print_term
 from jck.synthesis import e_application, necessitate
@@ -44,6 +46,6 @@ def format_model(m: AFModel) -> str:
     lines = [f"evidence: (w{fact.world}, {print_term(fact.term)}, "
              f"{print_formula(fact.formula)})" for fact in m.evidence_base]
     lines.append(f"mode: {m.mode}")
-    if m.cs.kind == "totalC":
+    if m.cs == ConstantSpecification.total_c():
         lines.append("cs: totalC")
     return format_kripke_model(m) + "\n".join(lines) + "\n"

@@ -2,14 +2,18 @@
 rejection, 2 malformed input or missing file."""
 
 import hashlib
+import io
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import jck
 from conftest import build_induction2_input, format_model
@@ -18,6 +22,7 @@ from jck.deduction import (
     Axiom, AxiomSchema, Derivation, Step, check_derivation, print_derivation,
 )
 from jck.errors import ResourceError
+from jck.gen import random_derivation
 from jck.modal import (
     attack_kripke_model, forgetful, format_kripke_model, parse_kripke_file,
 )
@@ -716,10 +721,62 @@ def test_lifting_a_short_chain_to_E_prints_as_before(tmp_path, capsys):
     _check_lifted(tmp_path, capsys, out)
 
 
-def _check_lifted(tmp_path, capsys, out: str) -> None:
+def _proof_lines(out: str) -> str:
+    """The derivation in what `lift` or `necessitate` printed as `out`."""
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith(("term:", "constant ")))
+
+
+def _check_lifted(tmp_path, capsys, out: str, agents: int = 2) -> None:
     """`jck check` accepts the derivation that `lift` printed as `out`."""
     lifted = tmp_path / "lifted.drv"
-    lifted.write_text("".join(line for line in out.splitlines(keepends=True)
-                              if not line.startswith(("term:", "constant "))))
-    assert main(["check", str(lifted)]) == 0
+    lifted.write_text(_proof_lines(out))
+    assert main(["check", str(lifted), "--agents", str(agents)]) == 0
     assert capsys.readouterr().out.startswith("accepted\n")
+
+
+def test_lifting_modus_ponens_to_E_works_for_at_most_7_agents(tmp_path, capsys):
+    # derived application at E closes with one tautology of 3h + 3 atoms,
+    # over the kernel's cap of 24 from 8 agents on
+    drv = tmp_path / "mp.drv"
+    drv.write_text("hyp: P1\nhyp: P1 -> P2\n"
+                   "1. P1 ; hyp 1\n2. P1 -> P2 ; hyp 2\n3. P2 ; mp 2 1\n")
+    assert main(["lift", str(drv), "--target", "E", "--agents", "7"]) == 0
+    _check_lifted(tmp_path, capsys, capsys.readouterr().out, agents=7)
+    assert main(["lift", str(drv), "--target", "E", "--agents", "8"]) == 2
+    assert capsys.readouterr() == ("", "error: 27 propositional atoms exceed the cap of 24\n")
+
+
+def _run_main(*argv) -> tuple[int, str, str]:
+    """`main(argv)` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# A failing example is reported as drawn, unshrunk: shrinking re-runs
+# lifts to E of up to 10 agents, for minutes.
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(seed=st.integers(0, 2 ** 32 - 1), agents=st.integers(1, 10),
+       target=st.sampled_from(["1", "E", "C"]))
+def test_every_proof_a_verb_prints_checks(tmp_path_factory, seed, agents, target):
+    """`lift` and `necessitate` exit 0 or 2 on a seeded random derivation,
+    with no traceback, and `jck check` accepts every proof they print."""
+    rng = random.Random(seed)
+    d = random_derivation(rng, agents, n_extra=rng.randint(1, 3))
+    given_drv = tmp_path_factory.mktemp("verbs") / "given.drv"
+    given_drv.write_text(print_derivation(d))
+    for verb in ("lift", "necessitate"):
+        code, out, err = _run_main(verb, str(given_drv), "--target", target,
+                                   "--agents", str(agents))
+        assert code in (0, 2), (verb, out, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            continue
+        printed = given_drv.with_name(f"{verb}.drv")
+        printed.write_text(_proof_lines(out))
+        code, out, _ = _run_main("check", str(printed), "--agents", str(agents))
+        assert (code, out.split("\n", 1)[0]) == (0, "accepted"), (verb, out)

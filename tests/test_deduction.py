@@ -12,7 +12,7 @@ from jck.gen import random_axiom_instance, random_derivation, random_formula
 from jck import deduction
 from jck.deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
-    Derivation, Hyp, MP, Step, check_derivation, cs_contains,
+    Derivation, Hyp, MP, Step, check_derivation,
     deduction_theorem, is_agent_fragment, is_axiom, is_tautology, match_axiom, parse_derivation, print_derivation,
 )
 from jck.syntax import (
@@ -315,24 +315,30 @@ def test_agent_fragment_membership():
 def test_total_specification():
     c = Const(1, C)
     refl = Imp(Just(Var(1, agent(1)), agent(1), Prop(1)), Prop(1))
-    assert cs_contains(TC, c, C, refl)
-    assert not cs_contains(TC, c, C, Prop(1))  # not an axiom
-    assert not cs_contains(TC, Const(1, agent(1)), agent(1), refl)  # C only
-    with pytest.raises(InvalidInput):
-        list(TC.pairs())
+    assert TC.contains(c, refl)
+    assert not TC.contains(c, Prop(1))  # not an axiom
+    assert not TC.contains(Const(1, agent(1)), refl)  # C only
+    assert not TC.contains(Var(1, C), refl)  # constants only
+    assert list(TC.pairs()) == []  # none given outright
+    universe = [c, Const(2, agent(1)), Var(1, C)]
+    assert list(TC.within(universe, [refl, Prop(1)])) == [(c, refl)]
 
 
 def test_extensional_specification_validates():
     refl = Imp(Just(Var(1, agent(1)), agent(1), Prop(1)), Prop(1))
     cs = ConstantSpecification.extensional({(4, agent(2), refl)})
-    assert cs_contains(cs, Const(4, agent(2)), agent(2), refl)
-    assert not cs_contains(cs, Const(4, C), C, refl)
+    assert cs.contains(Const(4, agent(2)), refl)
+    assert not cs.contains(Const(4, C), refl)
+    assert not cs.contains(Var(4, agent(2)), refl)
     assert list(cs.pairs()) == [(Const(4, agent(2)), refl)]
+    assert list(cs.within([Const(4, agent(2))], [refl])) == [(Const(4, agent(2)), refl)]
+    assert list(cs.within([Const(4, agent(2))], [Prop(1)])) == []
+    assert list(cs.within([Const(4, C)], [refl])) == []
     with pytest.raises(InvalidInput):
         ConstantSpecification.extensional({(1, C, Prop(1))})
     # validation can be waived for deliberately non-well-founded tables
     loose = ConstantSpecification.extensional({(1, C, Prop(1))}, validate=False)
-    assert cs_contains(loose, Const(1, C), C, Prop(1))
+    assert loose.contains(Const(1, C), Prop(1))
 
 
 # ---------------------------------------------------------------------------

@@ -909,7 +909,6 @@ def test_model_file_specification_loader():
     table = "c1@C := [x1@1]@1 P1 -> P1\n"
     text = "h: 1\nworlds: w0\ncs: file extras.cs\n"
     m, _ = parse_model_file(text, cs_loader={"extras.cs": table}.__getitem__)
-    assert m.cs.kind == "extensional"
     ax = Imp(Just(Var(1, agent(1)), agent(1), Prop(1)), Prop(1))
     assert (1, C, ax) in m.cs.members
 
@@ -917,7 +916,7 @@ def test_model_file_specification_loader():
 def test_cs_table_validation():
     good = "c1@C := [x1@1]@1 P1 -> P1  # reflexivity instance\n"
     cs = parse_cs_table(good, 1)
-    assert cs.kind == "extensional" and len(cs.members) == 1
+    assert len(cs.members) == 1
     bad = "c1@C := P1 -> P2\n"
     with pytest.raises(InvalidInput):
         parse_cs_table(bad, 1)

@@ -2,11 +2,12 @@
 conclude exactly what the operation promises."""
 
 import random
+import re
 
 import pytest
 
 from conftest import build_induction2_input, hypotheses_reversed
-from jck.errors import InvalidInput, SortError
+from jck.errors import InvalidInput, ResourceError, SortError
 from jck.deduction import (
     Axiom, AxiomSchema, AxNec, ConstantSpecification, Derivation, Hyp, MP,
     Step, check_derivation, parse_derivation,
@@ -98,6 +99,24 @@ def test_e_sum_shape():
     assert dr.conclusion == Imp(Just(s, E, a), Just(term, E, a))
 
 
+def test_e_application_stops_at_the_atom_cap():
+    # the closing tautology has 3h + 3 atoms: 24 at h = 7, 27 at h = 8
+    t, s, a, b = Var(1, E), Var(2, E), Prop(1), Prop(2)
+    _, d = e_application(7, t, s, a, b)
+    assert accepted(d, h=7)
+    with pytest.raises(ResourceError, match="^27 propositional atoms exceed the cap of 24$"):
+        e_application(8, t, s, a, b)
+
+
+def test_e_sum_stops_at_the_atom_cap():
+    # each closing tautology has 2h + 2 atoms: 24 at h = 11, 26 at h = 12
+    t, s, a = Var(1, E), Var(2, E), Prop(1)
+    _, dl, dr = e_sum(11, t, s, a)
+    assert accepted(dl, h=11) and accepted(dr, h=11)
+    with pytest.raises(ResourceError, match="^26 propositional atoms exceed the cap of 24$"):
+        e_sum(12, t, s, a)
+
+
 def test_i_conversion_shape():
     t, a = Var(1, C), Prop(1)
     term, d = i_conversion(t, 2, a)
@@ -179,6 +198,19 @@ def test_lift_fresh_variable_avoids_clashes():
     assert isinstance(fresh, Var) and fresh.sort == C
     assert fresh != Var(1, C)  # x1@C is taken by the input
     assert accepted(out, h=1)
+
+
+@pytest.mark.parametrize("d", [
+    Derivation((), (Step(Prop(1), Hyp(1)),)),
+    Derivation((Prop(1),), (Step(Prop(1), Hyp(1)), Step(Prop(1), MP(2, 2)))),
+    Derivation((Prop(1),), (Step(Prop(1), Hyp(1)), Step(Prop(1), MP(1, 1)))),
+], ids=["missing-hypothesis", "premise-not-earlier", "major-not-implication"])
+def test_lift_refuses_a_step_citing_a_missing_line_as_the_kernel_does(d):
+    report = check_derivation(d, TC)
+    assert not report.ok
+    want = f"input derivation rejected at step {report.step}: {report.message}"
+    with pytest.raises(InvalidInput, match=f"^{re.escape(want)}$"):
+        lift(d, C, h=1)
 
 
 def test_lift_rejects_mismatched_context():
