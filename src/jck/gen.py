@@ -243,13 +243,35 @@ def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:
 # the most terms `enumerate_terms` builds, over all sorts and depths
 MAX_TERMS = 200000
 
+# (leaves, depth, h, cap) -> the finished by-sort closure, emptied when full
+# as `deduction._AXIOMS` is; the depth-3 attack closure holds about 21,000
+# terms, so only a few are kept
+_ENUMERATIONS: dict[tuple, dict[Sort, list[Term]]] = {}
+_ENUMERATION_CACHE_SIZE = 4
+
 
 def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> list[Term]:
-    """All terms of `sort` built from `leaves` with nesting <= max_depth.
+    """All terms of `sort` built from `leaves` with nesting <= max_depth, as
+    a new list.
 
     Exhaustive by construction; raises ResourceError past `MAX_TERMS` terms
-    total.
+    total.  The closure over all sorts is built once per leaves, depth,
+    agent count and cap and then memoized, so asking for another sort of
+    the same closure costs a copy.
     """
+    key = (tuple(leaves), max_depth, h, MAX_TERMS)
+    by_sort = _ENUMERATIONS.get(key)
+    if by_sort is None:
+        by_sort = _enumerate_by_sort(leaves, max_depth, h)
+        if len(_ENUMERATIONS) >= _ENUMERATION_CACHE_SIZE:
+            _ENUMERATIONS.clear()
+        _ENUMERATIONS[key] = by_sort
+    return list(by_sort.get(sort, ()))
+
+
+def _enumerate_by_sort(leaves: list[Term], max_depth: int, h: int) -> dict[Sort, list[Term]]:
+    """Every term built from `leaves` with nesting <= max_depth, by sort, in
+    order of depth and then of construction."""
     by_sort: dict[Sort, list[Term]] = {}
     for leaf in leaves:
         by_sort.setdefault(leaf.sort, []).append(leaf)
@@ -296,4 +318,4 @@ def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> l
                 if t not in seen:
                     seen.add(t)
                     dst.append(t)
-    return list(pool(sort))
+    return by_sort

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
 from .deduction import ConstantSpecification
@@ -122,9 +123,11 @@ class AFModel(KripkeModel):
     """A frame plus a finite base of evidence facts.
 
     `mode` is "base" (evidence from the fact base, closed under the nine
-    rules) or "full" (every term evidences every formula).  The saturation
-    cache, like the frame's, assumes the model is not changed after
-    construction; it holds at most `_SATURATION_CACHE_SIZE` saturations.
+    rules) or "full" (every term evidences every formula).  Two caches, like
+    the frame's, assume the model is not changed after construction: the
+    saturation cache holds at most `_SATURATION_CACHE_SIZE` saturations, and
+    `base_closure` holds the subterm and subformula closure of the fact
+    base, which every query's universe starts from.
     """
 
     def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
@@ -136,6 +139,18 @@ class AFModel(KripkeModel):
         self.cs = cs if cs is not None else ConstantSpecification.total_c()
         self.mode = mode
         self._saturation_cache: dict = {}
+
+    @cached_property
+    def base_closure(self) -> tuple[frozenset[Term], frozenset[Formula]]:
+        """(terms, formulas): every subterm and subformula of the fact base,
+        with the subterms of every term inside those formulas; built on
+        first read."""
+        terms: set[Term] = set()
+        formulas: set[Formula] = set()
+        for fact in self.evidence_base:
+            terms.update(subterms(fact.term))
+            _add_formula(terms, formulas, fact.formula)
+        return frozenset(terms), frozenset(formulas)
 
 
 @dataclass(frozen=True)
@@ -296,29 +311,30 @@ class SaturationUniverse:
     formulas: frozenset
 
 
+def _add_formula(terms: set[Term], formulas: set[Formula], a: Formula) -> None:
+    """Add every subformula of `a` to `formulas`, and every subterm of their
+    evidence terms to `terms`, which holds every subterm of a term it
+    holds."""
+    for f in subformulas(a):
+        formulas.add(f)
+        if isinstance(f, Just) and f.term not in terms:
+            terms.update(subterms(f.term))
+
+
 def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
                    max_size: int = 50000) -> SaturationUniverse:
     """Subterm/subformula closure of the query and the fact base, then
     specification instances for constants present, then `depth_budget` rounds
-    of the boxed forms the tail rule can emit."""
-    terms: set[Term] = set()
-    formulas: set[Formula] = set()
-
-    def add_formula(a: Formula) -> None:
-        for f in subformulas(a):
-            formulas.add(f)
-            # `terms` holds every subterm of a term it holds
-            if isinstance(f, Just) and f.term not in terms:
-                terms.update(subterms(f.term))
-
-    add_formula(query)
-    for fact in m.evidence_base:
-        terms.update(subterms(fact.term))
-        add_formula(fact.formula)
+    of the boxed forms the tail rule can emit.  The fact base's closure is
+    the model's `base_closure`, shared by every query."""
+    base_terms, base_formulas = m.base_closure
+    terms = set(base_terms)
+    formulas = set(base_formulas)
+    _add_formula(terms, formulas, query)
 
     for c, a in m.cs.pairs():
         if c in terms:
-            add_formula(a)
+            _add_formula(terms, formulas, a)
 
     # the universe only grows, so checking its size before each round and
     # once after the last refuses exactly the inputs whose final size is over

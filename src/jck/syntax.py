@@ -496,20 +496,18 @@ def variables_in(x: Term | Formula) -> frozenset[Var]:
 def bound_problems(nodes: list[Term | Formula], h: int) -> list[str]:
     """Agent-bound and tuple-arity violations against agent count `h` among
     `nodes`, as `walk` lists them: each node is judged alone, not its
-    children."""
+    children.  Only terms are judged: the constructors make a justified
+    assertion's sort its term's, and a projection `pi_i(t)` of sort `i`, so
+    each violation shows in exactly one term."""
     problems = []
     for x in nodes:
         if isinstance(x, Formula):
-            if x.__class__ is Just and x.sort.is_agent and x.sort.index > h:
-                problems.append(f"assertion sort {x.sort} > h={h}")
             continue
         s = x.sort
         if s.is_agent and s.index > h:
             problems.append(f"term {print_term(x)} uses agent {s.index} > h={h}")
         if x.__class__ is Tuple and len(x.items) != h:
             problems.append(f"tuple {print_term(x)} has arity {len(x.items)}, expected {h}")
-        if x.__class__ is Proj and x.agent > h:
-            problems.append(f"projection index {x.agent} > h={h}")
     return problems
 
 

@@ -17,7 +17,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 import jck
 from conftest import build_induction2_input, format_model
-from jck.cli import main
+from jck import gen
+from jck.cli import demo_attack, main
 from jck.deduction import (
     Axiom, AxiomSchema, Derivation, Step, check_derivation, print_derivation,
 )
@@ -610,6 +611,15 @@ def test_demo_attack_matches_golden(depth, capsys):
     assert main(["demo-attack", "--depth", str(depth)]) == 0
     golden = (GOLDEN / f"demo_attack_depth{depth}.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3], ids=["depth0", "depth1", "depth2", "depth3"])
+def test_demo_attack_is_unchanged_by_a_warm_enumeration_memo(depth):
+    gen._ENUMERATIONS.clear()
+    first, ok = demo_attack(depth)
+    second, again = demo_attack(depth)
+    assert ok and again
+    assert first == second == (GOLDEN / f"demo_attack_depth{depth}.txt").read_text()
 
 
 def test_demo_attack_past_the_term_cap_exits_2_with_one_line():

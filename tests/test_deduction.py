@@ -269,6 +269,27 @@ def test_axiom_memo_empties_when_full_and_keeps_verdicts(monkeypatch):
     deduction._AXIOMS.clear()
 
 
+def test_match_axiom_agrees_uncached_and_never_stores_an_atom():
+    from test_parse_derivation import _golden_texts
+
+    formulas = [Neg(And(Prop(1), Neg(Prop(1)))), Or(Prop(1), Neg(Prop(1)))]
+    for _, text, h in _golden_texts():
+        d = parse_derivation(text, h)
+        formulas += walk([*d.hypotheses, *(step.formula for step in d.steps)], terms=False)
+    rng = random.Random(4)
+    for _ in range(400):
+        formulas += walk([random_formula(rng, rng.randint(1, 3), rng.randint(0, 4))], terms=False)
+    for a in formulas:
+        assert match_axiom(a) == _schemata_uncached(a), print_formula(a)
+    atoms = [a for a in formulas if isinstance(a, (Prop, Just))]
+    assert sum(isinstance(a, Prop) for a in atoms) > 100
+    assert sum(isinstance(a, Just) for a in atoms) > 100
+    deduction._AXIOMS.clear()
+    for a in atoms:
+        assert match_axiom(a) == frozenset(), print_formula(a)
+    assert not deduction._AXIOMS
+
+
 def test_axiom_memo_never_caches_a_resource_error():
     deduction._AXIOMS.clear()
     parts = [Prop(i) for i in range(1, deduction.MAX_ATOMS + 2)]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import format_model
-from jck import modal, semantics
+from jck import gen, modal, semantics
 from jck.acceptance import attack_term_families, naive_saturate
 from jck.deduction import ConstantSpecification
 from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
@@ -469,6 +469,62 @@ def test_build_universe_boxed_forms_from_tails():
     u0 = build_universe(m, q, depth_budget=0)
     assert Just(t, C, Prop(1)) not in u0.formulas
     assert u0.formulas <= u1.formulas <= u2.formulas
+
+
+def reference_universe(m: AFModel, query: Formula, depth_budget: int) -> SaturationUniverse:
+    """`build_universe` from its docstring: the subterm/subformula closure of
+    the query and the fact base, then one pass of specification instances
+    for the constants present, then `depth_budget` rounds of tail boxes."""
+    terms: set[Term] = set()
+    formulas: set[Formula] = set()
+
+    def close(a: Formula) -> None:
+        formulas.update(subformulas(a))
+        for t in formula_terms(a):
+            terms.update(subterms(t))
+
+    close(query)
+    for fact in m.evidence_base:
+        terms.update(subterms(fact.term))
+        close(fact.formula)
+    for c, a in m.cs.pairs():
+        if c in terms:
+            close(a)
+    tails = [t for t in terms if isinstance(t, Tail)]
+    for _ in range(depth_budget):
+        formulas |= {Just(t.t, C, a) for t in tails for a in formulas}
+    return SaturationUniverse(frozenset(terms), frozenset(formulas))
+
+
+def test_build_universe_equals_its_definition_on_random_models():
+    rng = random.Random(5)
+    compared = 0
+    for seed in range(60):
+        h = seed % 3 + 1
+        m = random_model(h, rng.randint(1, 3), n_base=rng.randint(0, 5), seed=seed)
+        # several queries per model, so most start from its cached base closure
+        for _ in range(4):
+            q = random_formula(rng, h, rng.randint(0, 3))
+            budget = rng.randint(0, 2)
+            want = reference_universe(m, q, budget)
+            if len(want.terms) + len(want.formulas) > 5000:
+                continue
+            assert build_universe(m, q, budget, max_size=5000) == want
+            compared += 1
+    assert compared >= 200
+
+
+def test_build_universe_reads_each_models_own_base():
+    q = Just(Var(1, C), C, Prop(1))
+    models = [tiny(base=(EvidenceFact(0, Const(1, agent(1)), Prop(2)),)),
+              tiny(base=(EvidenceFact(0, Tail(Var(2, C)), Prop(3)),))]
+    universes = [build_universe(m, q, 1) for m in models]
+    assert universes[0] != universes[1]
+    for m, u in zip(models, universes):
+        assert u == reference_universe(m, q, 1)
+        assert build_universe(m, q, 1) == u  # again, from the cached closure
+    assert Prop(2) in universes[0].formulas and Prop(3) not in universes[0].formulas
+    assert Just(Var(2, C), C, q) in universes[1].formulas
 
 
 def test_budget_grows_facts_monotonically():
@@ -978,6 +1034,50 @@ def test_term_enumeration_cap_is_a_resource_cap():
 
     with pytest.raises(ResourceError, match=f"exceeded {MAX_TERMS} terms"):
         attack_term_families(max_depth=4)
+
+
+def test_term_enumeration_memo_returns_new_lists():
+    leaves = [M1, M2, Const(1, C)]
+    gen._ENUMERATIONS.clear()
+    first = gen.enumerate_terms(leaves, C, 2, 2)
+    second = gen.enumerate_terms(leaves, C, 2, 2)
+    assert second == first and second is not first
+    want = list(first)
+    first.clear()
+    second.append(Var(1, C))
+    third = gen.enumerate_terms(leaves, C, 2, 2)
+    assert third == want and len(third) == 28
+
+
+def test_term_enumeration_memo_answers_as_a_cold_call():
+    leaves = [M1, M2, Const(1, C)]
+    variants = [(leaves, C, 2, 2), (leaves, agent(2), 2, 2), (leaves, E, 2, 2),
+                (leaves, C, 1, 2), (leaves, C, 0, 2), (leaves, agent(1), 2, 3),
+                (leaves[::-1], C, 2, 2), ([Const(1, C), M2, M1], agent(2), 2, 2),
+                (leaves[:2], agent(1), 3, 2),
+                ([Const(1, C), Const(2, C)], C, 1, 2), ([Const(2, C), Const(1, C)], C, 1, 2)]
+    cold = []
+    for args in variants:
+        gen._ENUMERATIONS.clear()
+        cold.append(gen.enumerate_terms(*args))
+    gen._ENUMERATIONS.clear()
+    for _ in range(2):
+        for args, want in zip(variants, cold):
+            assert gen.enumerate_terms(*args) == want
+            assert len(gen._ENUMERATIONS) <= gen._ENUMERATION_CACHE_SIZE
+    # leaf order is construction order
+    assert cold[-1] != cold[-2] and set(cold[-1]) == set(cold[-2])
+
+
+def test_term_enumeration_past_the_cap_raises_on_every_call(monkeypatch):
+    leaves = [M1, M2, Const(1, C)]
+    want = gen.enumerate_terms(leaves, C, 2, 2)  # memoized under the real cap
+    monkeypatch.setattr(gen, "MAX_TERMS", 100)
+    for _ in range(2):
+        with pytest.raises(ResourceError, match="exceeded 100 terms"):
+            gen.enumerate_terms(leaves, C, 2, 2)
+    monkeypatch.undo()
+    assert gen.enumerate_terms(leaves, C, 2, 2) == want
 
 
 def test_random_model_is_seed_deterministic():

@@ -337,8 +337,11 @@ def test_conj_left_associates():
 
 def test_bound_problems():
     a = Just(Var(1, agent(3)), agent(3), Prop(1))
-    assert bound_problems(walk([a]), 2) == [
-        "assertion sort 3 > h=2", "term x1@3 uses agent 3 > h=2"]
+    # the assertion's sort is its term's, so the violation is reported once
+    assert bound_problems(walk([a]), 2) == ["term x1@3 uses agent 3 > h=2"]
+    # a projection's sort is its index
+    assert bound_problems(walk([Proj(3, Var(1, E))]), 2) == [
+        "term pi_3(x1@E) uses agent 3 > h=2"]
     assert not bound_problems(walk([a]), 3)
     # tuples must have exactly h slots
     assert bound_problems(walk([Tuple((Var(1, agent(1)),))]), 2) == [
