@@ -37,8 +37,16 @@ from .acceptance import attack_scenario, format_results, run_all
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file at `path` as UTF-8 text, a leading byte-order mark read as
+    nothing; every file the command line reads is read here."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{path!r} is not UTF-8 text: {e.reason} at byte offset {e.start}") from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _parse_sort(text: str, h: int) -> Sort:

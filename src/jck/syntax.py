@@ -47,8 +47,10 @@ no interpreter frame, and one table, `_INFIX`, gives the precedence and
 associativity of every infix operator to it and to the printer.  Input
 nested deeper than `MAX_DEPTH` raises ResourceError, since every later walk
 of a tree recurses per level.  A `Reader` reads one file's texts with one
-node table, so equal subtrees on different lines are one object, and a memo,
-so a text read again (a restated consequent) is not parsed again.  The
+node table, so equal subtrees on different lines are one object, a memo, so
+a text read again (a restated consequent) is not parsed again, and a table
+of bracketed groups, so a group read before (a restated antecedent, the
+term of an earlier step) is taken as one operand, not lexed again.  The
 printers keep one memo per call, by identity, of the text of every term and
 formula printed, so a subformula shared across a lifted proof is printed
 once.  `walk` visits each object of a set of trees once, by identity, on an
@@ -60,7 +62,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
-from itertools import count
+from itertools import count, islice
 
 from .errors import InvalidInput, ParseError, ResourceError, SortError, quoted
 
@@ -678,6 +680,9 @@ _LEXEME_RE = re.compile(
 _LEXEMES: dict[str, tuple[str, object]] = {}
 _LEXEME_CACHE_SIZE = 4096
 
+# the brackets whose inner text a `Reader` may hold as one group
+_BRACKET_RE = re.compile(r"[()\[\]]")
+
 
 def integer(text: str, what: str, position: int | None = None) -> int:
     """`text` read as `int()` reads it.  Every digit string the toolkit
@@ -733,19 +738,28 @@ def _classify(text: str, pos: int) -> tuple[str, object]:
     return entry
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, object]]:
-    """(kind, text, offset, payload) of every token, then an EOF token."""
+def _tokenize(text: str, held=()) -> list[tuple[str, str, int, object]]:
+    """(kind, text, offset, payload) of every token, then an EOF token.
+    Each (start, end, (node, depth)) of `held`, left to right and apart,
+    stands for the text from `start` to `end`, lexed as one GROUP token
+    whose payload is (node, depth); a bracket is a lexeme of its own, so
+    the text around a bracketed group lexes as it does in the whole."""
     tokens = []
     append = tokens.append
     known = _LEXEMES.get
     pos = 0
-    for space, lexeme in _LEXEME_RE.findall(text):
-        pos += len(space)
-        if not lexeme:
+    for start, end, group in (*held, (len(text), None, None)):
+        for space, lexeme in _LEXEME_RE.findall(text, pos, start):
+            pos += len(space)
+            if not lexeme:
+                break
+            entry = known(lexeme) or _classify(text, pos)
+            append((entry[0], lexeme, pos, entry[1]))
+            pos += len(lexeme)
+        if group is None:
             break
-        entry = known(lexeme) or _classify(text, pos)
-        append((entry[0], lexeme, pos, entry[1]))
-        pos += len(lexeme)
+        append(("GROUP", "", start, group))
+        pos = end
     append(("EOF", "", len(text), None))
     return tokens
 
@@ -761,13 +775,12 @@ def _too_deep(pos: int) -> ResourceError:
 # Entries of the parser's stack.  A pending binary operator is (precedence,
 # left operand, its depth, class); a pending prefix operator is (_PREFIX,
 # constructor of the node given its body, depth of what it holds besides the
-# body); an open bracket is (0, the token that closes it, constructor of the
-# node given the bracketed term, depth of what it holds besides), a tuple's
-# list [0, "<", items so far, their depth, offset], or an evidence box's term
-# (0, "]", open parentheses of the formula around it).  _BOTTOM ends every
-# stack.
+# body); an open bracket is a grouping (0, ")", None, its offset), a
+# function's (0, the token that closes it, constructor of the node given the
+# bracketed term, depth of what it holds besides), a tuple's list [0, "<",
+# items so far, their depth, offset], or an evidence box's term (0, "]", open
+# parentheses of the formula around it, offset).  _BOTTOM ends every stack.
 _BOTTOM = (0, None)
-_OPEN = (0, ")", None, 0)
 _NEGATION = (_PREFIX, Neg, 0)
 _TERM_FUNCTIONS = {"head": Head, "tail": Tail, "ind": Ind}
 # `_INFIX` per language, terms (True) or formulas: token kind -> (precedence,
@@ -790,18 +803,25 @@ class Parser:
     Every atom and every node goes through one table, `nodes`: atoms by
     lexeme, nodes by themselves, so it maps each node to the one object
     equal to it.  A `Reader` passes its file's table; any other parse has a
-    table of its own."""
+    table of its own.  A `Reader` also passes the bracketed groups it holds
+    (see `_tokenize`), each read as one operand, and a list, `groups`, to
+    which `_read` adds (language, start, end, node, depth) for each other
+    grouping `( … )` and evidence-box term it completes: the language is
+    True for a term, and the group's inner text runs from `start` to
+    `end`."""
 
     modal = False
 
-    def __init__(self, text: str, h: int, nodes: dict | None = None):
+    def __init__(self, text: str, h: int, nodes: dict | None = None, held=(),
+                 groups: list | None = None):
         if not isinstance(h, int) or h < 1:
             raise InvalidInput(f"agent count h must be a positive int, got {h!r}")
         self.h = h
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, held)
         self.i = 0
         self.nodes: dict = {} if nodes is None else nodes
         self.intern = self.nodes.setdefault
+        self.groups = groups
         # where the text after each `->` outside parentheses starts, in what
         # the last `_read` read: the right spine's texts, left to right
         self.arrows: list[int] = []
@@ -875,6 +895,7 @@ class Parser:
         intern = self.intern
         ops = _OPS[term]
         box = "#" if self.modal else "["
+        groups = self.groups
         self.arrows = arrows = []
         stack: list = [_BOTTOM]
         parens = 0
@@ -885,9 +906,12 @@ class Parser:
                 parens += 1
                 if parens > MAX_DEPTH:
                     raise _too_deep(pos)
-                stack.append(_OPEN)
+                stack.append((0, ")", None, pos))
                 continue
-            if term:
+            d = 0
+            if kind == "GROUP":
+                x, d = payload
+            elif term:
                 if kind == "VAR" or kind == "CONST" or kind == "NCONST":
                     x = leaves.get(text)
                     if x is None:
@@ -928,10 +952,9 @@ class Parser:
                 i = self.i
                 continue
             else:
-                stack.append((0, "]", parens))
+                stack.append((0, "]", parens, pos))
                 term, ops, parens = True, _OPS[True], 0
                 continue
-            d = 0
             # x, of depth d, is an operand: reduce what it completes
             while True:
                 top = stack[-1]
@@ -979,7 +1002,9 @@ class Parser:
                     x = intern(x, x)
                 elif kind != tag:
                     raise _expected(tag, tokens[i])
-                elif top is _OPEN:
+                elif top[2] is None:  # a grouping
+                    if groups is not None and tokens[i - 1][0] != "GROUP":
+                        groups.append((term, top[3] + 1, tokens[i][2], x, d))
                     parens -= 1
                     stack.pop()
                     i += 1
@@ -989,6 +1014,8 @@ class Parser:
                     i += 1
                     break
                 elif tag == "]":  # the evidence box's term; `@ sort` follows
+                    if groups is not None and tokens[i - 1][0] != "GROUP":
+                        groups.append((True, top[3] + 1, tokens[i][2], x, d))
                     self.i = i + 1
                     self.expect("@")
                     stack[-1] = (_PREFIX, partial(Just, x, self.parse_sort_token()), d)
@@ -1009,29 +1036,107 @@ class Parser:
 
 class Reader:
     """Reads the texts of one file, for agent count `h`, with one node table:
-    equal subtrees anywhere in the file are one object.  `formula` keeps a
-    memo of each text it read, and of the text after each `->` outside
-    parentheses in it, the exact text of that implication's right side (`->`
-    binds loosest, to the right); parsing is a pure function of (text, h),
-    so a text read again, such as the consequent a modus ponens step
-    restates, is looked up.  Two readers share no node."""
+    equal subtrees anywhere in the file are one object.  Parsing is a pure
+    function of (text, h), and `formula` keeps two memos of what it read.
+
+    - `texts` holds each text read, and the text after each `->` outside
+      parentheses in it, the exact text of that implication's right side
+      (`->` binds loosest, to the right), so a text read again, such as the
+      consequent a modus ponens step restates, is looked up.
+    - `groups` maps (language, inner text) to (node, depth) for each text
+      read and each grouping `( … )` and evidence-box term completed in one,
+      the language True for a term.  A text not in `texts` is scanned for
+      its outermost bracketed spans whose inner text `groups` holds (a
+      restated antecedent, the term of the step before), and the lexer and
+      the parser take each such span as one operand of its stored depth,
+      so the text around them is all that is read (packrat parsing keyed by
+      text, after Ford, ICFP 2002).  Brackets stay tokens, so `head(…)`
+      and `[…]@s` read as before.  If that read fails, the whole text is
+      read again as `parse_formula` reads it, which alone decides the
+      error.  A text that has more than `MAX_DEPTH` brackets open at once
+      is read that way from the start; in any other, the parser never
+      counts more than `MAX_DEPTH` open parentheses, so no group need store
+      how deep its own parentheses nest.
+
+    A failing text stores nothing in any table.  Two readers share no
+    node."""
 
     def __init__(self, h: int):
         self.h = h
         # node -> the one node equal to it, and lexeme -> its atom
         self.nodes: dict = {}
         self.texts: dict[str, Formula] = {}
+        self.groups: dict[tuple[bool, str], tuple[Term | Formula, int]] = {}
 
     def formula(self, text: str) -> Formula:
-        """`parse_formula(text, h)`; a failing text stores nothing."""
+        """`parse_formula(text, h)`."""
         a = self.texts.get(text)
-        if a is None:
-            p = Parser(text, self.h, self.nodes)
-            self.texts[text] = right = a = p.entire(Parser.parse_formula)
-            for pos in p.arrows:
-                right = right.right
-                self.texts[text[pos:]] = right
+        if a is not None:
+            return a
+        nodes = self.nodes
+        size = len(nodes)
+        held = self._held(text)
+        try:
+            try:
+                p, a, d = self._parse(text, held)
+            except Exception:
+                # any kind: on a text whose brackets do not nest, a held
+                # group can meet a constructor of the other language first
+                if not held:
+                    raise
+                p, a, d = self._parse(text, ())
+        except BaseException:
+            # forget the nodes the failed reads interned: the newest keys
+            for key in list(islice(reversed(nodes), len(nodes) - size)):
+                del nodes[key]
+            raise
+        groups = self.groups
+        for term, start, end, x, depth in p.groups:
+            groups[term, text[start:end]] = x, depth
+        groups[False, text] = a, d
+        self.texts[text] = right = a
+        for pos in p.arrows:
+            right = right.right
+            self.texts[text[pos:]] = right
         return a
+
+    def _parse(self, text: str, held) -> tuple[Parser, Formula, int]:
+        p = Parser(text, self.h, self.nodes, held, [])
+        a, d, p.i = p._read(0, False)
+        p.expect_end()
+        return p, a, d
+
+    def _held(self, text: str) -> list[tuple[int, int, tuple[Term | Formula, int]]]:
+        """(start, end, (node, depth)) of each outermost span of `text`
+        between paired brackets whose inner text `groups` holds, in the
+        language the parser reads it in: a term inside `[ … ]`, a formula
+        outside; none if more than `MAX_DEPTH` brackets are open at once.
+        Brackets pair as a stack pairs them, whatever their kinds: where
+        that is not how they nest, the parser, which reads the brackets
+        around each span, fails."""
+        opens = []
+        pairs = []  # (offset of the opening bracket, of the closing one)
+        for m in _BRACKET_RE.finditer(text):
+            i = m.start()
+            if text[i] in "([":
+                opens.append(i)
+                if len(opens) > MAX_DEPTH:
+                    return ()
+            elif opens:
+                pairs.append((opens.pop(), i))
+        pairs.sort()
+        held = []
+        get = self.groups.get
+        end = box = -1  # where the last held span and the last box end
+        for start, stop in pairs:
+            if start > end:
+                if text[start] == "[":
+                    box = stop
+                group = get((start < box, text[start + 1:stop]))
+                if group is not None:
+                    held.append((start + 1, stop, group))
+                    end = stop
+        return held
 
     def term(self, text: str) -> Term:
         """`parse_term(text, h)`, through the node table."""

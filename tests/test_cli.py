@@ -337,6 +337,60 @@ def test_missing_specification_file_exits_2_with_one_line(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+NOT_UTF8 = b"\xe9"  # Latin-1 for e-acute: not a UTF-8 sequence
+BOM = b"\xef\xbb\xbf"
+
+
+def _encoded_inputs(tmp_path, bad: str | None, prefix: bytes = b"") -> dict[str, str]:
+    """A derivation, a model, a model naming a cs file, and a cs file, each
+    written as UTF-8 after `prefix`; the one named `bad` ends in a byte that
+    is not UTF-8.  Returns the paths by name."""
+    texts = {"drv": HYPS_TEXT, "afm": SPEC_MODEL.format("totalC"),
+             "spec.afm": SPEC_MODEL.format("file table.cs"), "table.cs": "c1@1 := P1 -> P1\n"}
+    paths = {}
+    for name, text in texts.items():
+        path = tmp_path / (name if "." in name else f"in.{name}")
+        data = prefix + text.encode()
+        path.write_bytes(data + NOT_UTF8 + b"\n" if name == bad else data)
+        paths[name] = str(path)
+    return paths
+
+
+# every verb that reads a file, and the input it reads
+_FILE_VERBS = [
+    ("drv", lambda p: ["check", p["drv"]]),
+    ("drv", lambda p: ["lift", p["drv"], "--target", "C"]),
+    ("afm", lambda p: ["eval", p["afm"], "P1", "--world", "w0"]),
+    ("afm", lambda p: ["validate", p["afm"]]),
+    ("table.cs", lambda p: ["check", p["drv"], "--cs", p["table.cs"]]),
+    ("table.cs", lambda p: ["validate", p["spec.afm"]]),
+]
+
+
+@pytest.mark.parametrize("bad, argv", _FILE_VERBS,
+                         ids=["check", "lift", "eval", "validate", "check_cs", "model_cs"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it_and_the_offset(tmp_path, capsys, bad, argv):
+    paths = _encoded_inputs(tmp_path, bad)
+    offset = Path(paths[bad]).read_bytes().index(NOT_UTF8)
+    assert main(argv(paths)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert Path(paths[bad]).name in captured.err
+    assert f"at byte offset {offset}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in _FILE_VERBS],
+                         ids=["check", "lift", "eval", "validate", "check_cs", "model_cs"])
+def test_a_leading_byte_order_mark_reads_as_nothing(tmp_path, capsys, argv):
+    assert main(argv(_encoded_inputs(tmp_path, None))) == 0
+    expected = capsys.readouterr().out
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    assert main(argv(_encoded_inputs(marked, None, BOM))) == 0
+    assert capsys.readouterr().out == expected
+
+
 def run_jck(*argv) -> subprocess.CompletedProcess:
     """Run the command line in a child interpreter, as a shell would."""
     src = str(Path(jck.__file__).resolve().parent.parent)

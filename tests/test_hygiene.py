@@ -1,6 +1,6 @@
 """Source hygiene, read with `ast` alone: every function the benchmark's
-tracer names still exists, no jck module imports a name it never uses, and
-every module-level definition is used."""
+tracer names still exists, no jck module imports a name it never uses,
+every module-level definition is used, and files are read in one place."""
 
 import ast
 import importlib
@@ -97,3 +97,33 @@ def _unread_definitions() -> list[str]:
 
 def test_no_unread_module_level_definitions():
     assert _unread_definitions() == []
+
+
+def _file_reads() -> list[tuple[str, str]]:
+    """(module, function) of every call in `src/jck` that opens or reads a
+    file by name: `open(...)`, `x.open(...)`, `x.read_text(...)` and
+    `x.read_bytes(...)`; "<module>" for a call outside any function."""
+    out = []
+    for path in SOURCES:
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.Module)):
+                continue
+            where = getattr(outer, "name", "<module>")
+            # the calls in this body, not in the functions it defines
+            stack = list(ast.iter_child_nodes(outer))
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.FunctionDef):
+                    continue
+                stack += ast.iter_child_nodes(node)
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("open", "read_text", "read_bytes"):
+                        out.append((path.stem, where))
+    return out
+
+
+def test_files_are_read_in_one_place():
+    # every file the command line reads is decoded the one way
+    assert _file_reads() == [("cli", "_read_text")]
