@@ -310,11 +310,14 @@ class ConstantSpecification:
 
     def within(self, terms, formulas):
         """Iterate the (constant, formula) members with the constant among
-        `terms` and the formula among `formulas`."""
+        `terms` and the formula among `formulas`.  Under the total
+        specification the formulas are tested only when a C-sorted constant
+        is among the terms."""
         if self.members is None:
-            axioms = [a for a in formulas if is_axiom(a)]
-            for c in terms:
-                if isinstance(c, Const) and c.sort == C:
+            consts = [c for c in terms if isinstance(c, Const) and c.sort == C]
+            if consts:
+                axioms = [a for a in formulas if is_axiom(a)]
+                for c in consts:
                     for a in axioms:
                         yield c, a
         else:

@@ -32,15 +32,15 @@ from .errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quote
 from .syntax import (
     And, App, Bang, Box, C, Const, E, Formula, Head, Imp, Ind, Just, Neg, Or,
     Parser, Prop, Proj, Sort, Sum, Tail, Term, Tuple, agent, bound_problems,
-    integer, parse_formula, parse_term, print_formula, print_term, subformulas,
-    subterms, walk,
+    integer, parse_formula, parse_term, print_formula, print_term, walk,
 )
 
 Pair = tuple[int, int]
 
 MAX_AGENTS = 1000  # cap on a model file's h: line; each agent costs a relation
 
-# saturations a model keeps, by (query, depth budget); cleared when full
+# saturations a model keeps, by (query, depth budget), and box verdicts
+# `holds` keeps per model or call; each cleared when full
 _SATURATION_CACHE_SIZE = 4096
 
 
@@ -61,7 +61,9 @@ class KripkeModel:
     the pair sets, derived from the maps on first read.  Group reachability
     is the union of the agent maps and common reachability its transitive
     closure; each sort's successor map is built on first use and cached.
-    Treat instances as immutable after construction; the caches assume it.
+    `holds` keeps its box memo for evaluations without a fact set here, at
+    most `_SATURATION_CACHE_SIZE` entries.  Treat instances as immutable
+    after construction; the caches assume it.
     """
 
     def __init__(self, h: int, worlds, relations, valuation):
@@ -72,6 +74,7 @@ class KripkeModel:
         self.valuation = {p: frozenset(ws) for p, ws in valuation.items()}
         self._succ_cache: dict[Sort, dict[int, tuple[int, ...]]] = {}
         self._pairs: dict[int, frozenset] = {}
+        self._box_memo: dict[tuple[int, int], tuple[Formula, bool]] = {}
         for i in range(1, h + 1):
             rel = relations.get(i, ())
             if isinstance(rel, dict):
@@ -123,11 +126,12 @@ class AFModel(KripkeModel):
     """A frame plus a finite base of evidence facts.
 
     `mode` is "base" (evidence from the fact base, closed under the nine
-    rules) or "full" (every term evidences every formula).  Two caches, like
-    the frame's, assume the model is not changed after construction: the
-    saturation cache holds at most `_SATURATION_CACHE_SIZE` saturations, and
+    rules) or "full" (every term evidences every formula).  Its own caches,
+    like the frame's, assume the model is not changed after construction:
+    the saturation cache holds at most `_SATURATION_CACHE_SIZE` saturations,
     `base_closure` holds the subterm and subformula closure of the fact
-    base, which every query's universe starts from.
+    base, which every query's universe starts from, and `star_successors`
+    the maps every saturation spreads facts along.
     """
 
     def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
@@ -141,6 +145,13 @@ class AFModel(KripkeModel):
         self._saturation_cache: dict = {}
 
     @cached_property
+    def star_successors(self) -> dict[Sort, dict[int, tuple[int, ...]]]:
+        """Each agent's and C's successor map, by sort: the relations along
+        which saturation spreads a fact; built on first read."""
+        sorts = [agent(i) for i in range(1, self.h + 1)] + [C]
+        return {s: self.successors(s) for s in sorts}
+
+    @cached_property
     def base_closure(self) -> tuple[frozenset[Term], frozenset[Formula]]:
         """(terms, formulas): every subterm and subformula of the fact base,
         with the subterms of every term inside those formulas; built on
@@ -148,7 +159,7 @@ class AFModel(KripkeModel):
         terms: set[Term] = set()
         formulas: set[Formula] = set()
         for fact in self.evidence_base:
-            terms.update(subterms(fact.term))
+            _add_term(terms, fact.term)
             _add_formula(terms, formulas, fact.formula)
         return frozenset(terms), frozenset(formulas)
 
@@ -311,22 +322,47 @@ class SaturationUniverse:
     formulas: frozenset
 
 
+def _add_term(terms: set[Term], t: Term) -> None:
+    """Add every subterm of `t` to `terms`, which holds every subterm of a
+    term it holds, so the walk stops at a term already there."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if x not in terms:
+            terms.add(x)
+            stack += x._children()
+
+
 def _add_formula(terms: set[Term], formulas: set[Formula], a: Formula) -> None:
     """Add every subformula of `a` to `formulas`, and every subterm of their
-    evidence terms to `terms`, which holds every subterm of a term it
-    holds."""
-    for f in subformulas(a):
-        formulas.add(f)
-        if isinstance(f, Just) and f.term not in terms:
-            terms.update(subterms(f.term))
+    evidence terms to `terms`.  `formulas` holds every subformula of a
+    formula it holds, and `terms` every term inside them, so the walk stops
+    at a formula already there."""
+    stack = [a]
+    while stack:
+        f = stack.pop()
+        if f not in formulas:
+            formulas.add(f)
+            if f.__class__ is Just:
+                _add_term(terms, f.term)
+                stack.append(f.body)
+            else:
+                stack += f._children()
 
 
 def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
                    max_size: int = 50000) -> SaturationUniverse:
     """Subterm/subformula closure of the query and the fact base, then
     specification instances for constants present, then `depth_budget` rounds
-    of the boxed forms the tail rule can emit.  The fact base's closure is
-    the model's `base_closure`, shared by every query."""
+    of the boxed forms `[t]@C A` the tail rule can emit for each `tail(t)`.
+    The fact base's closure is the model's `base_closure`, shared by every
+    query.
+
+    The rounds are semi-naive (Bancilhon and Ramakrishnan, *An amateur's
+    introduction to recursive query processing strategies*, 1986): round 0
+    boxes every formula, each later round only the formulas the round before
+    added, since a box of an older formula is already in.  A boxed form's
+    parts are in the universe already, so it adds no term."""
     base_terms, base_formulas = m.base_closure
     terms = set(base_terms)
     formulas = set(base_formulas)
@@ -338,7 +374,8 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
 
     # the universe only grows, so checking its size before each round and
     # once after the last refuses exactly the inputs whose final size is over
-    tails = [t for t in terms if isinstance(t, Tail)]
+    tails = [t.t for t in terms if isinstance(t, Tail)]
+    added = formulas
     for rnd in count():
         if len(terms) + len(formulas) > max_size:
             raise ResourceError(
@@ -346,15 +383,11 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
                 "lower the depth budget or shrink the query")
         if rnd >= depth_budget:
             break
-        fresh = []
-        for tail in tails:
-            for a in formulas:
-                boxed = Just(tail.t, C, a)
-                if boxed not in formulas:
-                    fresh.append(boxed)
-        if not fresh:
+        added = {boxed for t in tails for a in added
+                 if (boxed := Just(t, C, a)) not in formulas}
+        if not added:
             break
-        formulas.update(fresh)
+        formulas.update(added)
     return SaturationUniverse(frozenset(terms), frozenset(formulas))
 
 
@@ -363,22 +396,24 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
 
     Returns a frozenset of (world, term, formula) triples.  One index,
     `parents`, maps each term of the universe to the terms that have it as a
-    child; a worklist fact spreads along its sort's relation, then walks its
-    term's parents once and fires the rule of each parent's class, so work
-    is linear in fired-rule instances rather than in universe size per pass.
+    child; a worklist fact spreads along its sort's relation (the model's
+    `star_successors`, built once per model), then walks its term's parents
+    once and fires the rule of each parent's class, so work is linear in
+    fired-rule instances rather than in universe size per pass.
     """
     tu = universe.terms
     fu = universe.formulas
 
     parents: dict[Term, list[Term]] = {}
     for u in tu:
-        for k in dict.fromkeys(u._children()):  # `t + t` is one parent of t
-            parents.setdefault(k, []).append(u)
+        for k in u._children():
+            ps = parents.get(k)
+            if ps is None:
+                parents[k] = [u]
+            elif ps[-1] is not u:  # `t + t` is one parent of t
+                ps.append(u)
 
-    succ_star: dict[Sort, dict[int, list[int]]] = {}
-    for i in range(1, m.h + 1):
-        succ_star[agent(i)] = m.successors(agent(i))
-    succ_star[C] = m.successors(C)
+    succ_star = m.star_successors
 
     known: set[tuple[int, Term, Formula]] = set()
     by_world_term: dict[tuple[int, Term], set[Formula]] = {}
@@ -486,13 +521,22 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
     The relational part of a box depends only on the successors, so it is
     memoized by successor tuple: the worlds of one common-knowledge
     component share theirs (`KripkeModel.successors`), and each C box is
-    evaluated once per component.  The evidence test stays per world."""
+    evaluated once per component.  The evidence test stays per world.
+    Without a fact set the memo is the model's, so queries that share a
+    subformula object evaluate its boxes once per model; with one, it lasts
+    one call, since a fact set may be the caller's own.  Either memo is
+    keyed by the identities of the successor tuple and the box, and each
+    entry holds its box, so no id is reused while the entry lives and no
+    lookup compares trees; it is cleared when it reaches
+    `_SATURATION_CACHE_SIZE` entries.  The query `a` itself is never
+    entered: a call evaluates it at one world only, and an entry would keep
+    every one-off query alive, for the garbage collector to walk, until the
+    memo is cleared."""
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
     # keyed by identity: the successor tuples live in the model's cache and
-    # every node inside `a` meanwhile, and an id is cheaper than even a
-    # cached hash
-    memo: dict[tuple[int, int], bool] = {}
+    # an id is cheaper than even a cached hash
+    memo = m._box_memo if facts is None else {}
 
     def sat(v: int, f: Formula) -> bool:
         if isinstance(f, Prop):
@@ -510,10 +554,16 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
         if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
             return False
         succ = m.successors(f.sort).get(v, ())
+        if f is a:
+            return all(sat(u, f.body) for u in succ)
         key = (id(succ), id(f))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = all(sat(u, f.body) for u in succ)
+        entry = memo.get(key)
+        if entry is not None:
+            return entry[1]
+        out = all(sat(u, f.body) for u in succ)
+        if len(memo) >= _SATURATION_CACHE_SIZE:
+            memo.clear()
+        memo[key] = (f, out)
         return out
 
     return sat(w, a)
@@ -603,16 +653,20 @@ def _world_ids(text: str) -> list[int]:
 
 
 def _world_pairs(text: str) -> list[Pair]:
-    """The pairs written on a `rel` line, in order."""
+    """The pairs written on a `rel` line, in order.  Whitespace of any kind
+    is ignored, as between the names on a `worlds:` line; commas may
+    separate pairs, but none may close one."""
     pairs = []
-    chunks = text.replace(" ", "").split(")")
+    chunks = "".join(text.split()).split(")")
     for k, chunk in enumerate(chunks, start=1):
-        chunk = chunk.strip(",")
+        chunk = chunk.lstrip(",")
         if not chunk:
             continue
         # a pair is closed when a ")" follows it, so the last chunk is open
         if not chunk.startswith("(") or k == len(chunks):
             raise ParseError(f"bad relation pair {quoted(chunk)}")
+        if chunk.endswith(","):
+            raise ParseError(f"bad relation pair {quoted(chunk + ')')}")
         a, _, b = chunk[1:].partition(",")
         pairs.append((_world_id(a), _world_id(b)))
     return pairs

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from jck.errors import InvalidInput, ParseError, ResourceError
-from jck.gen import random_axiom_instance, random_derivation, random_formula
+from jck.gen import random_axiom_instance, random_derivation, random_formula, random_term
 from jck import deduction
 from jck.deduction import (
     AGENT_FRAGMENT_SCHEMATA, Axiom, AxiomSchema, AxNec, ConstantSpecification,
@@ -343,6 +343,42 @@ def test_total_specification():
     assert list(TC.pairs()) == []  # none given outright
     universe = [c, Const(2, agent(1)), Var(1, C)]
     assert list(TC.within(universe, [refl, Prop(1)])) == [(c, refl)]
+
+
+def test_total_specification_tests_no_formula_without_a_common_constant(monkeypatch):
+    calls = []
+    monkeypatch.setattr(deduction, "is_axiom", lambda a: calls.append(a) or True)
+    refl = Imp(Just(Var(1, agent(1)), agent(1), Prop(1)), Prop(1))
+    terms = [Const(1, agent(1)), Var(1, C), Const(2, E), Tail(Var(2, C))]
+    assert list(TC.within(terms, [refl, Prop(1)])) == []
+    assert calls == []
+    assert list(TC.within(terms + [Const(3, C)], [refl])) == [(Const(3, C), refl)]
+    assert calls == [refl]
+
+
+def test_total_specification_within_matches_the_double_loop():
+    def double_loop(terms, formulas):
+        axioms = [a for a in formulas if is_axiom(a)]
+        return [(c, a) for c in terms if isinstance(c, Const) and c.sort == C
+                for a in axioms]
+
+    rng = random.Random(11)
+    sorts = [C, E, agent(1), agent(2)]
+    schemata = [s for s in AxiomSchema if s is not AxiomSchema.TAUT]
+    yielded = 0
+    for _ in range(200):
+        terms = list(dict.fromkeys(
+            [Const(rng.randint(1, 3), rng.choice(sorts)) for _ in range(rng.randint(0, 3))]
+            + [random_term(rng, rng.choice(sorts), 2, rng.randint(0, 2))
+               for _ in range(rng.randint(0, 4))]))
+        formulas = list(dict.fromkeys(
+            [random_formula(rng, 2, rng.randint(0, 2)) for _ in range(rng.randint(0, 4))]
+            + [random_axiom_instance(rng, rng.choice(schemata), 2)
+               for _ in range(rng.randint(0, 3))]))
+        want = double_loop(terms, formulas)
+        assert list(TC.within(terms, formulas)) == want
+        yielded += bool(want)
+    assert 50 <= yielded <= 150
 
 
 def test_extensional_specification_validates():

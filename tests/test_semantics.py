@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import format_model
-from jck import gen, modal, semantics
+from jck import gen, modal, semantics, syntax
 from jck.acceptance import attack_term_families, naive_saturate
 from jck.deduction import ConstantSpecification
 from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
@@ -14,7 +14,7 @@ from jck.gen import random_formula, random_term
 from jck.semantics import (
     AFModel, EvidenceFact, KripkeModel, SaturationUniverse, attack_four_world_model,
     attack_singleton_model, build_universe, evidence_holds, holds,
-    parse_cs_table, parse_model_file, random_model, reach_C,
+    parse_cs_table, parse_model_file, random_kripke_model, random_model, reach_C,
     reflexive_transitive_closure, satisfies, saturate, transitive_closure,
     valid_in_model, validate_model,
 )
@@ -514,6 +514,28 @@ def test_build_universe_equals_its_definition_on_random_models():
     assert compared >= 200
 
 
+def test_attack_candidate_universes_equal_their_definition():
+    # the singleton sweep's queries, with every budget it could be run at;
+    # where a tail makes the rounds grow the universe, the size cap fires
+    # exactly above the final size
+    m = attack_singleton_model()
+    family = attack_term_families(3)[1]
+    assert len(family) == 2185
+    tailed = 0
+    for t in family:
+        q = Just(t, C, DEL)
+        for budget in (1, 2, 3):
+            u = build_universe(m, q, budget)
+            assert u == reference_universe(m, q, budget), (t, budget)
+            if any(isinstance(x, Tail) for x in u.terms):
+                size = len(u.terms) + len(u.formulas)
+                with pytest.raises(ResourceError):
+                    build_universe(m, q, budget, max_size=size - 1)
+                assert build_universe(m, q, budget, max_size=size) == u
+                tailed += 1
+    assert tailed == 3 * 459
+
+
 def test_build_universe_reads_each_models_own_base():
     q = Just(Var(1, C), C, Prop(1))
     models = [tiny(base=(EvidenceFact(0, Const(1, agent(1)), Prop(2)),)),
@@ -793,6 +815,114 @@ def test_full_mode_reduces_to_relational_truth():
     assert not satisfies(tiny(mode="base", **frame), 0, Just(Var(1, agent(1)), agent(1), Prop(1)))
 
 
+def shared_queries(rng, h: int, count: int) -> list[Formula]:
+    """Random boxed formulas over a growing pool of formula objects, so that
+    queries share subformulas by identity, as the attack sweep's do."""
+    sorts = [agent(i) for i in range(1, h + 1)] + [E, C]
+    pool = [random_formula(rng, h, rng.randint(0, 2)) for _ in range(4)]
+    out = []
+    for _ in range(count):
+        s = rng.choice(sorts)
+        a, b = rng.choice(pool), rng.choice(pool)
+        body = rng.choice((a, Imp(a, b), And(a, Neg(b))))
+        f = (Box(s, body) if rng.random() < 0.5
+             else Just(random_term(rng, s, h, rng.randint(0, 1)), s, body))
+        if rng.random() < 0.5:
+            pool.append(f)
+        out.append(f)
+    return out
+
+
+def fresh_copy(m: KripkeModel) -> KripkeModel:
+    """The same frame with its own caches and successor tuples."""
+    if isinstance(m, AFModel):
+        return AFModel(m.h, m.worlds, m.relations, m.valuation, mode=m.mode)
+    return KripkeModel(m.h, m.worlds, m.relations, m.valuation)
+
+
+def test_model_box_memo_answers_as_a_fresh_model_in_any_order():
+    rng = random.Random(31)
+    for k in range(24):
+        h = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        m = (random_model(h, n, seed=k, mode="full") if k % 2
+             else random_kripke_model(h, n, seed=k))
+        cells = [(w, a) for a in shared_queries(rng, h, 30) for w in sorted(m.worlds)]
+        verdicts = {cell: holds(m, *cell) for cell in cells}
+        assert m._box_memo
+        other = fresh_copy(m)
+        rng.shuffle(cells)
+        for w, a in cells:
+            assert holds(other, w, a) == verdicts[w, a]
+            assert holds(fresh_copy(m), w, a) == verdicts[w, a]
+            if k % 2:
+                assert satisfies(m, w, a) == verdicts[w, a]
+
+
+def test_model_box_memo_outlives_the_queries_it_answered():
+    # each query is dropped after its call, so a later one may be built
+    # where it was; the memo entry keeps the old box, and so its id, alive
+    m = KripkeModel(1, range(2), {1: {(0, 1)}}, {1: {0, 1}, 2: {0}})
+    for k in range(200):
+        assert holds(m, 0, Neg(Box(agent(1), Prop(1 + k % 2)))) == (k % 2 == 1)
+    assert len(m._box_memo) == 200
+
+
+def test_the_query_itself_is_not_entered_in_the_model_box_memo():
+    m = random_model(2, 3, seed=4, mode="full")
+    inner = Box(C, Prop(1))
+    a = Just(Var(1, agent(1)), agent(1), inner)
+    for w in sorted(m.worlds):
+        satisfies(m, w, a)
+    assert {id(entry[0]) for entry in m._box_memo.values()} == {id(inner)}
+
+
+def test_model_box_memo_is_cleared_at_its_bound(monkeypatch):
+    monkeypatch.setattr(semantics, "_SATURATION_CACHE_SIZE", 16)
+    rng = random.Random(37)
+    m = random_model(2, 4, seed=3, mode="full")
+    sizes = []
+    for a in shared_queries(rng, 2, 200):
+        for w in sorted(m.worlds):
+            assert satisfies(m, w, a) == satisfies(fresh_copy(m), w, a)
+            sizes.append(len(m._box_memo))
+    assert max(sizes) == 16
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
+def test_model_box_memo_compares_no_trees(monkeypatch):
+    calls = []
+    nodes = [cls for cls in vars(syntax).values()
+             if isinstance(cls, type) and issubclass(cls, (Term, Formula)) and hasattr(cls, "_tag")]
+    for cls in nodes:
+        monkeypatch.setattr(cls, "__eq__", lambda self, other, eq=cls.__eq__:
+                            calls.append(self) or eq(self, other))
+
+    def build() -> Formula:
+        inner = Box(agent(1), Imp(Prop(1), Just(Var(1, agent(2)), agent(2), Prop(2))))
+        return Just(Sum(Var(1, C), Var(2, C), C), C, And(inner, Box(E, inner)))
+
+    m = random_model(2, 4, seed=5, mode="full")
+    first = [satisfies(m, w, build()) for w in sorted(m.worlds)]
+    entries = len(m._box_memo)
+    assert first == [satisfies(m, w, build()) for w in sorted(m.worlds)]
+    assert len(m._box_memo) > entries  # each copy is its own key
+    assert calls == []
+
+
+def test_base_mode_reads_no_model_box_memo():
+    rng = random.Random(41)
+    for seed in range(10):
+        m = random_model(2, 3, n_base=4, seed=seed)
+        m._box_memo = None  # any read of it raises
+        fresh = random_model(2, 3, n_base=4, seed=seed)
+        for a in shared_queries(rng, 2, 10):
+            for w in sorted(m.worlds):
+                assert satisfies(m, w, a, 1) == satisfies(fresh, w, a, 1)
+                facts = {(w, f.term, f.body) for f in subformulas(a) if isinstance(f, Just)}
+                assert holds(m, w, a, facts) == holds(fresh, w, a, facts)
+
+
 def test_agent_index_above_h_raises_invalid_input():
     m = random_model(2, 3, mode="full")
     with pytest.raises(InvalidInput, match="agent index 3 outside 1..2"):
@@ -898,6 +1028,13 @@ def test_model_file_named_atoms_and_tuples():
 @pytest.mark.parametrize("text,exc", [
     ("worlds: w0\nh: 1\nrel 1: (w0,w0)\n", None),  # order is free except rel
     ("h: 1\nworlds: w0 w1\nrel 1: (w0,w1),,(w1,w0),\n", None),  # loose commas
+    # any whitespace separates pairs, as it does world names
+    ("h: 1\nworlds:\tw0\tw1\nrel 1: (w0,w1)\t(w1,w0)\n", None),
+    ("h: 1\nworlds: w0 w1\nrel 1: ( w0 ,\tw1 )\t \t(w1,w0)\n", None),
+    # a comma may separate pairs but not close one
+    ("h: 1\nworlds: w0 w1\nrel 1: (w0,w1,)\n", ParseError),
+    ("h: 1\nworlds: w0 w1\nrel 1: (w0,w1,,,)\n", ParseError),
+    ("h: 1\nworlds: w0 w1\nrel 1: (,w0,w1)\n", ParseError),
     ("rel 1: (w0,w0)\nh: 1\nworlds: w0\n", ParseError),
     ("h: 1\nworlds: w0\nrel 2: (w0,w0)\n", ParseError),
     ("h: 0\nworlds: w0\n", ParseError),
@@ -932,6 +1069,10 @@ def test_model_file_errors(text, exc):
     ("rel 1: (w0,w1) (w1,w0", "bad relation pair '(w1,w0'"),
     ("rel 1: (w0,w1) (w0;w1)", "bad world name 'w0;w1'; expected wN"),
     ("rel 1: (w0,w1) (w1,w0,w1)", "bad world name 'w0,w1'; expected wN"),
+    ("rel 1: (w0,w1)\t(w1,w0", "bad relation pair '(w1,w0'"),
+    ("rel 1: (w0,w1\t,)", "bad relation pair '(w0,w1,)'"),
+    ("rel 1: (w0,w1) (w1,w0,,,)", "bad relation pair '(w1,w0,,,)'"),
+    ("rel 1: (,w0,w1)", "bad world name ''; expected wN"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
     ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
     # a key is a keyword, then one agent index or name: not a prefix of one
@@ -951,6 +1092,13 @@ def test_model_file_line_errors_name_the_token(line, message):
     with pytest.raises(ParseError) as caught:
         parse_model_file(f"h: 1\nworlds: w0 w1\n{line}\n")
     assert str(caught.value) == message
+
+
+def test_model_file_rel_lines_read_any_whitespace():
+    spaced, _ = parse_model_file("h: 1\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2)\n")
+    tabbed, _ = parse_model_file("h: 1\nworlds:\tw0\tw1 w2\nrel 1:\t(w0,\tw1)\t( w1,w2 )\n")
+    assert tabbed.relations == spaced.relations
+    assert (0, 2) in tabbed.relations[1]
 
 
 def test_model_file_repeated_lines_accumulate():
