@@ -531,52 +531,70 @@ def holds(m: KripkeModel, w: int, a: Formula, facts=None) -> bool:
     `_SATURATION_CACHE_SIZE` entries.  The query `a` itself is never
     entered: a call evaluates it at one world only, and an entry would keep
     every one-off query alive, for the garbage collector to walk, until the
-    memo is cleared."""
+    memo is cleared.  Evaluation recurses at one interpreter frame per level
+    of `a`, so a formula some 950 levels deep still returns under the
+    default recursion limit."""
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
     # keyed by identity: the successor tuples live in the model's cache and
     # an id is cheaper than even a cached hash
     memo = m._box_memo if facts is None else {}
+    valuation = m.valuation
+    successors = m.successors
 
+    # dispatch by class identity, boxes first; a plain loop over the
+    # successors, not `all` over a generator, keeps one frame per level
     def sat(v: int, f: Formula) -> bool:
-        if isinstance(f, Prop):
-            return v in m.valuation.get(f.index, frozenset())
-        if isinstance(f, Neg):
+        cls = f.__class__
+        if cls is Just or cls is Box:
+            if cls is Just and facts is not None and (v, f.term, f.body) not in facts:
+                return False
+            succ = successors(f.sort).get(v, ())
+            if f is not a:
+                key = (id(succ), id(f))
+                entry = memo.get(key)
+                if entry is not None:
+                    return entry[1]
+            out = True
+            body = f.body
+            for u in succ:
+                if not sat(u, body):
+                    out = False
+                    break
+            if f is not a:
+                if len(memo) >= _SATURATION_CACHE_SIZE:
+                    memo.clear()
+                memo[key] = (f, out)
+            return out
+        if cls is Prop:
+            return v in valuation.get(f.index, ())
+        if cls is Neg:
             return not sat(v, f.body)
-        if isinstance(f, And):
+        if cls is And:
             return sat(v, f.left) and sat(v, f.right)
-        if isinstance(f, Or):
+        if cls is Or:
             return sat(v, f.left) or sat(v, f.right)
-        if isinstance(f, Imp):
+        if cls is Imp:
             return (not sat(v, f.left)) or sat(v, f.right)
-        if not isinstance(f, (Just, Box)):
-            raise InvalidInput(f"cannot evaluate {f!r}")
-        if isinstance(f, Just) and facts is not None and (v, f.term, f.body) not in facts:
-            return False
-        succ = m.successors(f.sort).get(v, ())
-        if f is a:
-            return all(sat(u, f.body) for u in succ)
-        key = (id(succ), id(f))
-        entry = memo.get(key)
-        if entry is not None:
-            return entry[1]
-        out = all(sat(u, f.body) for u in succ)
-        if len(memo) >= _SATURATION_CACHE_SIZE:
-            memo.clear()
-        memo[key] = (f, out)
-        return out
+        raise InvalidInput(f"cannot evaluate {f!r}")
 
-    return sat(w, a)
+    try:
+        return sat(w, a)
+    finally:
+        # `sat` reaches itself through its own cell: unbound here, the call's
+        # closure is freed at once instead of left for the cyclic collector
+        del sat
 
 
 def satisfies(m: AFModel, w: int, a: Formula, depth_budget: int = 3) -> bool:
     """Satisfaction at a world of an evidence model.  In base mode all
     evidence questions for the whole query are answered against one
     saturation of the query's universe; full mode needs none."""
+    if m.mode == "full":
+        return holds(m, w, a)  # which checks the world
     if w not in m.worlds:
         raise UnknownWorld(f"unknown world {w}")
-    facts = _facts_for_query(m, a, depth_budget) if m.mode == "base" else None
-    return holds(m, w, a, facts)
+    return holds(m, w, a, _facts_for_query(m, a, depth_budget))
 
 
 def valid_in_model(m: AFModel, a: Formula, depth_budget: int = 3) -> bool:

@@ -32,8 +32,11 @@ assertion would.  The parser reads it in place of `just` when its `modal`
 attribute is set, as `modal`'s parser sets it, and the one printer prints
 both languages.
 
-Nodes are frozen, slotted dataclasses that compute their structural hash
-once and keep it: the hash of their class's fixed int tag and their fields.
+Nodes are frozen, slotted dataclasses whose `__init__`, like their hash
+and equality, is written by `_node` for their fields: it sets each slot
+through the slot's own setter and then runs the class's checks.  A node
+computes its structural hash once and keeps it: the hash of its class's
+fixed int tag and its fields.
 Equality is structural and cheap where it can be: the same object is equal
 at once, two nodes with cached hashes that differ are unequal at once, and
 otherwise the fields are compared as one tuple, whose compare skips children
@@ -60,7 +63,7 @@ explicit stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache, partial
 from itertools import count, islice
 
@@ -83,56 +86,78 @@ class _Node:
 _set_hash = _Node._hash.__set__
 _TAGS = count()  # the next node class's tag
 
-# Hash and equality of every node class, written once here and specialized
-# by `_node` to the class's compare fields, the way dataclass writes its own
-# methods: one frame each, reading the fields directly (one shared method
-# reading them through a getter took about twice as long a call).  The hash
-# is that of the class's tag, an int numbering the node classes in
-# definition order (a str's hash would change from process to process),
-# followed by the compare fields: a Sum and an App of the same fields, or a
-# Head and a Tail of the same child, hash apart, so sets and dicts of mixed
-# nodes walk no collision chains.  Nodes of two classes are unequal at once,
-# sparing the reflected call.  `_children` gives the node's child terms and
-# formulas, in field order, for the walks that visit every node.
+# Construction, hash and equality of every node class, written once here and
+# specialized by `_node` to the class's fields, the way dataclass writes its
+# own methods: one frame each, reading the fields directly (one shared method
+# reading them through a getter took about twice as long a call).
+# `__init__` sets each field through its slot's setter `_set_<field>` (a
+# dataclass `__init__`, through `object.__setattr__`, built a node half again
+# as slowly), a tuple field as a tuple, clears the cached hash and runs the
+# class's `__post_init__`, `_post`, if it has one.  The hash is that of the class's tag, an int
+# numbering the node classes in definition order (a str's hash would change
+# from process to process), followed by the compare fields: a Sum and an App
+# of the same fields, or a Head and a Tail of the same child, hash apart, so
+# sets and dicts of mixed nodes walk no collision chains.  Nodes of two
+# classes are unequal at once, sparing the reflected call.  `_children` gives
+# the node's child terms and formulas, in field order, for the walks that
+# visit every node.
 _METHODS = """
-def _children(self):
-    return {kids}
+def _methods({setters}_post):
+    def __init__(self, {params}):
+        {sets}_set_hash(self, None)
+        {post}
 
-def __hash__(self):
-    h = self._hash
-    if h is None:
-        h = hash(({tag}, {mine}))
-        _set_hash(self, h)
-    return h
+    def _children(self):
+        return {kids}
 
-def __eq__(self, other):
-    if self is other:
-        return True
-    if other.__class__ is not self.__class__:
-        return False if isinstance(other, _Node) else NotImplemented
-    h = self._hash
-    if h is not None:
-        g = other._hash
-        if g is not None and g != h:
-            return False
-    return ({mine}) == ({theirs})
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(({tag}, {mine}))
+            _set_hash(self, h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return False if isinstance(other, _Node) else NotImplemented
+        h = self._hash
+        if h is not None:
+            g = other._hash
+            if g is not None and g != h:
+                return False
+        return ({mine}) == ({theirs})
+
+    return __init__, _children, __hash__, __eq__
 """
 
 
 def _node(cls):
     """`cls` as a frozen, slotted node dataclass with `_METHODS` and a tag."""
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
     names = [f.name for f in fields(cls) if f.compare]
+    params = [f for f in fields(cls) if f.init]
     kids = "".join(f"self.{f.name}, " for f in fields(cls) if f.type in ("Term", "Formula"))
+    post = getattr(cls, "__post_init__", None)
     cls._tag = next(_TAGS)
-    methods: dict = {}
-    exec(_METHODS.format(tag=cls._tag, mine="".join(f"self.{n}, " for n in names),
-                         theirs="".join(f"other.{n}, " for n in names),
-                         kids="self.items" if "items" in names else f"({kids})"),
-         globals(), methods)
-    for name, method in methods.items():
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+    code: dict = {}
+    exec(_METHODS.format(
+        tag=cls._tag, mine="".join(f"self.{n}, " for n in names),
+        theirs="".join(f"other.{n}, " for n in names),
+        kids="self.items" if "items" in names else f"({kids})",
+        setters="".join(f"_set_{f.name}, " for f in params),
+        params=", ".join(f.name for f in params),
+        sets="".join(f"_set_{f.name}(self, {'tuple(items)' if f.name == 'items' else f.name}); "
+                     for f in params),
+        post="_post(self)" if post else ""), globals(), code)
+    methods = code["_methods"](*(cls.__dict__[f.name].__set__ for f in params), post)
+    init = methods[0]
+    init.__defaults__ = tuple(f.default for f in params if f.default is not MISSING)
+    init.__annotations__ = {f.name: f.type for f in params} | {"return": None}
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     return cls
 
 
@@ -151,10 +176,10 @@ class Sort(_Node):
 
     def __post_init__(self):
         if self.kind == "agent":
-            if not isinstance(self.index, int) or self.index < 1:
+            if type(self.index) is not int or self.index < 1:
                 raise SortError(f"agent index must be a positive int, got {self.index!r}")
         elif self.kind in ("E", "C"):
-            if self.index != 0:
+            if type(self.index) is not int or self.index != 0:
                 raise SortError(f"sort {self.kind} carries no agent index")
         else:
             raise SortError(f"unknown sort kind {self.kind!r}")
@@ -197,7 +222,7 @@ def _is_atom_name(text: str) -> bool:
 
 
 def _check_atom_index(index) -> None:
-    if isinstance(index, int):
+    if type(index) is int:  # not a bool, which would print as PTrue
         if index < 1:
             raise InvalidInput(f"atom index must be >= 1, got {index}")
         return
@@ -234,7 +259,7 @@ class Var(Term):
     sort: Sort
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
+        if type(self.index) is not int or self.index < 1:
             raise InvalidInput(f"variable index must be a positive int, got {self.index!r}")
 
 
@@ -291,11 +316,9 @@ class Tuple(Term):
     items: tuple[Term, ...]
 
     def __post_init__(self):
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
+        if not self.items:
             raise SortError("tuple needs at least one component")
-        for k, item in enumerate(items, start=1):
+        for k, item in enumerate(self.items, start=1):
             if item.sort != agent(k):
                 raise SortError(f"tuple component {k} must have sort {k}, got {item.sort}")
 
@@ -312,6 +335,8 @@ class Proj(Term):
     t: Term
 
     def __post_init__(self):
+        if type(self.agent) is not int:
+            raise SortError(f"projection index must be an int, got {self.agent!r}")
         if self.agent < 1:
             raise SortError(f"projection index must be >= 1, got {self.agent}")
         if self.t.sort != E:

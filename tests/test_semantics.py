@@ -1,6 +1,7 @@
 """Finite evidence models: frame closures, the nine saturation rules,
 satisfaction, the scenario fixtures, and model files."""
 
+import gc
 import random
 
 import pytest
@@ -866,6 +867,45 @@ def test_model_box_memo_outlives_the_queries_it_answered():
     for k in range(200):
         assert holds(m, 0, Neg(Box(agent(1), Prop(1 + k % 2)))) == (k % 2 == 1)
     assert len(m._box_memo) == 200
+
+
+def test_holds_returns_on_a_900_level_chain_of_boxes():
+    # one interpreter frame per level; an evaluator that went through `all`
+    # and a generator took three and raised RecursionError above 330 levels
+    k = semantics.attack_kripke_model()
+    chain = DEL
+    for level in range(900):
+        chain = Box(agent(1 + level % 2), chain)
+    # delivery as in the scenario (the chain fails everywhere from its
+    # fourth level up), then delivery everywhere (it holds everywhere)
+    for valuation, want in (({"del": {0, 1, 2}}, False), ({"del": k.worlds}, True)):
+        m = KripkeModel(k.h, k.worlds, k.relations, valuation)
+        assert [holds(m, w, chain) for w in sorted(m.worlds)] == [want] * 4
+
+
+def test_holds_leaves_no_cycle_for_the_collector():
+    # its evaluator reaches itself through its own cell; a call that left
+    # that cycle kept the query and the call's closure alive until the next
+    # collection (55,219 objects over one attack benchmark pass)
+    m = attack_four_world_model()
+    gc.collect()
+    gc.disable()
+    try:
+        for t in (Var(1, C), Var(2, C)):
+            satisfies(m, 0, Just(t, C, DEL))
+            holds(m, 1, Box(C, Imp(Just(t, C, DEL), DEL)), facts=set())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+@pytest.mark.parametrize("a", [Var(1, C), C, Neg(Var(1, C)), Box(C, Imp(DEL, M1))],
+                         ids=["term", "sort", "negated term", "boxed term"])
+def test_holds_refuses_what_is_not_a_formula(a):
+    for m in (semantics.attack_kripke_model(), attack_four_world_model()):
+        with pytest.raises(InvalidInput, match="cannot evaluate"):
+            holds(m, 0, a)
+    with pytest.raises(InvalidInput, match="cannot evaluate"):
+        satisfies(attack_four_world_model(), 0, a)
 
 
 def test_the_query_itself_is_not_entered_in_the_model_box_memo():

@@ -1,6 +1,7 @@
 """Terms, formulas, printing, and parsing."""
 
 import dataclasses
+import inspect
 import itertools
 import random
 import re
@@ -443,6 +444,116 @@ def test_nodes_are_slotted():
     assert not hasattr(agent(1), "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         Prop(1).index = 2
+
+
+_X1, _XC, _XE = Var(1, agent(1)), Var(1, C), Var(1, E)
+
+# every node class: its constructor's signature, as dataclass wrote it, and
+# the arguments of one well-sorted node
+CONSTRUCTORS = [
+    (Sort, "(kind: 'str', index: 'int' = 0) -> None", ("agent", 2)),
+    (Const, "(index: 'int | str', sort: 'Sort') -> None", ("m1", agent(2))),
+    (Var, "(index: 'int', sort: 'Sort') -> None", (3, C)),
+    (Bang, "(t: 'Term', agent: 'int') -> None", (_X1, 1)),
+    (Sum, "(t: 'Term', s: 'Term', sort: 'Sort') -> None", (_XC, Var(2, C), C)),
+    (App, "(t: 'Term', s: 'Term', sort: 'Sort') -> None", (_X1, _X1, agent(1))),
+    (Tuple, "(items: 'tuple[Term, ...]') -> None", ((_X1, Var(1, agent(2))),)),
+    (Proj, "(agent: 'int', t: 'Term') -> None", (1, _XE)),
+    (Head, "(t: 'Term') -> None", (_XC,)),
+    (Tail, "(t: 'Term') -> None", (_XC,)),
+    (Ind, "(t: 'Term', s: 'Term') -> None", (_XC, _XE)),
+    (Prop, "(index: 'int | str') -> None", ("del",)),
+    (Neg, "(body: 'Formula') -> None", (Prop(1),)),
+    (And, "(left: 'Formula', right: 'Formula') -> None", (Prop(1), Prop(2))),
+    (Or, "(left: 'Formula', right: 'Formula') -> None", (Prop(1), Prop(2))),
+    (Imp, "(left: 'Formula', right: 'Formula') -> None", (Prop(1), Prop(2))),
+    (Just, "(term: 'Term', sort: 'Sort', body: 'Formula') -> None", (_XC, C, Prop(1))),
+    (Box, "(sort: 'Sort', body: 'Formula') -> None", (C, Prop(1))),
+]
+
+
+@pytest.mark.parametrize("cls, signature, args", CONSTRUCTORS,
+                         ids=[row[0].__name__ for row in CONSTRUCTORS])
+def test_node_constructors_keep_the_dataclass_contract(cls, signature, args):
+    assert not cls.__dataclass_params__.init  # `_node` writes the one __init__
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert str(inspect.signature(cls)) == signature
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    assert [f.name for f in dataclasses.fields(cls)] == ["_hash", *names]
+    by_position, by_keyword = cls(*args), cls(**dict(zip(names, args)))
+    assert by_position is not by_keyword and by_position == by_keyword
+    assert by_position._hash is None
+    assert hash(by_position) == hash(by_keyword) == hash((cls._tag, *args))
+    assert repr(by_position) == f"{cls.__name__}({', '.join(f'{n}={a!r}' for n, a in zip(names, args))})"
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(by_position, name, args[0])
+
+
+def test_tuple_stores_its_items_as_a_tuple():
+    items = [_X1, Var(2, agent(2))]
+    t = Tuple(items)
+    assert type(t.items) is tuple and t.items == tuple(items) and t == Tuple(tuple(items))
+    assert Tuple(iter(items)) == t
+    assert Sort("E") == Sort("E", 0) == E
+
+
+# refused constructions: the messages of every row up to the bool indices
+# are those of the dataclass constructors; a bool or a float index printed
+# as text that does not parse back (`PTrue`, `cTrue@1`, `pi_True(c1@E)`) or,
+# for a projection, raised only when its sort was read
+REFUSALS = [
+    (lambda: Sort("agent", 0), SortError, "agent index must be a positive int, got 0"),
+    (lambda: Sort("agent", "x"), SortError, "agent index must be a positive int, got 'x'"),
+    (lambda: Sort("E", 1), SortError, "sort E carries no agent index"),
+    (lambda: Sort("X"), SortError, "unknown sort kind 'X'"),
+    (lambda: Const(0, agent(1)), InvalidInput, "atom index must be >= 1, got 0"),
+    (lambda: Const("x1", agent(1)), InvalidInput, "bad atom name 'x1'"),
+    (lambda: Const(1.5, C), InvalidInput, "atom index must be int or str, got float"),
+    (lambda: Var(0, C), InvalidInput, "variable index must be a positive int, got 0"),
+    (lambda: Var("a", C), InvalidInput, "variable index must be a positive int, got 'a'"),
+    (lambda: Bang(Var(1, agent(2)), 1), SortError, "!1 needs an agent-1 operand, got sort 2"),
+    (lambda: Sum(_XE, Var(2, E), E), SortError, "+ is not a primitive at sort E"),
+    (lambda: Sum(_XC, _X1, C), SortError, "+ operands must both have sort C, got C and 1"),
+    (lambda: App(_XE, Var(2, E), E), SortError, "* is not a primitive at sort E"),
+    (lambda: App(_X1, _XC, agent(1)), SortError, "* operands must both have sort 1, got 1 and C"),
+    (lambda: Tuple(()), SortError, "tuple needs at least one component"),
+    (lambda: Tuple([Var(1, agent(2))]), SortError, "tuple component 1 must have sort 1, got 2"),
+    (lambda: Tuple(3), TypeError, "'int' object is not iterable"),
+    (lambda: Proj(0, _XE), SortError, "projection index must be >= 1, got 0"),
+    (lambda: Proj(1, _XC), SortError, "pi_1 needs an E-sorted operand, got sort C"),
+    (lambda: Head(_XE), SortError, "head needs a C-sorted operand, got sort E"),
+    (lambda: Tail(_XE), SortError, "tail needs a C-sorted operand, got sort E"),
+    (lambda: Ind(_XE, _XE), SortError, "ind needs a C-sorted first operand, got sort E"),
+    (lambda: Ind(_XC, _XC), SortError, "ind needs an E-sorted second operand, got sort C"),
+    (lambda: Prop(0), InvalidInput, "atom index must be >= 1, got 0"),
+    (lambda: Prop("head"), InvalidInput, "bad atom name 'head'"),
+    (lambda: Prop(1.0), InvalidInput, "atom index must be int or str, got float"),
+    (lambda: Just(_XC, E, Prop(1)), SortError, "term has sort C, asserted at sort E"),
+    (lambda: Const(1), TypeError, "Const.__init__() missing 1 required positional argument: 'sort'"),
+    (lambda: Neg(), TypeError, "Neg.__init__() missing 1 required positional argument: 'body'"),
+    (lambda: Box(C, Prop(1), 3), TypeError, "Box.__init__() takes 3 positional arguments but 4 were given"),
+    (lambda: And(Prop(1), right=Prop(2), left=Prop(1)), TypeError,
+     "And.__init__() got multiple values for argument 'left'"),
+    (lambda: Imp(Prop(1), Prop(2), x=1), TypeError,
+     "Imp.__init__() got an unexpected keyword argument 'x'"),
+    # bool and float indices
+    (lambda: Prop(True), InvalidInput, "atom index must be int or str, got bool"),
+    (lambda: Var(True, C), InvalidInput, "variable index must be a positive int, got True"),
+    (lambda: Const(True, agent(1)), InvalidInput, "atom index must be int or str, got bool"),
+    (lambda: agent(True), SortError, "agent index must be a positive int, got True"),
+    (lambda: Sort("E", False), SortError, "sort E carries no agent index"),
+    (lambda: Bang(_X1, True), SortError, "agent index must be a positive int, got True"),
+    (lambda: Proj(True, Tuple([_X1])), SortError, "projection index must be an int, got True"),
+    (lambda: Proj(2.5, Tuple([_X1])), SortError, "projection index must be an int, got 2.5"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", REFUSALS, ids=[row[2] for row in REFUSALS])
+def test_refused_constructions_keep_their_errors(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_print_formulas_shares_term_text():
