@@ -53,12 +53,12 @@ def _parse_sort(text: str, h: int) -> Sort:
     return Parser(text, h).entire(Parser.parse_sort_token)
 
 
-def _parse_world(text: str) -> int:
-    text = text.strip()
+def _parse_world(given: str) -> int:
+    text = given.strip()
     if text.startswith("w"):
         text = text[1:]
     if not text.isdecimal():
-        raise JckError(f"not a world name: {quoted(text)}")
+        raise JckError(f"not a world name: {quoted(given)}")
     return integer(text, "world number")
 
 

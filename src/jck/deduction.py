@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvalidInput, ParseError, ResourceError, quoted
 from .syntax import (
@@ -118,7 +119,18 @@ def check_atom_count(n: int) -> None:
         raise ResourceError(f"{n} propositional atoms exceed the cap of {MAX_ATOMS}")
 
 
-def _is_tautology(a: Formula) -> bool:
+# Memoized by formula; one proofs pass of the benchmark makes about 1,400
+# misses, an attack pass about 3,700.  A raised ResourceError is not stored.
+@lru_cache(maxsize=4096)
+def is_tautology(a: Formula) -> bool:
+    """Exhaustive valuation over the formula's atoms.
+
+    Maximal justified assertions are treated as opaque atoms.  The truth
+    table is evaluated a chunk at a time over int bitmasks, row r as bit r:
+    the first 14 atoms vary inside a chunk, each later atom is held constant
+    per chunk, and the first chunk with a false row decides.  Raises
+    ResourceError when the atom count exceeds `MAX_ATOMS`.
+    """
     atoms: dict[Formula, int] = {}
     slot: dict[int, int] = {}
     _number_atoms(a, atoms, slot)
@@ -135,31 +147,6 @@ def _is_tautology(a: Formula) -> bool:
         if _rows_true(a, slot, values, full) != full:
             return False
     return True
-
-
-# formula -> verdict, emptied when full: one probe per hit and two per
-# miss.  One proofs pass of the benchmark makes about 1,400 misses, an
-# attack pass about 3,700.
-_TAUTOLOGIES: dict[Formula, bool] = {}
-_TAUTOLOGY_CACHE_SIZE = 4096
-
-
-def is_tautology(a: Formula) -> bool:
-    """Exhaustive valuation over the formula's atoms.
-
-    Maximal justified assertions are treated as opaque atoms.  The truth
-    table is evaluated a chunk at a time over int bitmasks, row r as bit r:
-    the first 14 atoms vary inside a chunk, each later atom is held constant
-    per chunk, and the first chunk with a false row decides.  Raises
-    ResourceError when the atom count exceeds `MAX_ATOMS`.
-    """
-    out = _TAUTOLOGIES.get(a)
-    if out is None:
-        out = _is_tautology(a)
-        if len(_TAUTOLOGIES) >= _TAUTOLOGY_CACHE_SIZE:
-            _TAUTOLOGIES.clear()
-        _TAUTOLOGIES[a] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +224,28 @@ def _box_free(nodes: list[Term | Formula]) -> bool:
     return not any([x.__class__ is Box for x in nodes])
 
 
-# formula -> schemata, emptied when full, as `_TAUTOLOGIES`.  One proofs
-# pass of the benchmark asks 1,563 times for 750 formulas; every one of an
-# attack pass's 10,889 calls is on a lone atom, answered before the memo.
-_AXIOMS: dict[Formula, frozenset[AxiomSchema]] = {}
-_AXIOM_CACHE_SIZE = 4096
-
-
 def match_axiom(a: Formula) -> frozenset[AxiomSchema]:
     """Every schema this formula instantiates.  Overlaps are possible.  A
     formula with a modal box instantiates none: the evidence language has
     no box, so no axiom instance contains one.  Nor does a lone atom, a
     proposition or a justified assertion: every structural schema is an
     implication, and the truth table makes a lone atom false in some row;
-    atoms are answered without a lookup and never stored."""
+    atoms are answered at once and never stored in `_schemata`'s memo."""
     if isinstance(a, (Prop, Just)):
         return frozenset()
-    out = _AXIOMS.get(a)
-    if out is None:
-        boxless = _box_free(walk([a], terms=False))
-        found = _structural_schemata(a) if boxless else set()
-        if boxless and is_tautology(a):
-            found.add(AxiomSchema.TAUT)
-        if len(_AXIOMS) >= _AXIOM_CACHE_SIZE:
-            _AXIOMS.clear()
-        out = _AXIOMS[a] = frozenset(found)
-    return out
+    return _schemata(a)
+
+
+# Memoized by formula, as `is_tautology` is: one proofs pass of the benchmark
+# asks 1,563 times for 750 formulas; every one of an attack pass's 10,884
+# calls is on a lone atom, which never reaches it.
+@lru_cache(maxsize=4096)
+def _schemata(a: Formula) -> frozenset[AxiomSchema]:
+    boxless = _box_free(walk([a], terms=False))
+    found = _structural_schemata(a) if boxless else set()
+    if boxless and is_tautology(a):
+        found.add(AxiomSchema.TAUT)
+    return frozenset(found)
 
 
 def is_axiom(a: Formula) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 
 from .deduction import Axiom, AxiomSchema, Builder, Derivation, Step
 from .errors import InvalidInput, ResourceError
@@ -243,12 +244,6 @@ def random_theorem(rng: random.Random, h: int, alloc=None) -> Derivation:
 # the most terms `enumerate_terms` builds, over all sorts and depths
 MAX_TERMS = 200000
 
-# (leaves, depth, h, cap) -> the finished by-sort closure, emptied when full
-# as `deduction._AXIOMS` is; the depth-3 attack closure holds about 21,000
-# terms, so only a few are kept
-_ENUMERATIONS: dict[tuple, dict[Sort, list[Term]]] = {}
-_ENUMERATION_CACHE_SIZE = 4
-
 
 def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> list[Term]:
     """All terms of `sort` built from `leaves` with nesting <= max_depth, as
@@ -256,22 +251,19 @@ def enumerate_terms(leaves: list[Term], sort: Sort, max_depth: int, h: int) -> l
 
     Exhaustive by construction; raises ResourceError past `MAX_TERMS` terms
     total.  The closure over all sorts is built once per leaves, depth,
-    agent count and cap and then memoized, so asking for another sort of
-    the same closure costs a copy.
+    agent count and cap and then memoized by `_enumerate_by_sort`, so
+    asking for another sort of the same closure costs a copy.
     """
-    key = (tuple(leaves), max_depth, h, MAX_TERMS)
-    by_sort = _ENUMERATIONS.get(key)
-    if by_sort is None:
-        by_sort = _enumerate_by_sort(leaves, max_depth, h)
-        if len(_ENUMERATIONS) >= _ENUMERATION_CACHE_SIZE:
-            _ENUMERATIONS.clear()
-        _ENUMERATIONS[key] = by_sort
-    return list(by_sort.get(sort, ()))
+    return list(_enumerate_by_sort(tuple(leaves), max_depth, h, MAX_TERMS).get(sort, ()))
 
 
-def _enumerate_by_sort(leaves: list[Term], max_depth: int, h: int) -> dict[Sort, list[Term]]:
+# Memoized; the depth-3 attack closure holds about 21,000 terms, so only a
+# few are kept.  A raised ResourceError is not stored.
+@lru_cache(maxsize=4)
+def _enumerate_by_sort(leaves: tuple[Term, ...], max_depth: int, h: int,
+                       cap: int) -> dict[Sort, list[Term]]:
     """Every term built from `leaves` with nesting <= max_depth, by sort, in
-    order of depth and then of construction."""
+    order of depth and then of construction; past `cap` terms, ResourceError."""
     by_sort: dict[Sort, list[Term]] = {}
     for leaf in leaves:
         by_sort.setdefault(leaf.sort, []).append(leaf)
@@ -287,8 +279,8 @@ def _enumerate_by_sort(leaves: list[Term], max_depth: int, h: int) -> dict[Sort,
             nonlocal total
             new.setdefault(t.sort, []).append(t)
             total += 1
-            if total > MAX_TERMS:
-                raise ResourceError(f"term enumeration exceeded {MAX_TERMS} terms")
+            if total > cap:
+                raise ResourceError(f"term enumeration exceeded {cap} terms")
 
         for i in range(1, h + 1):
             s = agent(i)

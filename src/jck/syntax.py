@@ -50,14 +50,14 @@ no interpreter frame, and one table, `_INFIX`, gives the precedence and
 associativity of every infix operator to it and to the printer.  Input
 nested deeper than `MAX_DEPTH` raises ResourceError, since every later walk
 of a tree recurses per level.  A `Reader` reads one file's texts with one
-node table, so equal subtrees on different lines are one object, a memo, so
-a text read again (a restated consequent) is not parsed again, and a table
-of bracketed groups, so a group read before (a restated antecedent, the
-term of an earlier step) is taken as one operand, not lexed again.  The
-printers keep one memo per call, by identity, of the text of every term and
-formula printed, so a subformula shared across a lifted proof is printed
-once.  `walk` visits each object of a set of trees once, by identity, on an
-explicit stack.
+node table, so equal subtrees on different lines are one object, and one
+table of the texts, bracketed groups and right sides of implications it
+has read, so a text read again (a restated consequent) is looked up and a
+group read before (a restated antecedent, the term of an earlier step) is
+taken as one operand, not lexed again.  The printers keep one memo per
+call, by identity, of the text of every term and formula printed, so a
+subformula shared across a lifted proof is printed once.  `walk` visits
+each object of a set of trees once, by identity, on an explicit stack.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from __future__ import annotations
 import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import count
 
 from .errors import InvalidInput, ParseError, ResourceError, SortError, quoted
 
@@ -710,19 +710,17 @@ _BRACKET_RE = re.compile(r"[()\[\]]")
 
 
 def integer(text: str, what: str, position: int | None = None) -> int:
-    """`text` read as `int()` reads it.  Every digit string the toolkit
-    converts goes through here, so a ParseError names a number too long to
-    convert by its digit count instead of echoing it."""
+    """`text`, an optional `-` and then decimal digits only, as an int: not
+    the `+`, spaces or `_` that `int()` also reads.  Every digit string the
+    toolkit converts goes through here, so a ParseError names a number too
+    long to convert by its digit count instead of echoing it."""
+    if not (text.isdecimal() or text[:1] == "-" and text[1:].isdecimal()):
+        raise ParseError(f"{what} {quoted(text)} is not an integer", position)
     try:
         return int(text)
-    except ValueError:
-        digits = text.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if digits.isdecimal():  # more digits than int() converts
-            raise ParseError(f"{what} of {len(digits)} digits is too large",
-                             position) from None
-        raise ParseError(f"{what} {quoted(text)} is not an integer", position) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} of {len(text.removeprefix('-'))} digits is too large",
+                         position) from None
 
 
 def _number(m: re.Match, group: str) -> int | str:
@@ -831,9 +829,10 @@ class Parser:
     table of its own.  A `Reader` also passes the bracketed groups it holds
     (see `_tokenize`), each read as one operand, and a list, `groups`, to
     which `_read` adds (language, start, end, node, depth) for each other
-    grouping `( … )` and evidence-box term it completes: the language is
-    True for a term, and the group's inner text runs from `start` to
-    `end`."""
+    grouping `( … )` and evidence-box term it completes, and for the right
+    side of each implication whose `->` lies outside parentheses: the
+    language is True for a term, and the group's text runs from `start` to
+    `end`, for a right side from the token after the arrow to the end."""
 
     modal = False
 
@@ -847,9 +846,6 @@ class Parser:
         self.nodes: dict = {} if nodes is None else nodes
         self.intern = self.nodes.setdefault
         self.groups = groups
-        # where the text after each `->` outside parentheses starts, in what
-        # the last `_read` read: the right spine's texts, left to right
-        self.arrows: list[int] = []
 
     # -- the cursor, for callers that read tokens around a term or formula
 
@@ -921,7 +917,6 @@ class Parser:
         ops = _OPS[term]
         box = "#" if self.modal else "["
         groups = self.groups
-        self.arrows = arrows = []
         stack: list = [_BOTTOM]
         parens = 0
         while True:
@@ -996,6 +991,8 @@ class Parser:
                 while top[0] >= floor:
                     stack.pop()
                     left = top[1]
+                    if len(top) > 4:  # an implication's right side, to the end
+                        groups.append((False, top[4], tokens[-1][2], x, d))
                     x = top[3](left, x, left.sort) if term else top[3](left, x)
                     x = intern(x, x)
                     d = (top[2] if top[2] > d else d) + 1
@@ -1003,9 +1000,12 @@ class Parser:
                         raise _too_deep(tokens[i][2])
                     top = stack[-1]
                 if prec:
-                    if cls is Imp and not parens:
-                        arrows.append(tokens[i + 1][2])
-                    stack.append((prec, x, d, cls))
+                    if cls is Imp and not parens and groups is not None:
+                        # `->` binds loosest: its right side is the rest of
+                        # the text, which starts at the next token
+                        stack.append((prec, x, d, cls, tokens[i + 1][2]))
+                    else:
+                        stack.append((prec, x, d, cls))
                     i += 1
                     break
                 tag = top[1]
@@ -1060,69 +1060,57 @@ class Parser:
 
 
 class Reader:
-    """Reads the texts of one file, for agent count `h`, with one node table:
-    equal subtrees anywhere in the file are one object.  Parsing is a pure
-    function of (text, h), and `formula` keeps two memos of what it read.
+    """Reads the texts of one file, for agent count `h`, with one node table,
+    `nodes`: equal subtrees anywhere in the file are one object.  Parsing is
+    a pure function of (text, h), and one table, `groups`, remembers what
+    `formula` read.
 
-    - `texts` holds each text read, and the text after each `->` outside
-      parentheses in it, the exact text of that implication's right side
-      (`->` binds loosest, to the right), so a text read again, such as the
-      consequent a modus ponens step restates, is looked up.
-    - `groups` maps (language, inner text) to (node, depth) for each text
-      read and each grouping `( … )` and evidence-box term completed in one,
-      the language True for a term.  A text not in `texts` is scanned for
-      its outermost bracketed spans whose inner text `groups` holds (a
-      restated antecedent, the term of the step before), and the lexer and
-      the parser take each such span as one operand of its stored depth,
-      so the text around them is all that is read (packrat parsing keyed by
-      text, after Ford, ICFP 2002).  Brackets stay tokens, so `head(…)`
-      and `[…]@s` read as before.  If that read fails, the whole text is
-      read again as `parse_formula` reads it, which alone decides the
-      error.  A text that has more than `MAX_DEPTH` brackets open at once
-      is read that way from the start; in any other, the parser never
-      counts more than `MAX_DEPTH` open parentheses, so no group need store
-      how deep its own parentheses nest.
+    `groups` maps (language, text) to (node, depth), the language True for
+    a term, for each text read and, within one, each grouping `( … )` and
+    evidence-box term completed (its inner text) and the right side of each
+    implication whose `->` lies outside parentheses (the rest of the text:
+    `->` binds loosest, to the right).  A text it holds as a formula, such
+    as the consequent a modus ponens step restates, is looked up.  Any other
+    is scanned for its outermost bracketed spans whose inner text `groups`
+    holds (a restated antecedent, the term of the step before), and the
+    lexer and the parser take each such span as one operand of its stored
+    depth, so the text around them is all that is read (packrat parsing
+    keyed by text, after Ford, ICFP 2002).  Brackets stay tokens, so
+    `head(…)` and `[…]@s` read as before.  If that read fails, the whole
+    text is read again as `parse_formula` reads it, which alone decides the
+    error.  A text that has more than `MAX_DEPTH` brackets open at once is
+    read that way from the start; in any other, the parser never counts
+    more than `MAX_DEPTH` open parentheses, so no group need store how deep
+    its own parentheses nest.
 
-    A failing text stores nothing in any table.  Two readers share no
+    A failing text adds nothing to `groups`; a node it interned stays in
+    `nodes`, equal to what a successful read builds.  Two readers share no
     node."""
 
     def __init__(self, h: int):
         self.h = h
         # node -> the one node equal to it, and lexeme -> its atom
         self.nodes: dict = {}
-        self.texts: dict[str, Formula] = {}
         self.groups: dict[tuple[bool, str], tuple[Term | Formula, int]] = {}
 
     def formula(self, text: str) -> Formula:
         """`parse_formula(text, h)`."""
-        a = self.texts.get(text)
-        if a is not None:
-            return a
-        nodes = self.nodes
-        size = len(nodes)
+        group = self.groups.get((False, text))
+        if group is not None:
+            return group[0]
         held = self._held(text)
         try:
-            try:
-                p, a, d = self._parse(text, held)
-            except Exception:
-                # any kind: on a text whose brackets do not nest, a held
-                # group can meet a constructor of the other language first
-                if not held:
-                    raise
-                p, a, d = self._parse(text, ())
-        except BaseException:
-            # forget the nodes the failed reads interned: the newest keys
-            for key in list(islice(reversed(nodes), len(nodes) - size)):
-                del nodes[key]
-            raise
+            p, a, d = self._parse(text, held)
+        except Exception:
+            # any kind: on a text whose brackets do not nest, a held group
+            # can meet a constructor of the other language first
+            if not held:
+                raise
+            p, a, d = self._parse(text, ())
         groups = self.groups
         for term, start, end, x, depth in p.groups:
             groups[term, text[start:end]] = x, depth
         groups[False, text] = a, d
-        self.texts[text] = right = a
-        for pos in p.arrows:
-            right = right.right
-            self.texts[text[pos:]] = right
         return a
 
     def _parse(self, text: str, held) -> tuple[Parser, Formula, int]:

@@ -288,6 +288,12 @@ def test_eval_error_paths(attack_afm):
     assert main(["eval", attack_afm, "del &", "--world", "w0"]) == 2
 
 
+@pytest.mark.parametrize("world", ["w", "w-1", "w 3", " x1"])
+def test_eval_quotes_a_bad_world_as_given(attack_afm, world, capsys):
+    assert main(["eval", attack_afm, "del", "--world", world]) == 2
+    assert capsys.readouterr().err == f"error: not a world name: {world!r}\n"
+
+
 def test_eval_warning_goes_to_stderr(tmp_path, capsys):
     p = tmp_path / "warn.afm"
     p.write_text("h: 1\nworlds: w0 w1\nrel 1: (w0,w1)\nval P1: w0 w1\n")
@@ -414,10 +420,16 @@ def run_jck(*argv) -> subprocess.CompletedProcess:
     ("validate", ".afm", f"h: -{'7' * 5000}\nworlds: w0\n", ()),
     ("validate", ".afm", f"h: 1\nworlds: w0\nval x{'7' * 5000}: w0\n", ()),
     ("parse", None, f"x{'7' * 5000}", ()),
+    ("check", ".drv", "hyp: P1\n1. P1 ; hyp +1\n", ()),
+    ("check", ".drv", "1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 0_2 1\n", ()),
+    ("validate", ".afm", "h: +2\nworlds: w0\n", ()),
+    ("validate", ".afm", "h: 1\nworlds: w0\nrel 0_1: (w0,w0)\n", ()),
+    ("parse", None, "P1", ("--agents", "0_2")),
 ], ids=["model_h_two", "model_relx", "drv_hyp_x", "drv_mp_y", "model_val_long",
         "drv_step_long", "model_h_long", "eval_world_long", "model_world_name_long",
         "model_line_long", "eval_world_name_long", "model_h_signed_long", "model_val_name_long",
-        "parse_name_long"])
+        "parse_name_long", "drv_hyp_plus", "drv_mp_underscore", "model_h_plus",
+        "model_rel_underscore", "agents_underscore"])
 def test_malformed_numbers_exit_2_without_traceback(tmp_path, verb, suffix, text, extra):
     # a row without a file suffix passes its text as the argument itself
     path = tmp_path / f"bad{suffix}"
@@ -669,7 +681,7 @@ def test_demo_attack_matches_golden(depth, capsys):
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3], ids=["depth0", "depth1", "depth2", "depth3"])
 def test_demo_attack_is_unchanged_by_a_warm_enumeration_memo(depth):
-    gen._ENUMERATIONS.clear()
+    gen._enumerate_by_sort.cache_clear()
     first, ok = demo_attack(depth)
     second, again = demo_attack(depth)
     assert ok and again

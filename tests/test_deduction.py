@@ -145,19 +145,19 @@ def test_wide_tautologies_are_fast():
     for a, want in ((Or(_disjunction(atoms), Neg(atoms[-1])), True),
                     (_disjunction([Neg(p) for p in atoms]), False)):
         start = time.perf_counter()
-        assert deduction._is_tautology(a) is want
+        assert is_tautology.__wrapped__(a) is want
         assert time.perf_counter() - start < 2.0
     with pytest.raises(ResourceError, match="25 propositional atoms exceed the cap of 24"):
         is_tautology(_disjunction(atoms + [Prop(25)]))
 
 
 def test_tautology_cache_is_bounded():
-    maxsize = deduction._TAUTOLOGY_CACHE_SIZE
-    deduction._TAUTOLOGIES.clear()
+    maxsize = is_tautology.cache_info().maxsize
+    is_tautology.cache_clear()
     for k in range(1, maxsize + 101):
-        is_tautology(Imp(Prop(k), Prop(k)))
-    assert len(deduction._TAUTOLOGIES) <= maxsize
-    deduction._TAUTOLOGIES.clear()
+        assert is_tautology(Imp(Prop(k), Prop(k)))
+    assert is_tautology.cache_info().currsize == maxsize
+    is_tautology.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +244,15 @@ def _schemata_uncached(a):
     if not deduction._box_free(walk([a])):
         return frozenset()
     out = deduction._structural_schemata(a)
-    if deduction._is_tautology(a):
+    if is_tautology.__wrapped__(a):
         out.add(AxiomSchema.TAUT)
     return frozenset(out)
 
 
-def test_axiom_memo_empties_when_full_and_keeps_verdicts(monkeypatch):
-    monkeypatch.setattr(deduction, "_AXIOM_CACHE_SIZE", 16)
-    deduction._AXIOMS.clear()
+def test_axiom_memo_is_bounded_and_keeps_verdicts():
+    memo = deduction._schemata
+    maxsize = memo.cache_info().maxsize
+    memo.cache_clear()
     rng = random.Random(11)
     formulas = []
     for k in range(120):
@@ -259,14 +260,13 @@ def test_axiom_memo_empties_when_full_and_keeps_verdicts(monkeypatch):
         formulas.append(random_axiom_instance(rng, schema, 2, depth=rng.randint(0, 1)))
         formulas.append(random_formula(rng, 2, rng.randint(0, 3)))
     formulas.append(Imp(Box(agent(1), Prop(1)), Box(agent(1), Prop(1))))
-    emptied = 0
-    for a in formulas + formulas[::-1] + rng.sample(formulas, 60):
-        before = len(deduction._AXIOMS)
+    # enough other formulas to fill the memo before the first are asked again
+    filler = [Imp(Prop(k), Prop(k + 1)) for k in range(1, maxsize + 1)]
+    for a in formulas + filler + formulas[::-1] + rng.sample(formulas, 60):
         assert match_axiom(a) == _schemata_uncached(a), print_formula(a)
-        assert len(deduction._AXIOMS) <= 16
-        emptied += len(deduction._AXIOMS) < before
-    assert emptied > 0
-    deduction._AXIOMS.clear()
+        assert memo.cache_info().currsize <= maxsize
+    assert memo.cache_info().currsize == maxsize
+    memo.cache_clear()
 
 
 def test_match_axiom_agrees_uncached_and_never_stores_an_atom():
@@ -284,14 +284,15 @@ def test_match_axiom_agrees_uncached_and_never_stores_an_atom():
     atoms = [a for a in formulas if isinstance(a, (Prop, Just))]
     assert sum(isinstance(a, Prop) for a in atoms) > 100
     assert sum(isinstance(a, Just) for a in atoms) > 100
-    deduction._AXIOMS.clear()
+    deduction._schemata.cache_clear()
     for a in atoms:
         assert match_axiom(a) == frozenset(), print_formula(a)
-    assert not deduction._AXIOMS
+    assert deduction._schemata.cache_info().currsize == 0
 
 
 def test_axiom_memo_never_caches_a_resource_error():
-    deduction._AXIOMS.clear()
+    deduction._schemata.cache_clear()
+    is_tautology.cache_clear()
     parts = [Prop(i) for i in range(1, deduction.MAX_ATOMS + 2)]
     wide = Imp(conj(parts), Prop(1))
     for _ in range(3):
@@ -299,7 +300,11 @@ def test_axiom_memo_never_caches_a_resource_error():
             match_axiom(wide)
         with pytest.raises(ResourceError):
             is_axiom(wide)
-    assert wide not in deduction._AXIOMS
+        with pytest.raises(ResourceError):
+            is_tautology(wide)
+    for memo in (deduction._schemata, is_tautology):
+        info = memo.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
 
 
 def test_random_formulas_rarely_axioms():
@@ -585,6 +590,9 @@ def test_derivation_file_errors():
         ("1. P1 ; axiom Bogus", "line 1: unknown schema 'Bogus'"),
         ("2. P1 ; hyp 1", "line 1: step number 2, expected 1"),
         ("1. P1 ; mp 1", "line 1: cannot read rule 'mp 1'"),
+        ("1. P1 ; hyp +1", "line 1: hypothesis index '+1' is not an integer"),
+        ("1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 0_2 1", "line 2: step index '0_2' is not an integer"),
+        ("1. P1 -> P1 ; axiom Taut\n2. P1 ; mp 1 \u0661_1", "line 2: step index '\u0661_1' is not an integer"),
         ("# only a comment\n", "no steps found"),
         ("1. P1 ; hyp 1\nhyp: P1", "line 2: hypotheses must precede all steps"),
         ("foo", "line 1: expected `<k>. <formula> ; <rule>`"),

@@ -1,6 +1,7 @@
-"""Source hygiene, read with `ast` alone: every function the benchmark's
-tracer names still exists, no jck module imports a name it never uses,
-every module-level definition is used, and files are read in one place."""
+"""Source hygiene, read with `ast` alone where it can be: every function the
+benchmark's tracer names still exists, every module-level `functools` cache
+is bounded, no jck module imports a name it never uses, every module-level
+definition is used, and files are read in one place."""
 
 import ast
 import importlib
@@ -34,6 +35,26 @@ def test_traced_function_exists(layer, module, name):
     assert module.startswith("jck.")
     assert callable(getattr(importlib.import_module(module), name, None)), \
         f"{layer}: {module}.{name} is gone"
+
+
+def _module_caches() -> dict[str, object]:
+    """`module.name` -> every `functools` cache a jck module defines at its
+    top level."""
+    out = {}
+    for path in SOURCES:
+        module = importlib.import_module("jck" if path.stem == "__init__" else f"jck.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                out[f"{module.__name__}.{name}"] = value
+    return out
+
+
+def test_every_module_cache_is_bounded():
+    caches = _module_caches()
+    assert {"jck.syntax.agent", "jck.deduction.is_tautology", "jck.deduction._schemata",
+            "jck.gen._enumerate_by_sort"} <= set(caches)
+    assert [name for name, cache in caches.items()
+            if cache.cache_parameters()["maxsize"] is None] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -177,9 +177,12 @@ def test_groups_at_the_nesting_and_depth_caps_read_as_one_parse_per_line():
 def test_restated_texts_are_looked_up_not_parsed():
     r = Reader(1)
     a = r.formula("(P1 -> P2) -> P3 -> ~(P1 -> P2)")
-    # the text after each `->` outside parentheses, and nothing else
-    assert r.texts == {"(P1 -> P2) -> P3 -> ~(P1 -> P2)": a,
-                       "P3 -> ~(P1 -> P2)": a.right, "~(P1 -> P2)": a.right.right}
+    # the text after each `->` outside parentheses, with its depth, the
+    # groups and the text itself; no arrow inside parentheses adds a text
+    assert r.groups == {(False, "(P1 -> P2) -> P3 -> ~(P1 -> P2)"): (a, 4),
+                        (False, "P3 -> ~(P1 -> P2)"): (a.right, 3),
+                        (False, "~(P1 -> P2)"): (a.right.right, 2),
+                        (False, "P1 -> P2"): (a.left, 1)}
     assert r.formula("P3 -> ~(P1 -> P2)") is a.right
     # another spelling is parsed, into the same object
     assert r.formula("~( P1->P2 )") is a.right.right
@@ -200,6 +203,16 @@ def test_groups_are_held_by_language_and_read_as_one_operand():
     assert spans == ["x1@1 + c1@1", "P1 -> P2", "P1 -> P2"]
     b = r.formula(again)
     assert b.left.term.t is a.term.s and b.left.body is a.body and b.right.body is a.body
+
+
+def test_a_right_side_is_held_as_a_group():
+    r = Reader(1)
+    a = r.formula("P1 -> P2 & P3")
+    assert r.groups[False, "P2 & P3"] == (a.right, 1)
+    text = "(P2 & P3) | P4"
+    assert [(text[start:end], group) for start, end, group in r._held(text)] == \
+        [("P2 & P3", (a.right, 1))]
+    assert r.formula(text).left is a.right
 
 
 # every pinned parse error, on a line read after several memo hits
@@ -270,7 +283,7 @@ def test_a_failing_parse_stores_nothing_in_the_memo():
     r = Reader(2)
     a = r.formula("P1 -> P2 -> P3")
     r.formula("(P1 & P2) -> [x1@1 * (c1@1 + x1@1)]@1 P3")
-    tables = [dict(r.texts), dict(r.groups), dict(r.nodes)]
+    groups = dict(r.groups)
     for bad in ("P1 -> P2 ->", "P1 -> (P2 -> P3", "P1 -> P2 -> P3 P4", "P4 -> P2 -> [x1@3]@1 P3",
                 "~" * (MAX_DEPTH + 1) + "P1",
                 # groups completed, some around held ones, before the text fails
@@ -280,7 +293,9 @@ def test_a_failing_parse_stores_nothing_in_the_memo():
                 "(P4 | P5) -> [c2@2 * (x2@2 + c2@2)]@2 P1 P2"):
         with pytest.raises((ParseError, ResourceError, SortError)):
             r.formula(bad)
-        assert [r.texts, r.groups, r.nodes] == tables, bad
+        assert r.groups == groups, bad
+        # a node a failed read interned is one a successful read builds
+        assert all(key is node for key, node in r.nodes.items() if not isinstance(key, str))
     assert r.formula("P2 -> P3") is a.right
 
 

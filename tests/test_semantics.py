@@ -1078,6 +1078,9 @@ def test_model_file_named_atoms_and_tuples():
     ("rel 1: (w0,w0)\nh: 1\nworlds: w0\n", ParseError),
     ("h: 1\nworlds: w0\nrel 2: (w0,w0)\n", ParseError),
     ("h: 0\nworlds: w0\n", ParseError),
+    # a number is an optional `-` and decimal digits, as the format writes it
+    ("h: +2\nworlds: w0\n", ParseError),
+    ("h: 1_0\nworlds: w0\n", ParseError),
     ("h: 1\nworlds: zero\n", ParseError),
     ("h: 1\nworlds: w0\nmode: maybe\n", ParseError),
     ("h: 1\nworlds: w0\nbogus: 3\n", ParseError),
@@ -1115,6 +1118,8 @@ def test_model_file_errors(text, exc):
     ("rel 1: (,w0,w1)", "bad world name ''; expected wN"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
     ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
+    ("rel 0_1: (w0,w1)", "agent index '0_1' is not an integer"),
+    ("rel +1: (w0,w1)", "agent index '+1' is not an integer"),
     # a key is a keyword, then one agent index or name: not a prefix of one
     ("valuation P1: w0", "unknown model line 'valuation P1: w0'"),
     ("rel1: (w0,w1)", "unknown model line 'rel1: (w0,w1)'"),
@@ -1226,7 +1231,7 @@ def test_term_enumeration_cap_is_a_resource_cap():
 
 def test_term_enumeration_memo_returns_new_lists():
     leaves = [M1, M2, Const(1, C)]
-    gen._ENUMERATIONS.clear()
+    gen._enumerate_by_sort.cache_clear()
     first = gen.enumerate_terms(leaves, C, 2, 2)
     second = gen.enumerate_terms(leaves, C, 2, 2)
     assert second == first and second is not first
@@ -1244,15 +1249,17 @@ def test_term_enumeration_memo_answers_as_a_cold_call():
                 (leaves[::-1], C, 2, 2), ([Const(1, C), M2, M1], agent(2), 2, 2),
                 (leaves[:2], agent(1), 3, 2),
                 ([Const(1, C), Const(2, C)], C, 1, 2), ([Const(2, C), Const(1, C)], C, 1, 2)]
+    memo = gen._enumerate_by_sort
     cold = []
     for args in variants:
-        gen._ENUMERATIONS.clear()
+        memo.cache_clear()
         cold.append(gen.enumerate_terms(*args))
-    gen._ENUMERATIONS.clear()
+    memo.cache_clear()
     for _ in range(2):
         for args, want in zip(variants, cold):
             assert gen.enumerate_terms(*args) == want
-            assert len(gen._ENUMERATIONS) <= gen._ENUMERATION_CACHE_SIZE
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert memo.cache_info().hits > 0
     # leaf order is construction order
     assert cold[-1] != cold[-2] and set(cold[-1]) == set(cold[-2])
 
@@ -1261,9 +1268,11 @@ def test_term_enumeration_past_the_cap_raises_on_every_call(monkeypatch):
     leaves = [M1, M2, Const(1, C)]
     want = gen.enumerate_terms(leaves, C, 2, 2)  # memoized under the real cap
     monkeypatch.setattr(gen, "MAX_TERMS", 100)
+    hits = gen._enumerate_by_sort.cache_info().hits
     for _ in range(2):
         with pytest.raises(ResourceError, match="exceeded 100 terms"):
             gen.enumerate_terms(leaves, C, 2, 2)
+    assert gen._enumerate_by_sort.cache_info().hits == hits
     monkeypatch.undo()
     assert gen.enumerate_terms(leaves, C, 2, 2) == want
 
