@@ -23,6 +23,7 @@ model reads each `[t]@s A` as the modal box `#s A`.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -38,6 +39,10 @@ from .syntax import (
 Pair = tuple[int, int]
 
 MAX_AGENTS = 1000  # cap on a model file's h: line; each agent costs a relation
+# cap on a model file's frame: h times its worlds (a loop at each world for
+# each agent), then the pairs of its agents' closed relations, which also
+# bound the group map
+MAX_FRAME_PAIRS = 1 << 22
 
 # saturations a model keeps, by (query, depth budget), and box verdicts
 # `holds` keeps per model or call; each cleared when full
@@ -95,27 +100,30 @@ class KripkeModel:
 
     def successors(self, sort: Sort) -> dict[int, tuple[int, ...]]:
         """World-successor map for the given sort's accessibility relation:
-        every world maps to a tuple of worlds.  Group and common maps are
-        built from the agent maps; common reachability comes straight from
-        `reach_by_component` over their union, so the worlds of one strongly
-        connected component share one tuple and no pair set is built.  The
-        tuples are shared; never mutate them.  This is where an agent index
-        above `h` is caught, on a cache miss."""
+        every world maps to a tuple of worlds.  The group map is the union
+        of the agent maps, each world's successors in first-seen order.
+        Common reachability is `reach_by_component` over the group map, so
+        the worlds of one strongly connected component share one tuple and
+        no pair set is built; the group map visits worlds and fills tuples
+        in the order the raw union of the agent maps would, since a repeated
+        successor changes neither.  The tuples are shared; never mutate
+        them.  This is where an agent index above `h` is caught, on a cache
+        miss."""
         succ = self._succ_cache.get(sort)
         if succ is None:
-            graph: dict[int, list[int]] = {w: [] for w in self.worlds}
-            if sort.is_agent:
-                if sort.index > self.h:
-                    raise InvalidInput(f"agent index {sort.index} outside 1..{self.h}")
-                for w, v in self._pairs[sort.index]:
-                    graph.setdefault(w, []).append(v)
-            else:
-                for i in range(1, self.h + 1):
-                    for w, vs in self.successors(agent(i)).items():
-                        graph.setdefault(w, []).extend(vs)
             if sort == C:
-                succ = reach_by_component(graph)
+                succ = reach_by_component(self.successors(E))
             else:
+                graph: dict[int, list[int]] = {w: [] for w in self.worlds}
+                if sort.is_agent:
+                    if sort.index > self.h:
+                        raise InvalidInput(f"agent index {sort.index} outside 1..{self.h}")
+                    for w, v in self._pairs[sort.index]:
+                        graph.setdefault(w, []).append(v)
+                else:
+                    for i in range(1, self.h + 1):
+                        for w, vs in self.successors(agent(i)).items():
+                            graph.setdefault(w, []).extend(vs)
                 # agents share successors (every world's loop, at least)
                 succ = {w: tuple(dict.fromkeys(vs)) for w, vs in graph.items()}
             self._succ_cache[sort] = succ
@@ -660,22 +668,52 @@ def format_kripke_model(m: KripkeModel) -> str:
 
 
 def _world_id(token: str) -> int:
-    if not token.startswith("w") or not token[1:].isdecimal():
+    digits = token[1:]
+    if token[:1] != "w" or not digits.isdecimal():
         raise ParseError(f"bad world name {quoted(token)}; expected wN")
-    return integer(token[1:], "world number")
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        return integer(digits, "world number")  # raises, naming the digit count
+
+
+# a `worlds:` or `val` line of wN names apart, and a `rel` line, its
+# whitespace dropped, of (wN,wM) pairs with or without commas between them;
+# in a line either accepts, these characters separate the numbers
+_NAMES_RE = re.compile(r"\s*(?:w\d+(?:\s+|\Z))*")
+_PAIRS_RE = re.compile(r",*(?:\(w\d+,w\d+\),*)*")
+_SEPARATORS = str.maketrans("w(),", "    ")
 
 
 def _world_ids(text: str) -> list[int]:
-    """The worlds named on a `worlds:` or `val` line, in order."""
+    """The worlds named on a `worlds:` or `val` line, in order.  A line that
+    `_NAMES_RE` accepts has its numbers converted in one pass; any other
+    line, or one with a number too long for int(), is read name by name by
+    `_world_id`, which alone writes the error."""
+    if _NAMES_RE.fullmatch(text):
+        try:
+            return list(map(int, text.translate(_SEPARATORS).split()))
+        except ValueError:  # more digits than int() converts
+            pass
     return [_world_id(tok) for tok in text.split()]
 
 
 def _world_pairs(text: str) -> list[Pair]:
     """The pairs written on a `rel` line, in order.  Whitespace of any kind
     is ignored, as between the names on a `worlds:` line; commas may
-    separate pairs, but none may close one."""
+    separate pairs, but none may close one.  A line that `_PAIRS_RE`
+    accepts has its numbers converted in one pass; any other line, or one
+    with a number too long for int(), is read pair by pair, which alone
+    writes the error."""
+    text = "".join(text.split())
+    if _PAIRS_RE.fullmatch(text):
+        numbers = map(int, text.translate(_SEPARATORS).split())
+        try:
+            return list(zip(numbers, numbers))
+        except ValueError:  # more digits than int() converts
+            pass
     pairs = []
-    chunks = "".join(text.split()).split(")")
+    chunks = text.split(")")
     for k, chunk in enumerate(chunks, start=1):
         chunk = chunk.lstrip(",")
         if not chunk:
@@ -713,7 +751,9 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
 
     Relations are closed reflexively and transitively on load, each straight
     into the agent's successor map; closure that adds pairs is reported as a
-    warning, not an error.  `cs_loader` maps a path from a `cs: file <path>`
+    warning, not an error.  A frame of more than `MAX_FRAME_PAIRS` pairs,
+    counting h loops at each world and then the agents' closed relations,
+    raises ResourceError.  `cs_loader` maps a path from a `cs: file <path>`
     line to that file's text.
     """
     h = None
@@ -792,23 +832,32 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
         raise ParseError("missing h: line")
     if not worlds:
         raise ParseError("missing worlds: line")
+    if h * len(worlds) > MAX_FRAME_PAIRS:
+        raise ResourceError(f"h: {h} over {len(worlds)} worlds exceeds the cap "
+                            f"of {MAX_FRAME_PAIRS} frame pairs")
     # each agent's frame is the reach map of its pairs plus a loop at every
     # world, a closed preorder by construction; only the worlds it names and
     # the typing of the rest can still be wrong
     frame = {}
     problems = []
+    closed = 0
     for i in range(1, h + 1):
         given = relations.get(i, set())
         graph: dict[int, list[int]] = {w: [w] for w in worlds}
         for w, v in given:
             graph.setdefault(w, []).append(v)
         frame[i] = reach = reach_by_component(graph)
+        n_pairs = sum(map(len, reach.values()))
+        closed += n_pairs
+        if closed > MAX_FRAME_PAIRS:
+            raise ResourceError(f"rel 1..{i}: {closed} pairs after closure exceed "
+                                f"the cap of {MAX_FRAME_PAIRS} frame pairs")
         if not worlds.issuperset(reach):
             # the error names each written pair that touches an unknown
             # world, sorted
             problems += _unknown_pair_problems(i, sorted(given), worlds)
         # the closure contains the given pairs
-        added = sum(map(len, reach.values())) - len(given)
+        added = n_pairs - len(given)
         if added:
             warnings.append(f"rel {i}: added {added} pairs "
                             "for reflexive-transitive closure")

@@ -470,6 +470,16 @@ def test_agent_count_above_cap_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_frame_above_cap_exits_2(tmp_path):
+    # 1,000 agents over 4,195 worlds: more frame pairs than MAX_FRAME_PAIRS
+    path = tmp_path / "wide.afm"
+    path.write_text("h: 1000\nworlds: " + " ".join(f"w{w}" for w in range(4195)) + "\n")
+    proc = run_jck("validate", str(path))
+    assert proc.returncode == 2
+    assert "exceeds the cap of 4194304 frame pairs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_common_knowledge_on_a_2000_world_cycle(tmp_path):
     # each agent links disjoint pairs of worlds, and the two together make
     # one cycle through all 2,000: common reachability relates every world

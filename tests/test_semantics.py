@@ -3,6 +3,7 @@ satisfaction, the scenario fixtures, and model files."""
 
 import gc
 import random
+import sys
 
 import pytest
 
@@ -10,13 +11,13 @@ from conftest import format_model
 from jck import gen, modal, semantics, syntax
 from jck.acceptance import attack_term_families, naive_saturate
 from jck.deduction import ConstantSpecification
-from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld
+from jck.errors import InvalidInput, ParseError, ResourceError, UnknownWorld, quoted
 from jck.gen import random_formula, random_term
 from jck.semantics import (
     AFModel, EvidenceFact, KripkeModel, SaturationUniverse, attack_four_world_model,
     attack_singleton_model, build_universe, evidence_holds, holds,
     parse_cs_table, parse_model_file, random_kripke_model, random_model, reach_C,
-    reflexive_transitive_closure, satisfies, saturate, transitive_closure,
+    reach_by_component, reflexive_transitive_closure, satisfies, saturate, transitive_closure,
     valid_in_model, validate_model,
 )
 from jck.syntax import (
@@ -160,6 +161,61 @@ def test_common_successors_share_a_tuple_per_component():
     assert succ[3] is succ[4]
     assert sorted(succ[0]) == [0, 1, 2, 3, 4] and sorted(succ[3]) == [3, 4]
     assert succ[5] == ()
+
+
+def raw_union_common_map(m: KripkeModel) -> dict:
+    """The common map built from the agent maps joined with every repeated
+    successor, as it was before it closed the group map."""
+    graph: dict[int, list[int]] = {w: [] for w in m.worlds}
+    for i in range(1, m.h + 1):
+        for w, vs in m.successors(agent(i)).items():
+            graph.setdefault(w, []).extend(vs)
+    return reach_by_component(graph)
+
+
+def seeded_frames():
+    """Generated frames, frames given as pairs, and frames whose pairs name
+    worlds outside `worlds`, with 1 to 4 agents and 1 to 40 worlds."""
+    rng = random.Random(25)
+    for k in range(240):
+        h, n = rng.randint(1, 4), rng.randint(1, 40)
+        if k % 3 == 0:
+            yield random_kripke_model(h, n, density=rng.choice((0.02, 0.1, 0.3)), seed=k)
+            continue
+        top = n + 3 if k % 3 == 2 else n
+        relations = {i: {(rng.randrange(top), rng.randrange(top))
+                         for _ in range(rng.randint(0, 2 * n))}
+                     for i in range(1, h + 1)}
+        valuation = {p: {w for w in range(n) if rng.random() < 0.5} for p in (1, 2)}
+        yield KripkeModel(h, range(n), relations, valuation)
+
+
+def shared_with(succ: dict) -> list:
+    """For each key in order, the first key whose tuple is the same object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(us), w) for w, us in succ.items()]
+
+
+def test_common_map_closes_the_group_map_as_the_raw_union_did():
+    always = Box(C, Prop(1))
+    nested = Box(C, Or(Prop(2), Box(C, Prop(1))))
+    for m in seeded_frames():
+        want = raw_union_common_map(m)
+        succ = m.successors(C)
+        assert list(succ) == list(want)
+        assert list(succ.values()) == list(want.values())
+        assert shared_with(succ) == shared_with(want)
+
+        def sat(w, f):
+            if isinstance(f, Prop):
+                return w in m.valuation.get(f.index, ())
+            if isinstance(f, Or):
+                return sat(w, f.left) or sat(w, f.right)
+            return all(sat(v, f.body) for v in want.get(w, ()))
+
+        for w in m.worlds:
+            assert holds(m, w, always) == sat(w, always)
+            assert holds(m, w, nested) == sat(w, nested)
 
 
 def test_reach_c_chains_across_agents():
@@ -1137,6 +1193,135 @@ def test_model_file_line_errors_name_the_token(line, message):
     with pytest.raises(ParseError) as caught:
         parse_model_file(f"h: 1\nworlds: w0 w1\n{line}\n")
     assert str(caught.value) == message
+
+
+def per_token_world_ids(text: str) -> list[int]:
+    return [semantics._world_id(tok) for tok in text.split()]
+
+
+def per_chunk_world_pairs(text: str) -> list:
+    """A `rel` line read pair by pair, as the loader did before it read the
+    line in bulk."""
+    pairs = []
+    chunks = "".join(text.split()).split(")")
+    for k, chunk in enumerate(chunks, start=1):
+        chunk = chunk.lstrip(",")
+        if not chunk:
+            continue
+        if not chunk.startswith("(") or k == len(chunks):
+            raise ParseError(f"bad relation pair {quoted(chunk)}")
+        if chunk.endswith(","):
+            raise ParseError(f"bad relation pair {quoted(chunk + ')')}")
+        a, _, b = chunk[1:].partition(",")
+        pairs.append((semantics._world_id(a), semantics._world_id(b)))
+    return pairs
+
+
+def read_outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as e:
+        return type(e), str(e)
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# Arabic-Indic, NKo, fullwidth and mathematical bold digits; superscript two
+# and one half are digits or numbers, but not decimal ones
+OTHER_DIGITS = "\u0663\u07c1\uff10\U0001d7d7"
+MUTANTS = "w(),x-+_ \t0123456789\u00b2\u00bd" + OTHER_DIGITS
+
+
+def random_gap(rng: random.Random, least: int = 0) -> str:
+    return "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(least, 3)))
+
+
+def random_world_name(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.03:
+        return "w" + "7" * rng.choice((4301, 5000))  # more than int() converts
+    digits = "0123456789" if roll < 0.8 else OTHER_DIGITS
+    number = "".join(rng.choice(digits) for _ in range(rng.randint(1, 4)))
+    return "w" + "0" * rng.choice((0, 0, 1, 3)) + number
+
+
+def random_names_line(rng: random.Random) -> str:
+    names = [random_world_name(rng) for _ in range(rng.randint(0, 6))]
+    return random_gap(rng) + "".join(n + random_gap(rng, 1) for n in names)
+
+
+def random_rel_line(rng: random.Random) -> str:
+    def commas():
+        return "".join(rng.choice((",", ",", " ,", ", ")) for _ in range(rng.choice((0, 0, 1, 2))))
+
+    parts = [commas()]
+    for _ in range(rng.randint(0, 5)):
+        a, b = random_world_name(rng), random_world_name(rng)
+        parts.append(random_gap(rng).join(("(", a, ",", b, ")")) + commas() + random_gap(rng))
+    return random_gap(rng) + "".join(parts)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One character deleted, replaced or inserted."""
+    k = rng.randint(0, len(text))
+    roll = rng.random()
+    if text and roll < 1 / 3:
+        k = min(k, len(text) - 1)
+        return text[:k] + text[k + 1:]
+    if text and roll < 2 / 3:
+        k = min(k, len(text) - 1)
+        return text[:k] + rng.choice(MUTANTS) + text[k + 1:]
+    return text[:k] + rng.choice(MUTANTS) + text[k:]
+
+
+def test_bulk_world_readers_match_the_per_token_readers():
+    rng = random.Random(2025)
+    for k in range(3000):
+        names, rel = random_names_line(rng), random_rel_line(rng)
+        if k % 2:
+            names, rel = mutate(rng, names), mutate(rng, rel)
+        assert (read_outcome(semantics._world_ids, names)
+                == read_outcome(per_token_world_ids, names)), names
+        assert (read_outcome(semantics._world_pairs, rel)
+                == read_outcome(per_chunk_world_pairs, rel)), rel
+
+
+@pytest.mark.parametrize("text,message", [
+    ("h: 3\nworlds: w0 w1 w2 w3 w4\n",
+     "h: 3 over 5 worlds exceeds the cap of 12 frame pairs"),
+    ("h: 1\nworlds: w0 w1 w2 w3\nrel 1: (w0,w1) (w1,w2) (w2,w3) (w3,w0)\n",
+     "rel 1..1: 16 pairs after closure exceed the cap of 12 frame pairs"),
+    ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\nrel 2: (w0,w1)\n",
+     "rel 1..2: 13 pairs after closure exceed the cap of 12 frame pairs"),
+    ("h: 2\nworlds: w0 w1 w2 w3 w4 w5\n", None),
+    ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\n", None),
+])
+def test_model_file_frame_cap(monkeypatch, text, message):
+    monkeypatch.setattr(semantics, "MAX_FRAME_PAIRS", 12)
+    if message is None:
+        parse_model_file(text)
+    else:
+        with pytest.raises(ResourceError) as caught:
+            parse_model_file(text)
+        assert str(caught.value) == message
+
+
+def cycle_text(h: int, n: int) -> str:
+    return "\n".join([
+        f"h: {h}", "worlds: " + " ".join(f"w{w}" for w in range(n)),
+        "rel 1: " + " ".join(f"(w{w},w{(w + 1) % n})" for w in range(n)),
+    ]) + "\n"
+
+
+def test_model_file_frame_cap_at_its_size():
+    assert semantics.MAX_FRAME_PAIRS == 2048 ** 2
+    # one cycle of 2,048 worlds closes to exactly the cap, one more world
+    # to more; 1,000 agents over 4,195 worlds are refused before closure
+    m, _ = parse_model_file(cycle_text(1, 2048))
+    assert len(m.successors(agent(1))[0]) == 2048
+    with pytest.raises(ResourceError, match="rel 1..1: 4198401 pairs"):
+        parse_model_file(cycle_text(1, 2049))
+    with pytest.raises(ResourceError, match="h: 1000 over 4195 worlds"):
+        parse_model_file(cycle_text(1000, 4195))
 
 
 def test_model_file_rel_lines_read_any_whitespace():
