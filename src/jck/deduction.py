@@ -119,8 +119,8 @@ def check_atom_count(n: int) -> None:
         raise ResourceError(f"{n} propositional atoms exceed the cap of {MAX_ATOMS}")
 
 
-# Memoized by formula; one proofs pass of the benchmark makes about 1,400
-# misses, an attack pass about 3,700.  A raised ResourceError is not stored.
+# Memoized by formula; one proofs pass of the benchmark makes 1,954 calls on
+# 1,432 formulas, an attack pass none.  A raised ResourceError is not stored.
 @lru_cache(maxsize=4096)
 def is_tautology(a: Formula) -> bool:
     """Exhaustive valuation over the formula's atoms.

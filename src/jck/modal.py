@@ -6,7 +6,7 @@ A modal formula is an ordinary `syntax` formula whose boxes are
 connectives, parser and printer of the evidence language.  It is evaluated
 on the frame class of `semantics`, `KripkeModel`, by the one evaluator
 `semantics.holds`, with no evidence facts.  The frame class, its validator,
-text format, seeded generator and the attack fixture are re-exported here.
+text format and loader, generator and the attack fixture are re-exported here.
 
 `forgetful` erases evidence terms, sending [t]@s A to the box #s A.
 `conservative_projection` instead stays inside the justification language: it
@@ -26,14 +26,14 @@ from .deduction import (
     ConstantSpecification, Derivation, Hyp, MP, check_derivation,
     is_agent_fragment, match_axiom,
 )
-from .errors import InvalidInput, quoted
+from .errors import InvalidInput
 from .syntax import (
-    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, agent, conjuncts,
-    print_formula, walk,
+    And, Box, Formula, Imp, Just, Neg, Or, Parser, Prop, conjuncts, print_formula,
+    walk,
 )
 from .semantics import (  # noqa: F401  (re-exported frame API)
     KripkeModel, attack_kripke_model, format_kripke_model, holds,
-    parse_model_file, random_kripke_model, validate_kripke_model,
+    parse_kripke_file, random_kripke_model, validate_kripke_model,
 )
 
 
@@ -209,26 +209,6 @@ def kripke_satisfies(m: KripkeModel, w: int, a: Formula) -> bool:
     """Truth of `a` at world `w` of the frame `m`: `holds` with no evidence
     facts, so an evidence box [t]@s A reads as the modal box #s A."""
     return holds(m, w, a)
-
-
-def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
-    """Same surface as the evidence-model format, minus evidence facts.
-    Stray mode/cs lines are ignored with a warning."""
-    warnings = []
-    kept = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        key = stripped.partition(":")[0].strip()
-        if key == "evidence":
-            raise InvalidInput("evidence lines do not belong in a relational model file")
-        if key in ("mode", "cs"):
-            warnings.append(f"ignored line {quoted(stripped)}")
-            continue
-        kept.append(raw)
-    model, warns = parse_model_file("\n".join(kept))
-    frame = {i: model.successors(agent(i)) for i in range(1, model.h + 1)}
-    k = KripkeModel(model.h, model.worlds, frame, model.valuation)
-    return k, tuple(warnings) + warns
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ the union of the agent maps; common reachability is its transitive closure,
 one more map.  An evidence model (`AFModel`) is a
 frame plus a finite base of evidence facts, a constant specification and an
 evidence mode; the modal side (`modal`) reads the same frame with the evidence
-left out, and uses this module's frame text format, generator and fixture.
+left out, and uses this module's text format, loader, generator and fixture.
 
 One evaluator, `holds`, reads formulas of both languages on any frame: a
 modal box needs only its successors, an evidence box also needs its fact in
@@ -121,8 +121,9 @@ class KripkeModel:
                     for w, v in self._pairs[sort.index]:
                         graph.setdefault(w, []).append(v)
                 else:
-                    for i in range(1, self.h + 1):
-                        for w, vs in self.successors(agent(i)).items():
+                    maps = [self.successors(agent(i)) for i in range(1, self.h + 1)]
+                    for agent_succ in {id(s): s for s in maps}.values():  # shared ones once
+                        for w, vs in agent_succ.items():
                             graph.setdefault(w, []).extend(vs)
                 # agents share successors (every world's loop, at least)
                 succ = {w: tuple(dict.fromkeys(vs)) for w, vs in graph.items()}
@@ -701,10 +702,10 @@ def _world_ids(text: str) -> list[int]:
 def _world_pairs(text: str) -> list[Pair]:
     """The pairs written on a `rel` line, in order.  Whitespace of any kind
     is ignored, as between the names on a `worlds:` line; commas may
-    separate pairs, but none may close one.  A line that `_PAIRS_RE`
-    accepts has its numbers converted in one pass; any other line, or one
-    with a number too long for int(), is read pair by pair, which alone
-    writes the error."""
+    separate pairs, but none may close one, and each `)` must close one.
+    Only a line that `_PAIRS_RE` accepts loads, its numbers converted in
+    one pass; any other line, or one with a number too long for int(), is
+    read pair by pair only to name what is wrong with it."""
     text = "".join(text.split())
     if _PAIRS_RE.fullmatch(text):
         numbers = map(int, text.translate(_SEPARATORS).split())
@@ -712,20 +713,16 @@ def _world_pairs(text: str) -> list[Pair]:
             return list(zip(numbers, numbers))
         except ValueError:  # more digits than int() converts
             pass
-    pairs = []
-    chunks = text.split(")")
-    for k, chunk in enumerate(chunks, start=1):
+    *closed, last = text.split(")")
+    for chunk in closed:
         chunk = chunk.lstrip(",")
-        if not chunk:
-            continue
-        # a pair is closed when a ")" follows it, so the last chunk is open
-        if not chunk.startswith("(") or k == len(chunks):
-            raise ParseError(f"bad relation pair {quoted(chunk)}")
+        if not chunk.startswith("("):  # empty when a ")" closes no pair
+            raise ParseError(f"bad relation pair {quoted(chunk or ')')}")
         if chunk.endswith(","):
             raise ParseError(f"bad relation pair {quoted(chunk + ')')}")
         a, _, b = chunk[1:].partition(",")
-        pairs.append((_world_id(a), _world_id(b)))
-    return pairs
+        _world_id(a), _world_id(b)  # each raises on a bad name
+    raise ParseError(f"bad relation pair {quoted(last.lstrip(','))}")
 
 
 def parse_cs_table(text: str, h: int) -> ConstantSpecification:
@@ -744,6 +741,15 @@ def parse_cs_table(text: str, h: int) -> ConstantSpecification:
             raise ParseError(f"specification member {quoted(left.strip())} is not a constant")
         members.append((const.index, const.sort, parse_formula(right.strip(), h)))
     return ConstantSpecification.extensional(members)
+
+
+def _model_lines(text: str):
+    """(line, key, rest) for each line of a model file left once its comment,
+    from `#` on, is cut; the key comes before the first `:`, all stripped."""
+    for raw in text.splitlines():
+        if line := raw.split("#", 1)[0].strip():
+            key, _, rest = line.partition(":")
+            yield line, key.strip(), rest.strip()
 
 
 def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...]]:
@@ -770,13 +776,7 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
             raise ParseError("the h: line must come first")
         return h
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
+    for line, key, rest in _model_lines(text):
         words = key.split()
         if key == "h":
             if h is not None:  # every line read so far was checked against h
@@ -835,24 +835,27 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
     if h * len(worlds) > MAX_FRAME_PAIRS:
         raise ResourceError(f"h: {h} over {len(worlds)} worlds exceeds the cap "
                             f"of {MAX_FRAME_PAIRS} frame pairs")
-    # each agent's frame is the reach map of its pairs plus a loop at every
-    # world, a closed preorder by construction; only the worlds it names and
-    # the typing of the rest can still be wrong
+    # each agent's frame, one map for all agents that write the same pairs,
+    # is the reach map of its pairs plus a loop at every world: a closed
+    # preorder by construction, so only its worlds and the typing can be wrong
     frame = {}
     problems = []
     closed = 0
+    closures: dict[frozenset, tuple[dict, int, bool]] = {}
     for i in range(1, h + 1):
         given = relations.get(i, set())
-        graph: dict[int, list[int]] = {w: [w] for w in worlds}
-        for w, v in given:
-            graph.setdefault(w, []).append(v)
-        frame[i] = reach = reach_by_component(graph)
-        n_pairs = sum(map(len, reach.values()))
+        if (key := frozenset(given)) not in closures:
+            graph: dict[int, list[int]] = {w: [w] for w in worlds}
+            for w, v in given:
+                graph.setdefault(w, []).append(v)
+            reach = reach_by_component(graph)
+            closures[key] = reach, sum(map(len, reach.values())), worlds.issuperset(reach)
+        frame[i], n_pairs, known = closures[key]
         closed += n_pairs
         if closed > MAX_FRAME_PAIRS:
             raise ResourceError(f"rel 1..{i}: {closed} pairs after closure exceed "
                                 f"the cap of {MAX_FRAME_PAIRS} frame pairs")
-        if not worlds.issuperset(reach):
+        if not known:
             # the error names each written pair that touches an unknown
             # world, sorted
             problems += _unknown_pair_problems(i, sorted(given), worlds)
@@ -870,6 +873,22 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
     if not report.ok:
         raise InvalidInput("; ".join(report.problems))
     return model, tuple(warnings)
+
+
+def parse_kripke_file(text: str) -> tuple[KripkeModel, tuple[str, ...]]:
+    """(frame, warnings) from a model file, read as `parse_model_file` reads
+    it but refusing `evidence` lines and skipping `mode` and `cs` with a warning."""
+    warnings, kept = [], []
+    for line, key, _ in _model_lines(text):
+        if key == "evidence":
+            raise InvalidInput("evidence lines do not belong in a relational model file")
+        if key in ("mode", "cs"):
+            warnings.append(f"ignored line {quoted(line)}")
+        else:
+            kept.append(line)
+    model, warns = parse_model_file("\n".join(kept))
+    frame = {i: model.successors(agent(i)) for i in range(1, model.h + 1)}
+    return KripkeModel(model.h, model.worlds, frame, model.valuation), tuple(warnings) + warns
 
 
 # ---------------------------------------------------------------------------

@@ -635,11 +635,11 @@ def _text(x: Term | Formula, memo: dict[int, str]) -> str:
 # A parsed term or formula is at most MAX_DEPTH nodes deep, counting the
 # nodes of its terms, and its text opens at most MAX_DEPTH parentheses at
 # once; deeper input raises ResourceError.  Every later walk of a tree
-# recurses once per level (printing, hashing, equality, the truth table,
-# `holds`), the costliest, equality and `holds`, at three interpreter frames
-# a level, so at this depth each fits in the default recursion limit of 1000
-# with 250 frames left for its callers.  The canonical text of a tree within
-# the cap is within it.
+# recurses once per level: equality of two separately built trees at three
+# interpreter frames a level, hashing and printing at two, the truth table
+# and `holds` at one.  So at this depth even equality fits in the default
+# recursion limit of 1000 with 250 frames left for its callers.  The
+# canonical text of a tree within the cap is within it.
 MAX_DEPTH = 250
 
 

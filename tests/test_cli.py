@@ -480,6 +480,15 @@ def test_frame_above_cap_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_parenthesis_closing_no_pair_exits_2(tmp_path):
+    path = tmp_path / "stray.afm"
+    path.write_text("h: 1\nworlds: w0 w1\nrel 1: ))) (w0,w1)),\n")
+    proc = run_jck("validate", str(path))
+    assert proc.returncode == 2
+    assert "bad relation pair ')'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_common_knowledge_on_a_2000_world_cycle(tmp_path):
     # each agent links disjoint pairs of worlds, and the two together make
     # one cycle through all 2,000: common reachability relates every world

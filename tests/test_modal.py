@@ -471,6 +471,10 @@ def test_kripke_file_round_trip_and_rejections():
     assert len(warns) == 2 and format_kripke_model(lax) == text
 
 
+def test_modal_reexports_the_one_kripke_loader():
+    assert parse_kripke_file is semantics.parse_kripke_file
+
+
 def test_random_kripke_model_deterministic():
     a = format_kripke_model(random_kripke_model(2, 4, seed=5))
     b = format_kripke_model(random_kripke_model(2, 4, seed=5))

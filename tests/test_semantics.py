@@ -1172,6 +1172,11 @@ def test_model_file_errors(text, exc):
     ("rel 1: (w0,w1\t,)", "bad relation pair '(w0,w1,)'"),
     ("rel 1: (w0,w1) (w1,w0,,,)", "bad relation pair '(w1,w0,,,)'"),
     ("rel 1: (,w0,w1)", "bad world name ''; expected wN"),
+    # a ")" must close a pair
+    ("rel 1: ))) (w0,w1)),", "bad relation pair ')'"),
+    ("rel 1: ,)", "bad relation pair ')'"),
+    ("rel 1: (w0,w1))", "bad relation pair ')'"),
+    ("rel 1: )(w0,w1)", "bad relation pair ')'"),
     ("val P1: w0 1", "bad world name '1'; expected wN"),
     ("val P1: w0 w" + "7" * 5000, "world number of 5000 digits is too large"),
     ("rel 0_1: (w0,w1)", "agent index '0_1' is not an integer"),
@@ -1201,12 +1206,14 @@ def per_token_world_ids(text: str) -> list[int]:
 
 def per_chunk_world_pairs(text: str) -> list:
     """A `rel` line read pair by pair, as the loader did before it read the
-    line in bulk."""
+    line in bulk, except that a ")" closing no pair is refused."""
     pairs = []
     chunks = "".join(text.split()).split(")")
     for k, chunk in enumerate(chunks, start=1):
         chunk = chunk.lstrip(",")
         if not chunk:
+            if k < len(chunks):
+                raise ParseError("bad relation pair ')'")
             continue
         if not chunk.startswith("(") or k == len(chunks):
             raise ParseError(f"bad relation pair {quoted(chunk)}")
@@ -1292,6 +1299,9 @@ def test_bulk_world_readers_match_the_per_token_readers():
      "rel 1..1: 16 pairs after closure exceed the cap of 12 frame pairs"),
     ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\nrel 2: (w0,w1)\n",
      "rel 1..2: 13 pairs after closure exceed the cap of 12 frame pairs"),
+    # agents that share a closed map each count its pairs
+    ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\nrel 2: (w0,w1) (w1,w2) (w2,w0)\n",
+     "rel 1..2: 18 pairs after closure exceed the cap of 12 frame pairs"),
     ("h: 2\nworlds: w0 w1 w2 w3 w4 w5\n", None),
     ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\n", None),
 ])
@@ -1322,6 +1332,40 @@ def test_model_file_frame_cap_at_its_size():
         parse_model_file(cycle_text(1, 2049))
     with pytest.raises(ResourceError, match="h: 1000 over 4195 worlds"):
         parse_model_file(cycle_text(1000, 4195))
+
+
+@pytest.mark.parametrize("rels, closures", [
+    (["(w0,w1) (w2,w0)"] * 3, 1),  # the same pairs
+    ([None] * 3, 1),  # no pairs
+    (["(w0,w1) (w1,w2)", None, "(w0,w1) (w1,w2)", "(w3,w1)", None], 3),
+], ids=["same", "none", "mixed"])
+def test_agents_that_write_the_same_pairs_share_one_closure(monkeypatch, rels, closures):
+    worlds = "worlds: w0 w1 w2 w3\n"
+
+    def alone(rel):
+        return parse_model_file("h: 1\n" + worlds + (f"rel 1: {rel}\n" if rel else ""))
+
+    # each agent's map and warning as a file of that agent alone loads them
+    singles = [alone(rel) for rel in rels]
+    made = []
+
+    def recording(graph):
+        made.append(reach_by_component(graph))
+        return made[-1]
+
+    monkeypatch.setattr(semantics, "reach_by_component", recording)
+    h = len(rels)
+    m, warns = parse_model_file(f"h: {h}\n" + worlds + "".join(
+        f"rel {i}: {rel}\n" for i, rel in enumerate(rels, start=1) if rel))
+    assert len(made) == closures
+    assert warns == tuple(w.replace("rel 1:", f"rel {i}:")
+                          for i, (_, ws) in enumerate(singles, start=1) for w in ws)
+    per_agent = KripkeModel(h, m.worlds, {i: single.successors(agent(1))
+                                          for i, (single, _) in enumerate(singles, start=1)}, {})
+    for sort in [*map(agent, range(1, h + 1)), E, C]:
+        assert list(m.successors(sort).items()) == list(per_agent.successors(sort).items())
+    k, _ = modal.parse_kripke_file(f"h: {h}\n" + worlds)
+    assert len({id(k.successors(agent(i))) for i in range(1, h + 1)}) == 1
 
 
 def test_model_file_rel_lines_read_any_whitespace():
