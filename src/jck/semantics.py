@@ -725,14 +725,21 @@ def _world_pairs(text: str) -> list[Pair]:
     raise ParseError(f"bad relation pair {quoted(last.lstrip(','))}")
 
 
+def _model_lines(text: str):
+    """(line, key, rest) for each line of a model file or specification table
+    left once its comment, from `#` on, is cut; the key comes before the
+    first `:`, all stripped."""
+    for raw in text.splitlines():
+        if line := raw.split("#", 1)[0].strip():
+            key, _, rest = line.partition(":")
+            yield line, key.strip(), rest.strip()
+
+
 def parse_cs_table(text: str, h: int) -> ConstantSpecification:
     """Constant specification tables: one `<const> := <formula>` line each,
     whose formula must be an axiom instance."""
     members = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line, _, _ in _model_lines(text):
         if ":=" not in line:
             raise ParseError(f"bad specification line {quoted(line)}; expected ':='")
         left, right = line.split(":=", 1)
@@ -741,15 +748,6 @@ def parse_cs_table(text: str, h: int) -> ConstantSpecification:
             raise ParseError(f"specification member {quoted(left.strip())} is not a constant")
         members.append((const.index, const.sort, parse_formula(right.strip(), h)))
     return ConstantSpecification.extensional(members)
-
-
-def _model_lines(text: str):
-    """(line, key, rest) for each line of a model file left once its comment,
-    from `#` on, is cut; the key comes before the first `:`, all stripped."""
-    for raw in text.splitlines():
-        if line := raw.split("#", 1)[0].strip():
-            key, _, rest = line.partition(":")
-            yield line, key.strip(), rest.strip()
 
 
 def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...]]:
@@ -835,16 +833,16 @@ def parse_model_file(text: str, cs_loader=None) -> tuple[AFModel, tuple[str, ...
     if h * len(worlds) > MAX_FRAME_PAIRS:
         raise ResourceError(f"h: {h} over {len(worlds)} worlds exceeds the cap "
                             f"of {MAX_FRAME_PAIRS} frame pairs")
-    # each agent's frame, one map for all agents that write the same pairs,
-    # is the reach map of its pairs plus a loop at every world: a closed
-    # preorder by construction, so only its worlds and the typing can be wrong
+    # each agent's frame, one map for all agents that write no pairs, is the
+    # reach map of its pairs plus a loop at every world: a closed preorder by
+    # construction, so only its worlds and the typing can be wrong
     frame = {}
     problems = []
     closed = 0
-    closures: dict[frozenset, tuple[dict, int, bool]] = {}
+    closures: dict[int, tuple[dict, int, bool]] = {}
     for i in range(1, h + 1):
-        given = relations.get(i, set())
-        if (key := frozenset(given)) not in closures:
+        given = relations.get(i, ())
+        if (key := i if given else 0) not in closures:
             graph: dict[int, list[int]] = {w: [w] for w in worlds}
             for w, v in given:
                 graph.setdefault(w, []).append(v)

@@ -1300,8 +1300,8 @@ def test_bulk_world_readers_match_the_per_token_readers():
     ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\nrel 2: (w0,w1)\n",
      "rel 1..2: 13 pairs after closure exceed the cap of 12 frame pairs"),
     # agents that share a closed map each count its pairs
-    ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\nrel 2: (w0,w1) (w1,w2) (w2,w0)\n",
-     "rel 1..2: 18 pairs after closure exceed the cap of 12 frame pairs"),
+    ("h: 3\nworlds: w0 w1 w2\nrel 3: (w0,w1) (w1,w2) (w2,w0)\n",
+     "rel 1..3: 15 pairs after closure exceed the cap of 12 frame pairs"),
     ("h: 2\nworlds: w0 w1 w2 w3 w4 w5\n", None),
     ("h: 2\nworlds: w0 w1 w2\nrel 1: (w0,w1) (w1,w2) (w2,w0)\n", None),
 ])
@@ -1335,11 +1335,11 @@ def test_model_file_frame_cap_at_its_size():
 
 
 @pytest.mark.parametrize("rels, closures", [
-    (["(w0,w1) (w2,w0)"] * 3, 1),  # the same pairs
-    ([None] * 3, 1),  # no pairs
-    (["(w0,w1) (w1,w2)", None, "(w0,w1) (w1,w2)", "(w3,w1)", None], 3),
+    (["(w0,w1) (w2,w0)"] * 3, 3),  # the same pairs: one closure each
+    ([None] * 3, 1),  # no pairs: one closure for all
+    (["(w0,w1) (w1,w2)", None, "(w0,w1) (w1,w2)", "(w3,w1)", None], 4),
 ], ids=["same", "none", "mixed"])
-def test_agents_that_write_the_same_pairs_share_one_closure(monkeypatch, rels, closures):
+def test_agents_that_write_no_pairs_share_one_closure(monkeypatch, rels, closures):
     worlds = "worlds: w0 w1 w2 w3\n"
 
     def alone(rel):
