@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
@@ -90,11 +90,13 @@ class KripkeModel:
     @property
     def relations(self) -> dict[int, frozenset]:
         """Agent index -> pair set; a relation given as a successor map has
-        its pair set derived here, once."""
+        its pair set derived here, once per map object."""
         if len(self._pairs) < self.h:
-            self._pairs = {i: self._pairs[i] if i in self._pairs else
-                           frozenset((w, v) for w, vs in self.successors(agent(i)).items()
-                                     for v in vs)
+            maps = {i: self.successors(agent(i)) for i in range(1, self.h + 1)
+                    if i not in self._pairs}
+            sets = {id(succ): frozenset((w, v) for w, vs in succ.items() for v in vs)
+                    for succ in {id(succ): succ for succ in maps.values()}.values()}
+            self._pairs = {i: sets[id(maps[i])] if i in maps else self._pairs[i]
                            for i in range(1, self.h + 1)}
         return self._pairs
 
@@ -138,9 +140,9 @@ class AFModel(KripkeModel):
     rules) or "full" (every term evidences every formula).  Its own caches,
     like the frame's, assume the model is not changed after construction:
     the saturation cache holds at most `_SATURATION_CACHE_SIZE` saturations,
-    `base_closure` holds the subterm and subformula closure of the fact
-    base, which every query's universe starts from, and `star_successors`
-    the maps every saturation spreads facts along.
+    `base_closure` holds the universe of the fact base with its index, the
+    part of every query's universe that does not depend on the query, and
+    `star_successors` the maps every saturation spreads facts along.
     """
 
     def __init__(self, h: int, worlds, relations, valuation, evidence_base=(),
@@ -161,16 +163,15 @@ class AFModel(KripkeModel):
         return {s: self.successors(s) for s in sorts}
 
     @cached_property
-    def base_closure(self) -> tuple[frozenset[Term], frozenset[Formula]]:
-        """(terms, formulas): every subterm and subformula of the fact base,
-        with the subterms of every term inside those formulas; built on
-        first read."""
-        terms: set[Term] = set()
-        formulas: set[Formula] = set()
-        for fact in self.evidence_base:
-            _add_term(terms, fact.term)
-            _add_formula(terms, formulas, fact.formula)
-        return frozenset(terms), frozenset(formulas)
+    def base_closure(self) -> SaturationUniverse:
+        """The universe of the fact base's parts, built on first read.  Its
+        candidates are tested for axioms only by a query whose universe
+        holds a C-sorted constant, as every query's own are."""
+        terms, formulas, parents, tails, candidates = set(), set(), {}, [], set()
+        _walk([x for fact in self.evidence_base for x in (fact.term, fact.formula)],
+              terms, formulas, parents, tails, candidates, {})
+        return SaturationUniverse(frozenset(terms), frozenset(formulas), parents, tuple(tails),
+                                  frozenset(candidates))
 
 
 @dataclass(frozen=True)
@@ -325,38 +326,62 @@ def reach_C(m: KripkeModel) -> frozenset:
 @dataclass(frozen=True)
 class SaturationUniverse:
     """Finite fact space: only (world, term, formula) with term and formula
-    drawn from these sets participate in closure."""
+    drawn from these sets participate in closure.  The rest, left out of
+    equality, indexes them: each term's parents, each `tail(t)`'s argument,
+    and the formulas that may be axiom instances or specification members.
+    `build_universe` grows it from the model's `base_closure`; a universe
+    given only its sets derives it from its own terms, so that no rule fires
+    for a parent outside it."""
 
     terms: frozenset
     formulas: frozenset
+    parents: dict = field(default=None, compare=False, repr=False)
+    tails: tuple = field(default=(), compare=False, repr=False)
+    candidates: frozenset = field(default=frozenset(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.parents is None:
+            parents, tails = {}, []
+            for u in self.terms:
+                # a walk that finds the children of u present enters u alone
+                _walk([u], set(u._children()), set(), parents, tails, set(), {})
+            for name, value in (("parents", parents), ("tails", tuple(tails)),
+                                ("candidates", self.formulas)):
+                object.__setattr__(self, name, value)
 
 
-def _add_term(terms: set[Term], t: Term) -> None:
-    """Add every subterm of `t` to `terms`, which holds every subterm of a
-    term it holds, so the walk stops at a term already there."""
-    stack = [t]
+def _walk(stack: list, terms: set, formulas: set, parents: dict, tails: list, candidates: set,
+          shared: dict) -> None:
+    """Add every part of the items on `stack` to `terms` and `formulas`,
+    which hold every part of what they hold, so the walk stops there.  Each
+    new term is entered in the index: as a parent of its children, and by
+    its argument if it is a `tail(t)`.  `parents` may start as a copy of
+    `shared`, whose lists are copied before the first append, never changed.
+    Each new formula that is not a box is a candidate: a box is a
+    propositional atom, which no axiom schema matches."""
     while stack:
         x = stack.pop()
-        if x not in terms:
-            terms.add(x)
+        if isinstance(x, Term):
+            if x not in terms:
+                terms.add(x)
+                kids = x._children()
+                stack += kids
+                for k in kids:
+                    ps = parents.get(k)
+                    if ps is None:
+                        parents[k] = [x]
+                    elif ps[-1] is not x:  # `t + t` is one parent of t
+                        if ps is shared.get(k):
+                            parents[k] = [*ps, x]
+                        else:
+                            ps.append(x)
+                if x.__class__ is Tail:
+                    tails.append(x.t)
+        elif x not in formulas:
+            formulas.add(x)
+            if x.__class__ is not Just:
+                candidates.add(x)
             stack += x._children()
-
-
-def _add_formula(terms: set[Term], formulas: set[Formula], a: Formula) -> None:
-    """Add every subformula of `a` to `formulas`, and every subterm of their
-    evidence terms to `terms`.  `formulas` holds every subformula of a
-    formula it holds, and `terms` every term inside them, so the walk stops
-    at a formula already there."""
-    stack = [a]
-    while stack:
-        f = stack.pop()
-        if f not in formulas:
-            formulas.add(f)
-            if f.__class__ is Just:
-                _add_term(terms, f.term)
-                stack.append(f.body)
-            else:
-                stack += f._children()
 
 
 def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
@@ -364,64 +389,54 @@ def build_universe(m: AFModel, query: Formula, depth_budget: int = 3,
     """Subterm/subformula closure of the query and the fact base, then
     specification instances for constants present, then `depth_budget` rounds
     of the boxed forms `[t]@C A` the tail rule can emit for each `tail(t)`.
-    The fact base's closure is the model's `base_closure`, shared by every
-    query.
+    One walk extends a copy of the model's `base_closure`, and its index.
 
     The rounds are semi-naive (Bancilhon and Ramakrishnan, *An amateur's
     introduction to recursive query processing strategies*, 1986): round 0
     boxes every formula, each later round only the formulas the round before
     added, since a box of an older formula is already in.  A boxed form's
     parts are in the universe already, so it adds no term."""
-    base_terms, base_formulas = m.base_closure
-    terms = set(base_terms)
-    formulas = set(base_formulas)
-    _add_formula(terms, formulas, query)
-
+    base = m.base_closure
+    terms, formulas, parents = set(base.terms), set(base.formulas), dict(base.parents)
+    tails, candidates = list(base.tails), set(base.candidates)
+    _walk([query], terms, formulas, parents, tails, candidates, base.parents)
     for c, a in m.cs.pairs():
         if c in terms:
-            _add_formula(terms, formulas, a)
+            _walk([a], terms, formulas, parents, tails, candidates, base.parents)
 
     # the universe only grows, so checking its size before each round and
     # once after the last refuses exactly the inputs whose final size is over
-    tails = [t.t for t in terms if isinstance(t, Tail)]
     added = formulas
     for rnd in count():
         if len(terms) + len(formulas) > max_size:
             raise ResourceError(
                 f"saturation universe exceeded {max_size} entries; "
                 "lower the depth budget or shrink the query")
-        if rnd >= depth_budget:
+        if rnd >= depth_budget or not tails:
             break
         added = {boxed for t in tails for a in added
                  if (boxed := Just(t, C, a)) not in formulas}
         if not added:
             break
         formulas.update(added)
-    return SaturationUniverse(frozenset(terms), frozenset(formulas))
+    return SaturationUniverse(frozenset(terms), frozenset(formulas), parents, tuple(tails),
+                              frozenset(candidates))
 
 
 def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
     """Least fixpoint of the nine closure rules inside `universe`.
 
-    Returns a frozenset of (world, term, formula) triples.  One index,
-    `parents`, maps each term of the universe to the terms that have it as a
-    child; a worklist fact spreads along its sort's relation (the model's
+    Returns a frozenset of (world, term, formula) triples.  The universe's
+    `parents` maps each of its terms to the terms that have it as a child,
+    and the specification is read against its terms and candidates only; a
+    worklist fact spreads along its sort's relation (the model's
     `star_successors`, built once per model), then walks its term's parents
     once and fires the rule of each parent's class, so work is linear in
     fired-rule instances rather than in universe size per pass.
     """
     tu = universe.terms
     fu = universe.formulas
-
-    parents: dict[Term, list[Term]] = {}
-    for u in tu:
-        for k in u._children():
-            ps = parents.get(k)
-            if ps is None:
-                parents[k] = [u]
-            elif ps[-1] is not u:  # `t + t` is one parent of t
-                ps.append(u)
-
+    parents = universe.parents
     succ_star = m.star_successors
 
     known: set[tuple[int, Term, Formula]] = set()
@@ -450,7 +465,8 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
     for fact in m.evidence_base:
         if fact.world in m.worlds and fact.term in tu and fact.formula in fu:
             emit(fact.world, fact.term, fact.formula)
-    for c, a in m.cs.within(tu, fu):
+    # a box is no axiom instance, so no specification member
+    for c, a in m.cs.within(tu, universe.candidates):
         for w in m.worlds:
             emit(w, c, a)
 
@@ -460,11 +476,12 @@ def saturate(m: AFModel, universe: SaturationUniverse) -> frozenset:
         w, t, a, spread = queue.pop()
         sort = t.sort
 
-        # monotonicity along the star-sort relations; an agent relation need
-        # not be transitive, so agent facts keep spreading from each arrival
-        if spread and sort != E:
-            for v in succ_star[sort].get(w, ()):
-                emit(v, t, a, sort.is_agent)
+        # monotonicity to other worlds along the star sorts' maps (E has none);
+        # an agent relation need not be transitive, so agent facts keep spreading
+        if spread and (succ := succ_star.get(sort)):
+            for v in succ.get(w, ()):
+                if v != w:
+                    emit(v, t, a, sort.is_agent)
 
         for u in parents.get(t, ()):
             cls = u.__class__

@@ -366,6 +366,30 @@ def test_validate_problems_match_pairwise_oracle_in_order():
         assert validate_model(m).problems == pairwise_frame_problems(m)
 
 
+def test_agents_that_share_a_map_share_one_pair_set():
+    # a missing transitive pair and a pair on an unknown world, so that each
+    # agent has problems to report; agent 4 writes its own pairs
+    succ = {0: (0, 1), 1: (1, 2), 2: (2, 7)}
+    own = {(0, 0), (1, 1), (2, 2), (2, 0)}
+
+    def model(share: bool) -> KripkeModel:
+        maps = {i: succ if share else dict(succ) for i in (1, 2, 3)}
+        return KripkeModel(4, {0, 1, 2}, {**maps, 4: own}, {1: {0, 9}})
+
+    shared, copied = model(True), model(False)
+    assert len({id(shared.relations[i]) for i in (1, 2, 3)}) == 1
+    assert len({id(copied.relations[i]) for i in (1, 2, 3)}) == 3
+    assert shared.relations == copied.relations
+    reports = [semantics.validate_kripke_model(m).problems for m in (shared, copied)]
+    assert reports[0] == reports[1] == pairwise_frame_problems(copied)
+    assert any(p.startswith("rel 3: missing transitive pair") for p in reports[0])
+    texts = [semantics.format_kripke_model(m) for m in (shared, copied)]
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[2:6] == [
+        f"rel {i}: " + " ".join(f"(w{w},w{v})" for w, v in sorted(shared.relations[i]))
+        for i in (1, 2, 3, 4)]
+
+
 # ---------------------------------------------------------------------------
 # saturation, one rule at a time
 
@@ -953,6 +977,30 @@ def test_holds_leaves_no_cycle_for_the_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_an_attack_sweep_leaves_no_cycle_for_the_collector():
+    # the queries of one `demo-attack` sweep, and a base-mode query on a
+    # loaded model file: no universe, index or saturation leaves a cycle
+    fam2, fam_c = attack_term_families(3)
+    ms, m4 = attack_singleton_model(), attack_four_world_model()
+    loaded, _ = parse_model_file("h: 2\nworlds: w0 w1\nrel 1: (w0,w1)\nval P1: w0 w1\n"
+                                 "evidence: (w0, tail(c1@C), [c1@C]@C P1)\n"
+                                 "evidence: (w1, c2@1, P1 -> P1)\n")
+    knows_msg = Just(M2, agent(1), Just(M1, agent(2), DEL))
+    gc.collect()
+    gc.disable()
+    try:
+        for t in fam_c:
+            evidence_holds(ms, 0, t, DEL)
+            satisfies(m4, 0, Just(t, C, DEL))
+        for s in fam2:
+            satisfies(m4, 0, Just(s, agent(2), knows_msg))
+        assert satisfies(loaded, 1, Just(Const(2, agent(1)), agent(1), Imp(Prop(1), Prop(1))))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
 
 @pytest.mark.parametrize("a", [Var(1, C), C, Neg(Var(1, C)), Box(C, Imp(DEL, M1))],
                          ids=["term", "sort", "negated term", "boxed term"])
